@@ -8,10 +8,12 @@ One run sets up SETUP_REPEATS times (import, config parse, input generation)
 and then runs whole rounds of the workload's operations, one after another
 in this single process: at least MIN_ROUNDS, then more until the next round
 would end past ``--seconds``.  Every operation's output is checked after its
-round.  Timings are best-of-rounds: each distinct operation is timed by its
-fastest repeat, which keeps a slow spell of a shared host out of the figures;
-``wall_s`` is the sum of those times over the round, and the operation
-percentiles are taken over them.  The last line of
+round.  Every time is calibrated (see ``calibrate``): the calibration kernel
+runs before each operation and each set-up, and a time is scaled by the
+kernel's speed around it, so that a slow spell of a shared host does not
+show.  Each distinct operation is timed by the median of its calibrated
+repeats; ``wall_s`` is the sum of those times over the round, and the
+operation percentiles are taken over them.  The last line of
 standard output is one JSON object: ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  With ``--trace 0`` the metrics are the end-to-end ones; with
 ``--trace 1`` untraced and traced rounds alternate and the metrics are the
@@ -30,6 +32,7 @@ import time
 import traceback
 from pathlib import Path
 
+import calibrate
 import tracing
 from workloads import WORKLOADS, Balg
 
@@ -53,12 +56,16 @@ def parse_args(argv=None):
 def set_up(workload_cls, seed: int):
     """Import balg afresh and build the workload, SETUP_REPEATS times.
 
-    Returns the last workload and the median set-up time in seconds."""
+    Returns the last workload and the median calibrated set-up time in
+    seconds."""
     times = []
     for _ in range(SETUP_REPEATS):
+        before = [calibrate.kernel_seconds() for _ in range(calibrate.NEIGHBOURS)]
         started = time.perf_counter()
         workload = workload_cls(Balg(ROOT / "src"), ROOT, seed)
-        times.append(time.perf_counter() - started)
+        seconds = time.perf_counter() - started
+        after = [calibrate.kernel_seconds() for _ in range(calibrate.NEIGHBOURS)]
+        times.append(seconds * calibrate.scale(before + after, calibrate.NEIGHBOURS - 1))
     return workload, statistics.median(times)
 
 
@@ -68,19 +75,23 @@ class Runner:
     def __init__(self, workload):
         self.workload = workload
         self.op_seconds: list[list[float]] = [[] for _ in workload.inputs]
+        self.raw_seconds: list[list[float]] = [[] for _ in workload.inputs]
+        self.kernel_seconds: list[float] = []
         self.attempted = 0
         self.failed = 0
         self.correct = True
         self._reported: set[str] = set()
         self._pending: list = []
 
-    def round(self, inputs, tracer=None) -> float:
+    def round(self, inputs, tracer=None, calibrated=False) -> float:
         """One pass over ``inputs``; returns its wall time in seconds.
 
-        Outputs wait for ``check`` so that checking is neither timed nor
-        traced."""
+        With ``calibrated`` the kernel runs before each operation and after
+        the last, and the calibrated times are kept.  Outputs wait for
+        ``check`` so that checking is neither timed nor traced."""
         w = self.workload
-        outputs = []
+        outputs, raw = [], []
+        kernel = [calibrate.kernel_seconds()] if calibrated else []
         started = time.perf_counter()
         for k, item in enumerate(inputs):
             t0 = time.perf_counter()
@@ -93,11 +104,18 @@ class Runner:
             except Exception:  # a failing operation is counted, not fatal
                 self._report(traceback.format_exc())
                 out = _FAILED
-            if tracer is None:
-                self.op_seconds[k].append(time.perf_counter() - t0)
+            raw.append(time.perf_counter() - t0)
             outputs.append(out)
+            if calibrated:
+                kernel.append(calibrate.kernel_seconds())
+        wall = time.perf_counter() - started
+        if calibrated:
+            for k, seconds in enumerate(raw):
+                self.raw_seconds[k].append(seconds)
+                self.op_seconds[k].append(seconds * calibrate.scale(kernel, k))
+            self.kernel_seconds += kernel
         self._pending = list(zip(inputs, outputs))
-        return time.perf_counter() - started
+        return wall
 
     def check(self) -> None:
         """Check the outputs of the last round."""
@@ -133,7 +151,7 @@ def measure(runner: Runner, budget: float) -> None:
     rounds = 0
     begun = time.perf_counter()
     while True:
-        wall = runner.round(runner.workload.inputs)
+        wall = runner.round(runner.workload.inputs, calibrated=True)
         runner.check()
         rounds += 1
         elapsed = time.perf_counter() - begun
@@ -142,12 +160,16 @@ def measure(runner: Runner, budget: float) -> None:
 
 
 def end_to_end(runner: Runner, setup_s: float) -> dict:
-    best = [min(times) for times in runner.op_seconds]
+    ops = [statistics.median(times) for times in runner.op_seconds]
+    raw = [statistics.median(times) for times in runner.raw_seconds]
+    print(f"uncalibrated wall_s {math.fsum(raw):.4f}; kernel median "
+          f"{statistics.median(runner.kernel_seconds) * 1e3:.4f} ms, reference "
+          f"{calibrate.REF_SECONDS * 1e3:.4f} ms", file=sys.stderr)
     return {
         "setup_s": {"value": setup_s, "unit": "s"},
-        "wall_s": {"value": math.fsum(best), "unit": "s"},
-        "op_p50_ms": {"value": statistics.median(best) * 1e3, "unit": "ms"},
-        "op_p90_ms": {"value": percentile_ms(best, 90), "unit": "ms"},
+        "wall_s": {"value": math.fsum(ops), "unit": "s"},
+        "op_p50_ms": {"value": statistics.median(ops) * 1e3, "unit": "ms"},
+        "op_p90_ms": {"value": percentile_ms(ops, 90), "unit": "ms"},
         "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                         "unit": "MB"},
     }

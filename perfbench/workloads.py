@@ -53,7 +53,7 @@ class VerifyDefault:
 
     name = "verify_default"
     SEEDS = 12
-    TRIALS = 30
+    TRIALS = 15
     TRACED_OPS = 9  # a traced pass covers the first seed's nine suites
 
     def __init__(self, balg: Balg, root: Path, seed: int):
