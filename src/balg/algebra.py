@@ -127,13 +127,6 @@ class Algebra:
         for bits in range(1 << self.atom_count):
             yield Elem(self, bits)
 
-    def card(self) -> int:
-        if self.trivial:
-            return 1
-        if self.kind != POWERSET:
-            raise AlgebraError("finite_cofinite is infinite")
-        return 1 << (1 << self.atom_count)
-
     def sup(self, xs: Iterable["Elem"]) -> "Elem":
         """Join of a nonempty finite set of elements."""
         xs = list(xs)

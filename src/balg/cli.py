@@ -55,6 +55,13 @@ def parse_algebra_spec(spec: str) -> Algebra:
         raise AlgebraError(f"bad atom count in {spec!r}") from None
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _render_text(report: Report) -> str:
     lines = []
     for s in report.suites:
@@ -152,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build an incompleteness certificate")
     p.add_argument("--target", choices=("evens", "diagonal"), required=True)
     p.add_argument("--start", help="starting upper bound (default: the unit)")
-    p.add_argument("--steps", type=int, default=3)
+    p.add_argument("--steps", type=positive_int, default=3)
     p.set_defaults(func=cmd_certify)
     return parser
 

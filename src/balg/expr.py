@@ -187,7 +187,10 @@ class _Parser:
             den = 1
             if self.peek()[0] == "SLASH":
                 self.next()
-                den = int(self.expect("NUM")[1])
+                tok = self.expect("NUM")
+                den = int(tok[1])
+                if den == 0:
+                    raise ExprError("zero denominator", tok[2])
             coeff = Fraction(num, den)
             self.expect("STAR")
         tok = self.expect("NAME")
@@ -256,11 +259,28 @@ def grid_dict(x: RectForm) -> dict:
 
 
 def rectform_from_grid(fp: FreeProduct, payload: dict) -> RectForm:
-    """Rebuild an element from its report form."""
+    """Rebuild an element from its report form.
+
+    Grid operations assume each axis partitions its unit, so cells that
+    overlap, vanish or leave a gap are rejected, as is a matrix of the
+    wrong shape.
+    """
     left = [parse_element(fp.left, c) for c in payload["left_cells"]]
     right = [parse_element(fp.right, c) for c in payload["right_cells"]]
+    matrix = payload["matrix"]
+    if len(matrix) != len(left) or any(len(row) != len(right) for row in matrix):
+        raise ExprError("grid matrix does not match its cells", 0)
+    if not fp.is_trivial:
+        for cells, alg in ((left, fp.left), (right, fp.right)):
+            covered = alg.zero
+            for c in cells:
+                if c.is_zero() or not (covered & c).is_zero():
+                    raise ExprError("grid cells overlap or are empty", 0)
+                covered = covered | c
+            if covered != alg.one:
+                raise ExprError("grid cells do not cover the unit", 0)
     rows = []
-    for row in payload["matrix"]:
+    for row in matrix:
         m = 0
         for j, active in enumerate(row):
             if active:

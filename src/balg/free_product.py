@@ -5,6 +5,11 @@ cells plus an activity matrix saying which cell rectangles lie under the
 element.  The canonical grid is the coarsest one (no two rows and no two
 columns of the matrix coincide) with cells in deterministic order, so
 structural equality decides mathematical equality.
+
+Each axis of a grid partitions that axis's unit, so the common refinement
+of several grids is the nonzero meets of their cells, one cell from each
+grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets and
+copy each grid's rows onto them with bit operations.
 """
 
 from __future__ import annotations
@@ -125,8 +130,8 @@ class FreeProduct:
         self._check(x)
         m = self.right.atom_count
         mask = 0
-        lidx = [_locate(a, x.left_cells) for a in self.left.atoms()]
-        ridx = [_locate(b, x.right_cells) for b in self.right.atoms()]
+        lidx = [_cell_of(p, x.left_cells) for p in range(1, self.left.atom_count + 1)]
+        ridx = [_cell_of(q, x.right_cells) for q in range(1, m + 1)]
         for p, i in enumerate(lidx):
             row = x.rows[i]
             for q, j in enumerate(ridx):
@@ -150,20 +155,13 @@ class FreeProduct:
         self._check(x)
         if self.is_trivial:
             return False
-        i = next((k for k, c in enumerate(x.left_cells) if c.contains(p)), None)
-        j = next((k for k, c in enumerate(x.right_cells) if c.contains(q)), None)
+        i, j = _cell_of(p, x.left_cells), _cell_of(q, x.right_cells)
         if i is None or j is None:
             raise AlgebraError(f"({p}, {q}) is not a point of the product")
         return bool(x.rows[i] >> j & 1)
 
-    def sup(self, xs: Sequence["RectForm"]) -> "RectForm":
-        xs = list(xs)
-        if not xs:
-            raise AlgebraError("sup of an empty collection")
-        out = xs[0]
-        for x in xs[1:]:
-            out = out | x
-        return out
+    # one join-of-a-list body for every backend
+    sup = Algebra.sup
 
     def random_elem(self, rng: random.Random) -> "RectForm":
         if self.is_trivial:
@@ -190,18 +188,15 @@ class FreeProduct:
         """
         if self.is_trivial:
             return ((), ()), [0 for _ in parts], 0
-        lparts = [c for x in parts for c in x.left_cells]
-        rparts = [c for x in parts for c in x.right_cells]
-        L = refine_partition(self.left.one, lparts, self.left.sort_key)
-        R = refine_partition(self.right.one, rparts, self.right.sort_key)
+        L, R, grids = _overlay(self, parts)
+        width = len(R)
         masks = []
-        for x in parts:
-            rows = _regrid(x, L, R)
+        for rows in grids:
             m = 0
             for i, row in enumerate(rows):
-                m |= row << (i * len(R))
+                m |= row << (i * width)
             masks.append(m)
-        return (L, R), masks, len(L) * len(R)
+        return (L, R), masks, len(L) * width
 
     def join_cells(self, payload, mask: int) -> "RectForm":
         L, R = payload
@@ -241,14 +236,7 @@ class RectForm:
         self._match(other)
         if self.fp.is_trivial:
             return self
-        L = refine_partition(self.fp.left.one,
-                             list(self.left_cells) + list(other.left_cells),
-                             self.fp.left.sort_key)
-        R = refine_partition(self.fp.right.one,
-                             list(self.right_cells) + list(other.right_cells),
-                             self.fp.right.sort_key)
-        a = _regrid(self, L, R)
-        b = _regrid(other, L, R)
+        L, R, (a, b) = _overlay(self.fp, (self, other))
         return _canonical(self.fp, L, R, [op(x, y) for x, y in zip(a, b)])
 
     def __and__(self, other: "RectForm") -> "RectForm":
@@ -271,14 +259,7 @@ class RectForm:
         self._match(other)
         if self.fp.is_trivial:
             return True
-        L = refine_partition(self.fp.left.one,
-                             list(self.left_cells) + list(other.left_cells),
-                             self.fp.left.sort_key)
-        R = refine_partition(self.fp.right.one,
-                             list(self.right_cells) + list(other.right_cells),
-                             self.fp.right.sort_key)
-        a = _regrid(self, L, R)
-        b = _regrid(other, L, R)
+        _, _, (a, b) = _overlay(self.fp, (self, other))
         return all(x & ~y == 0 for x, y in zip(a, b))
 
     def rel_complement(self, other: "RectForm") -> "RectForm":
@@ -303,26 +284,48 @@ class RectForm:
         return tuple(out)
 
 
-def _locate(fine: Elem, coarse: Sequence[Elem]) -> int:
-    for k, c in enumerate(coarse):
-        if fine.leq(c):
-            return k
-    raise AlgebraError("cell does not refine the coarse partition")
+def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]:
+    """Common refinement of partitions of the unit, sorted by ``sort_key``.
+
+    Its cells are the nonzero meets taking one cell from each partition;
+    beside each cell goes the index of the cell it came from in each one.
+    """
+    cells = [(alg.one, ())]
+    for part in partitions:
+        cells = [(m, src + (k,)) for c, src in cells for k, p in enumerate(part)
+                 if not (m := c & p).is_zero()]
+    cells.sort(key=lambda t: alg.sort_key(t[0]))
+    return [c for c, _ in cells], [src for _, src in cells]
 
 
-def _regrid(x: RectForm, L: Sequence[Elem], R: Sequence[Elem]) -> list[int]:
-    """Activity rows of x over a grid refining x's own grid."""
-    li = [_locate(c, x.left_cells) for c in L]
-    rj = [_locate(c, x.right_cells) for c in R]
-    rows = []
-    for i in li:
-        src = x.rows[i]
-        m = 0
-        for j, k in enumerate(rj):
-            if src >> k & 1:
-                m |= 1 << j
-        rows.append(m)
-    return rows
+def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
+    """Common grid of several elements, with each element's rows on it.
+
+    Returns the common left and right cells and, per element, its activity
+    rows over them.
+    """
+    L, lsrc = _meets(fp.left, [x.left_cells for x in grids])
+    R, rsrc = _meets(fp.right, [x.right_cells for x in grids])
+    out = []
+    for g, x in enumerate(grids):
+        # common columns under each of x's own columns
+        cols = [0] * len(x.right_cells)
+        for j, src in enumerate(rsrc):
+            cols[src[g]] |= 1 << j
+        spread = []
+        for row in x.rows:
+            m = 0
+            for k, col in enumerate(cols):
+                if row >> k & 1:
+                    m |= col
+            spread.append(m)
+        out.append([spread[src[g]] for src in lsrc])
+    return L, R, out
+
+
+def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
+    """Index of the cell holding the point n, or None."""
+    return next((k for k, c in enumerate(cells) if c.contains(n)), None)
 
 
 def _canonical(fp: FreeProduct, L: list[Elem], R: list[Elem],

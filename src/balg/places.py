@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Algebra, AlgebraError
+from .algebra import AlgebraError
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,21 +86,34 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
     if getattr(backend, "is_trivial", False) or not terms:
         return PlaceFunction(backend, ())
     payload, masks, ncells = backend.joint_cells([x for _, x in terms])
-    values: dict[int, Fraction] = {}
-    for (c, _), mask in zip(terms, masks):
-        mm = mask
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            values[i] = values.get(i, Fraction(0)) + c
-            mm ^= low
+    return from_cell_values(backend, enumerate(_cell_sums(terms, masks, ncells)),
+                            lambda mask: backend.join_cells(payload, mask))
+
+
+def from_cell_values(backend, values, join) -> PlaceFunction:
+    """Canonical place function from (cell index, coefficient) pairs.
+
+    Cells sharing a nonzero coefficient become one support, ``join(mask)``
+    of the bitmask of their indices; zero cells are dropped.
+    """
     groups: dict[Fraction, int] = {}
-    for i, v in values.items():
+    for i, v in values:
         if v != 0:
             groups[v] = groups.get(v, 0) | (1 << i)
-    out = [(v, backend.join_cells(payload, mask)) for v, mask in groups.items()]
-    out.sort(key=lambda t: backend.sort_key(t[1]))
-    return PlaceFunction(backend, tuple(out))
+    terms = [(v, join(mask)) for v, mask in groups.items()]
+    terms.sort(key=lambda t: backend.sort_key(t[1]))
+    return PlaceFunction(backend, tuple(terms))
+
+
+def _cell_sums(terms, masks, ncells: int) -> list[Fraction]:
+    """Per cell, the sum of the coefficients of the terms whose mask has it."""
+    vals = [Fraction(0)] * ncells
+    for (c, _), mask in zip(terms, masks):
+        while mask:
+            low = mask & -mask
+            vals[low.bit_length() - 1] += c
+            mask ^= low
+    return vals
 
 
 def _match(f: PlaceFunction, g: PlaceFunction) -> None:
@@ -153,33 +166,10 @@ def scale(c, f: PlaceFunction) -> PlaceFunction:
 
 
 def _cell_values(backend, f: PlaceFunction, g: PlaceFunction):
-    supports = [x for _, x in f.terms] + [x for _, x in g.terms]
-    payload, masks, ncells = backend.joint_cells(supports)
-    fvals = [Fraction(0)] * ncells
-    gvals = [Fraction(0)] * ncells
-    for (c, _), mask in zip(f.terms, masks[: len(f.terms)]):
-        mm = mask
-        while mm:
-            low = mm & -mm
-            fvals[low.bit_length() - 1] += c
-            mm ^= low
-    for (c, _), mask in zip(g.terms, masks[len(f.terms):]):
-        mm = mask
-        while mm:
-            low = mm & -mm
-            gvals[low.bit_length() - 1] += c
-            mm ^= low
-    return payload, fvals, gvals
-
-
-def _from_cell_values(backend, payload, vals) -> PlaceFunction:
-    groups: dict[Fraction, int] = {}
-    for i, v in enumerate(vals):
-        if v != 0:
-            groups[v] = groups.get(v, 0) | (1 << i)
-    out = [(v, backend.join_cells(payload, mask)) for v, mask in groups.items()]
-    out.sort(key=lambda t: backend.sort_key(t[1]))
-    return PlaceFunction(backend, tuple(out))
+    payload, masks, ncells = backend.joint_cells([x for _, x in f.terms + g.terms])
+    k = len(f.terms)
+    return (payload, _cell_sums(f.terms, masks[:k], ncells),
+            _cell_sums(g.terms, masks[k:], ncells))
 
 
 def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
@@ -196,7 +186,8 @@ def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
         return PlaceFunction(backend, ())
     op = min if which == "meet" else max
     payload, fvals, gvals = _cell_values(backend, f, g)
-    return _from_cell_values(backend, payload, [op(a, b) for a, b in zip(fvals, gvals)])
+    return from_cell_values(backend, enumerate(map(op, fvals, gvals)),
+                            lambda mask: backend.join_cells(payload, mask))
 
 
 def meet(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Algebra, Elem, FINITE_COFINITE, Hom, POWERSET,
+from .algebra import (Algebra, AlgebraError, Elem, FINITE_COFINITE, Hom, POWERSET,
                       check_homomorphism, powerset, trivial_algebra)
 from .free_product import FreeProduct, Rectangle, RectForm, induced_hom
 from . import bands as band_model
@@ -76,7 +76,7 @@ def serialize_value(x) -> object:
         return [serialize_value(v) for v in x]
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
-    return repr(x)
+    raise TypeError(f"no report form for {type(x).__name__}")
 
 
 class _Suite:
@@ -922,30 +922,12 @@ def _product_exhaustively_complete(n: int, m: int) -> bool:
     fp = FreeProduct(powerset(n), powerset(m))
     count = 1 << fp.atom_count
     if count > 16:
-        return True
+        raise AlgebraError(f"exhaustive product check capped at 16 elements, got {count}")
     elems = [fp.from_atom_mask(mask) for mask in range(count)]
     masks = {fp.atom_mask(x) for x in elems}
     if masks != set(range(count)):
         return False
-    upset = []
-    for x in range(count):
-        mask = 0
-        for b in range(count):
-            if x & b == x:
-                mask |= 1 << b
-        upset.append(mask)
-    joins = [0] * (1 << count)
-    ubs = [(1 << count) - 1] * (1 << count)
-    for sset in range(1, 1 << count):
-        low = sset & -sset
-        i = low.bit_length() - 1
-        rest = sset ^ low
-        joins[sset] = joins[rest] | i
-        ubs[sset] = ubs[rest] & upset[i]
-        j = joins[sset]
-        if not ubs[sset] >> j & 1 or ubs[sset] & ~upset[j]:
-            return False
-    return True
+    return certs.subset_without_supremum(count) is None
 
 
 # -- orchestration ----------------------------------------------------------------

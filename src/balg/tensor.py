@@ -133,13 +133,7 @@ def from_atom_model(backend, v: AtomVector) -> PlaceFunction:
     labels, n = _finite_atoms(backend)
     if labels != v.space:
         raise ValueError("vector space does not match the backend's atoms")
-    groups: dict[Fraction, int] = {}
-    for i, a in enumerate(v.values):
-        if a != 0:
-            groups[a] = groups.get(a, 0) | (1 << i)
-    terms = [(c, backend.from_atom_mask(mask)) for c, mask in groups.items()]
-    terms.sort(key=lambda t: backend.sort_key(t[1]))
-    return PlaceFunction(backend, tuple(terms))
+    return places.from_cell_values(backend, enumerate(v.values), backend.from_atom_mask)
 
 
 def _finite_atoms(backend) -> tuple[tuple, int]:
@@ -187,18 +181,10 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     rcoef = [next((c for c, u in g_terms if cell.leq(u)), Fraction(0))
              for cell in rcells]
     width = len(rcells)
-    groups: dict[Fraction, int] = {}
-    for i, a in enumerate(lcoef):
-        if a == 0:
-            continue
-        for j, b in enumerate(rcoef):
-            if b != 0:
-                v = a * b
-                groups[v] = groups.get(v, 0) | (1 << (i * width + j))
-    payload = (lcells, rcells)
-    terms = [(v, fp.join_cells(payload, mask)) for v, mask in groups.items()]
-    terms.sort(key=lambda t: fp.sort_key(t[1]))
-    return PlaceFunction(fp, tuple(terms))
+    values = ((i * width + j, a * b) for i, a in enumerate(lcoef)
+              for j, b in enumerate(rcoef))
+    return places.from_cell_values(fp, values,
+                                   lambda mask: fp.join_cells((lcells, rcells), mask))
 
 
 def psi_terms_by_rectangles(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:

@@ -88,6 +88,13 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["witness"] == [2, 2]
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_nonpositive_steps_usage_error(self, steps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--target", "evens", "--steps", steps])
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+
 
 def light_config(tmp_path, **overrides):
     data = default_config_dict()

@@ -112,3 +112,19 @@ class TestSerialization:
         assert g == places.canonicalize(
             FC, [(Fraction(-1, 2), FC.fin([0])), (Fraction(1), FC.cof([0]))])
         assert parse_place(P3, "0").is_zero()
+
+    def test_zero_denominator(self):
+        with pytest.raises(ExprError):
+            parse_place(P3, "1/0*chi({1})")
+
+    def test_grid_must_partition_each_axis(self):
+        fp = FreeProduct(FC, FC)
+        good = {"left_cells": ["fin{0}", "cof{0}"], "right_cells": ["1"],
+                "matrix": [[True], [False]]}
+        assert rectform_from_grid(fp, good) == fp.rect(FC.fin([0]), FC.one)
+        for cells in (["fin{0}"], ["fin{0}", "cof{}"], ["0", "1"]):
+            bad = dict(good, left_cells=cells, matrix=[[True]] * len(cells))
+            with pytest.raises(ExprError):
+                rectform_from_grid(fp, bad)
+        with pytest.raises(ExprError):
+            rectform_from_grid(fp, dict(good, matrix=[[True]]))

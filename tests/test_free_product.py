@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from balg.algebra import AlgebraError, Hom, powerset, trivial_algebra
+from balg.algebra import POWERSET, AlgebraError, Hom, powerset, refine_partition, trivial_algebra
 from balg.expr import grid_dict
-from balg.free_product import FreeProduct, Rectangle, induced_hom
-from conftest import FC
+from balg.free_product import FreeProduct, Rectangle, _overlay, induced_hom
+from conftest import FC, P3, P4, fincof_elems, powerset_elems
 
 P2 = powerset(2)
 A = powerset(2, "A")
@@ -279,3 +281,69 @@ class TestPointMembership:
                     direct = any(r.left.contains(p) and r.right.contains(q)
                                  for r in rects)
                     assert fp.contains_point(x, p, q) == direct
+
+
+OVERLAY_PRODUCTS = {
+    "P3xP4": (FreeProduct(P3, P4), powerset_elems(P3), powerset_elems(P4)),
+    "FCxFC": (FreeProduct(FC, FC), fincof_elems(), fincof_elems()),
+    "P2xFC": (FreeProduct(P2, FC), powerset_elems(P2), fincof_elems()),
+}
+
+
+def grid_elems(fp, left, right):
+    """Elements built from up to three drawn rectangles, maybe complemented."""
+    rects = st.lists(st.builds(Rectangle, left, right), max_size=3)
+    return st.tuples(rects, st.booleans()).map(
+        lambda t: ~fp.normalize(t[0]) if t[1] else fp.normalize(t[0]))
+
+
+def axis_points(alg, cells):
+    """Points of one axis: every atom of a powerset; for finite_cofinite,
+    [0..H] with H past every natural named in the cells, plus one point
+    further out."""
+    if alg.kind == POWERSET:
+        return list(range(1, alg.atom_count + 1))
+    horizon = max((n for c in cells for n in c.data[1]), default=0) + 1
+    return list(range(horizon + 1)) + [horizon + 1000]
+
+
+class TestOverlay:
+    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_refine_partition(self, name, data):
+        fp, left, right = OVERLAY_PRODUCTS[name]
+        xs = data.draw(st.lists(grid_elems(fp, left, right), min_size=1, max_size=3))
+        L, R, rows = _overlay(fp, xs)
+        assert L == refine_partition(fp.left.one, [c for x in xs for c in x.left_cells],
+                                     fp.left.sort_key)
+        assert R == refine_partition(fp.right.one, [c for x in xs for c in x.right_cells],
+                                     fp.right.sort_key)
+        for x, xrows in zip(xs, rows):
+            for i, lc in enumerate(L):
+                a = next(k for k, c in enumerate(x.left_cells) if lc.leq(c))
+                for j, rc in enumerate(R):
+                    b = next(k for k, c in enumerate(x.right_cells) if rc.leq(c))
+                    assert (xrows[i] >> j & 1) == (x.rows[a] >> b & 1)
+
+    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
+    def test_operations_agree_pointwise(self, name):
+        fp = OVERLAY_PRODUCTS[name][0]
+        rng = random.Random(8)
+        for k in range(60):
+            x, y = fp.random_elem(rng), fp.random_elem(rng)
+            if k % 3 == 0:
+                y = x | y  # make leq hold often
+            P = axis_points(fp.left, x.left_cells + y.left_cells)
+            Q = axis_points(fp.right, x.right_cells + y.right_cells)
+            meet, join, dsum, comp = x & y, x | y, x ^ y, ~x
+            below = True
+            for p in P:
+                for q in Q:
+                    a, b = fp.contains_point(x, p, q), fp.contains_point(y, p, q)
+                    assert fp.contains_point(meet, p, q) == (a and b)
+                    assert fp.contains_point(join, p, q) == (a or b)
+                    assert fp.contains_point(dsum, p, q) == (a != b)
+                    assert fp.contains_point(comp, p, q) == (not a)
+                    below = below and (b or not a)
+            assert x.leq(y) == below

@@ -121,3 +121,17 @@ def test_serialize_value_shapes():
     v = tensor.vector((1, 2), [1, 2])
     assert serialize_value(v) == {"space": [1, 2], "values": ["1", "2"]}
     assert serialize_value([p.subset([1]), 3]) == ["{1}", 3]
+
+
+def test_serialize_value_rejects_unknown_values():
+    with pytest.raises(TypeError):
+        serialize_value(object())
+
+
+def test_product_exhaustive_check_refuses_large_products():
+    from balg.algebra import AlgebraError
+    from balg.suites import _product_exhaustively_complete
+
+    assert _product_exhaustively_complete(1, 2)
+    with pytest.raises(AlgebraError):
+        _product_exhaustively_complete(2, 3)
