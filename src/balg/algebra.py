@@ -273,11 +273,14 @@ class Elem:
         return self & ~(self & other)
 
     def contains(self, n: int) -> bool:
-        """Pointwise membership; powerset atoms are 1-based."""
+        """Pointwise membership; powerset atoms are 1-based, and a finite
+        or cofinite set holds naturals only."""
         if self.alg.kind == POWERSET:
             if not 1 <= n <= self.alg.atom_count:
                 return False
             return bool(self.data >> (n - 1) & 1)
+        if n < 0:
+            return False
         mode, support = self.data
         return (n in support) if mode == "fin" else (n not in support)
 

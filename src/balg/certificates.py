@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET
-from .free_product import RectForm
+from .free_product import RectForm, point_index
 from . import expr
 from .tensor import AtomVector, random_vector
 
@@ -216,20 +216,23 @@ def improve_upper_bound_diagonal(u: RectForm) -> RefuteStep | NotUpperBound:
     fp = u.fp
     if fp.left.kind != FINITE_COFINITE or fp.right.kind != FINITE_COFINITE:
         raise AlgebraError("the diagonal family lives over two finite_cofinite factors")
-    left_cof = next(c for c in u.left_cells if c.data[0] == "cof")
-    right_cof = next(c for c in u.right_cells if c.data[0] == "cof")
-    # membership of (n, n) is constant past every named support member, so
-    # sweeping one point beyond the horizon settles the whole tail
-    exceptional = set(left_cof.data[1]) | set(right_cof.data[1])
-    horizon = max(exceptional, default=-1) + 1
-    for n in range(horizon + 1):
-        if not fp.contains_point(u, n, n):
+    lidx, ltail = point_index(fp.left, u.left_cells)
+    ridx, rtail = point_index(fp.right, u.right_cells)
+    # every natural named on neither axis lies in the two cof cells, so the
+    # least of them settles the whole tail; the named ones are checked one
+    # by one, and the least point that fails is the one a sweep finds first
+    named = lidx.keys() | ridx.keys()
+    unnamed = 0
+    while unnamed in named:
+        unnamed += 1
+    for n in sorted(named | {unnamed}):
+        if not u.rows[lidx.get(n, ltail)] >> ridx.get(n, rtail) & 1:
             return NotUpperBound((n, n))
     m = 0
-    while m in left_cof.data[1]:
+    while m in lidx:
         m += 1
     m2 = 0
-    while m2 in right_cof.data[1] or m2 == m:
+    while m2 in ridx or m2 == m:
         m2 += 1
     improved = u & ~fp.rect(fp.left.fin([m]), fp.right.fin([m2]))
     return RefuteStep(u, (m, m2), improved)

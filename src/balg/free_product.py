@@ -10,6 +10,16 @@ Each axis of a grid partitions that axis's unit, so the common refinement
 of several grids is the nonzero meets of their cells, one cell from each
 grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets and
 copy each grid's rows onto them with bit operations.
+
+On a finite_cofinite axis the meets come from point signatures, after the
+partition refinement of Paige and Tarjan (SIAM J. Comput. 1987).  An axis
+index (``point_index``) sends each named point, a member of a fin cell, to
+its cell, and every other natural to the one cof cell, the tail.  A point's
+signature is its cell in each grid; the points of one signature make one
+fin cell of the common refinement, and the naturals named in no grid make
+its tail cell.  One pass over the named points thus replaces meeting every
+cell of one grid with every cell of the other.  Powerset axes are met pairwise
+on raw bitsets.
 """
 
 from __future__ import annotations
@@ -130,12 +140,12 @@ class FreeProduct:
         self._check(x)
         m = self.right.atom_count
         mask = 0
-        lidx = [_cell_of(p, x.left_cells) for p in range(1, self.left.atom_count + 1)]
-        ridx = [_cell_of(q, x.right_cells) for q in range(1, m + 1)]
-        for p, i in enumerate(lidx):
-            row = x.rows[i]
-            for q, j in enumerate(ridx):
-                if row >> j & 1:
+        lidx, _ = point_index(self.left, x.left_cells)
+        ridx, _ = point_index(self.right, x.right_cells)
+        for p in range(self.left.atom_count):
+            row = x.rows[lidx[p + 1]]
+            for q in range(m):
+                if row >> ridx[q + 1] & 1:
                     mask |= 1 << (p * m + q)
         return mask
 
@@ -284,18 +294,68 @@ class RectForm:
         return tuple(out)
 
 
+def point_index(alg: Algebra, cells: Sequence[Elem]) -> tuple[dict[int, int], int | None]:
+    """Where the points of one axis lie among its cells.
+
+    Returns a map from each named point to the index of the cell holding it,
+    and the index of the tail cell.  On a powerset axis the named points are
+    the atoms (1-based) and there is no tail (None).  On a finite_cofinite
+    axis they are the members of the fin cells, and every other natural lies
+    in the one cof cell, the tail.  Raises AlgebraError unless the cells
+    partition the unit.
+    """
+    index: dict[int, int] = {}
+    members = 0
+    if alg.kind == POWERSET:
+        for k, c in enumerate(cells):
+            members += c.data.bit_count()
+            index.update((p + 1, k) for p in range(alg.atom_count) if c.data >> p & 1)
+        if members != len(index) or len(index) != alg.atom_count:
+            raise AlgebraError("the cells of an axis do not partition its atoms")
+        return index, None
+    tails = [k for k, c in enumerate(cells) if c.data[0] == "cof"]
+    if len(tails) != 1:
+        raise AlgebraError(f"a finite_cofinite axis has {len(tails)} cofinite cells, not one")
+    for k, c in enumerate(cells):
+        if k != tails[0]:
+            index.update(dict.fromkeys(c.data[1], k))
+            members += len(c.data[1])
+    if members != len(index):
+        raise AlgebraError("a point lies in two fin cells of an axis")
+    if index.keys() != set(cells[tails[0]].data[1]):
+        raise AlgebraError("the fin cells of an axis are not what its cofinite cell leaves out")
+    return index, tails[0]
+
+
 def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]:
     """Common refinement of partitions of the unit, sorted by ``sort_key``.
 
     Its cells are the nonzero meets taking one cell from each partition;
-    beside each cell goes the index of the cell it came from in each one.
+    beside each cell goes its signature, the index of the cell it came from
+    in each one.  On finite_cofinite the named points are grouped by their
+    signatures read off each partition's ``point_index``, so no two cells
+    are ever met; the naturals named nowhere share the signature of the cof
+    cells and make the tail cell.  On a powerset the cells are met pairwise
+    as bitsets, and only the nonzero meets become elements.
     """
-    cells = [(alg.one, ())]
-    for part in partitions:
-        cells = [(m, src + (k,)) for c, src in cells for k, p in enumerate(part)
-                 if not (m := c & p).is_zero()]
-    cells.sort(key=lambda t: alg.sort_key(t[0]))
-    return [c for c, _ in cells], [src for _, src in cells]
+    if alg.kind == POWERSET:
+        bits = [(alg.one.data, ())]
+        for part in partitions:
+            data = [p.data for p in part]
+            bits = [(m, src + (k,)) for c, src in bits for k, p in enumerate(data) if (m := c & p)]
+        cells = sorted(((Elem(alg, m), src) for m, src in bits), key=lambda t: alg.sort_key(t[0]))
+        return [c for c, _ in cells], [src for _, src in cells]
+    indexes = [point_index(alg, part) for part in partitions]
+    named = sorted(set().union(*(index for index, _ in indexes)))
+    signatures = zip(*([index.get(n, tail) for n in named] for index, tail in indexes))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for n, sig in zip(named, signatures):
+        groups.setdefault(sig, []).append(n)
+    # disjoint supports sort by their least members, and the groups were
+    # opened in increasing order of those, so the fin cells are in key order
+    cells = [Elem(alg, ("fin", tuple(points))) for points in groups.values()]
+    cells.append(Elem(alg, ("cof", tuple(named))))
+    return cells, [*groups, tuple(tail for _, tail in indexes)]
 
 
 def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):

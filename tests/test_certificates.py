@@ -3,7 +3,7 @@ import random
 import pytest
 
 from balg.algebra import AlgebraError, powerset, trivial_algebra
-from balg.free_product import FreeProduct
+from balg.free_product import FreeProduct, Rectangle
 from balg import certificates as certs
 from balg.validation import validate_certificate
 from conftest import FC
@@ -107,6 +107,57 @@ class TestDiagonalRefuter:
             assert self.fp.contains_point(u, m, m2)
             assert not self.fp.contains_point(step.improved, m, m2)
             u = step.improved
+
+
+def sweep_diagonal_step(u):
+    """Reference refuter step: test (n, n) with ``contains_point`` for every
+    n up to one past the largest natural the cof cells leave out."""
+    fp = u.fp
+    left_out = next(c for c in u.left_cells if c.data[0] == "cof").data[1]
+    right_out = next(c for c in u.right_cells if c.data[0] == "cof").data[1]
+    horizon = max(set(left_out) | set(right_out), default=-1) + 1
+    for n in range(horizon + 1):
+        if not fp.contains_point(u, n, n):
+            return certs.NotUpperBound((n, n))
+    m = 0
+    while m in left_out:
+        m += 1
+    m2 = 0
+    while m2 in right_out or m2 == m:
+        m2 += 1
+    return certs.RefuteStep(u, (m, m2), u & ~fp.rect(FC.fin([m]), FC.fin([m2])))
+
+
+def random_diagonal_grid(fp, rng):
+    """The unit with a few rectangles cut out and maybe one put back, over
+    supports below 8 or below 300.  Cutting fin S x fin T with S, T disjoint
+    keeps every diagonal point, so about two grids in five are upper bounds."""
+    def support():
+        return rng.sample(range(rng.choice((8, 300))), rng.randint(1, 6))
+
+    u = fp.one
+    for _ in range(rng.randint(1, 4)):
+        s = support()
+        t = [n for n in support() if n not in s] or [300]
+        left = FC.fin(s) if rng.random() < 0.9 else FC.cof(s)
+        right = rng.choice([FC.fin(t)] * 6 + [FC.fin(t + s[:1]), FC.cof(t)])
+        u = u & ~fp.rect(left, right)
+    if rng.random() < 0.3:
+        u = u | fp.normalize([Rectangle(FC.fin(support()), FC.fin(support()))])
+    return u
+
+
+class TestDiagonalRefuterSweep:
+    def test_matches_contains_point_sweep(self):
+        fp = FreeProduct(FC, FC)
+        rng = random.Random(9)
+        outcomes = {certs.RefuteStep: 0, certs.NotUpperBound: 0}
+        for _ in range(300):
+            u = random_diagonal_grid(fp, rng)
+            got = certs.improve_upper_bound_diagonal(u)
+            assert got == sweep_diagonal_step(u)
+            outcomes[type(got)] += 1
+        assert min(outcomes.values()) >= 100
 
 
 class TestValidation:

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg.algebra import POWERSET, AlgebraError, Hom, powerset, refine_partition, trivial_algebra
+from balg import free_product
+from balg.algebra import (POWERSET, AlgebraError, Elem, Hom, powerset, refine_partition,
+                          trivial_algebra)
 from balg.expr import grid_dict
-from balg.free_product import FreeProduct, Rectangle, _overlay, induced_hom
+from balg.free_product import FreeProduct, Rectangle, _meets, _overlay, induced_hom
 from conftest import FC, P3, P4, fincof_elems, powerset_elems
 
 P2 = powerset(2)
@@ -282,6 +284,17 @@ class TestPointMembership:
                                  for r in rects)
                     assert fp.contains_point(x, p, q) == direct
 
+    def test_negative_naturals_are_not_points(self):
+        fp = FreeProduct(FC, FC)
+        for p, q in ((-1, -5), (-1, 0), (0, -1)):
+            with pytest.raises(AlgebraError, match="not a point"):
+                fp.contains_point(fp.one, p, q)
+        assert fp.contains_point(fp.one, 0, 0)
+        for x in (FC.one, FC.cof([3]), FC.fin([0])):
+            assert not x.contains(-1)
+        with pytest.raises(AlgebraError, match="not a point"):
+            FreeProduct(P2, P2).contains_point(FreeProduct(P2, P2).one, 0, 1)
+
 
 OVERLAY_PRODUCTS = {
     "P3xP4": (FreeProduct(P3, P4), powerset_elems(P3), powerset_elems(P4)),
@@ -347,3 +360,84 @@ class TestOverlay:
                     assert fp.contains_point(comp, p, q) == (not a)
                     below = below and (b or not a)
             assert x.leq(y) == below
+
+
+def naive_meets(alg, partitions):
+    """Reference common refinement: meet every cell of each partition with
+    every cell built so far, keep the nonzero meets, sort by ``sort_key``."""
+    cells = [(alg.one, ())]
+    for part in partitions:
+        cells = [(m, src + (k,)) for c, src in cells for k, p in enumerate(part)
+                 if not (m := c & p).is_zero()]
+    cells.sort(key=lambda t: alg.sort_key(t[0]))
+    return [c for c, _ in cells], [src for _, src in cells]
+
+
+MEETS_AXES = {
+    "P3": (P3, powerset_elems(P3)),
+    "P4": (P4, powerset_elems(P4)),
+    "FC": (FC, fincof_elems()),
+}
+
+
+def partitions(alg, elems):
+    """A partition of the unit in any cell order: the atoms of the
+    subalgebra some drawn elements generate, shuffled."""
+    return st.lists(elems, max_size=4).map(
+        lambda xs: refine_partition(alg.one, xs, alg.sort_key)).flatmap(st.permutations)
+
+
+class TestMeets:
+    @pytest.mark.parametrize("name", sorted(MEETS_AXES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_reference(self, name, data):
+        alg, elems = MEETS_AXES[name]
+        parts = data.draw(st.lists(partitions(alg, elems), min_size=1, max_size=3))
+        assert _meets(alg, parts) == naive_meets(alg, parts)
+
+    @pytest.mark.parametrize("cells", [
+        [FC.fin([0])],                                  # no cofinite cell
+        [FC.cof([0]), FC.fin([0]), FC.cof([1])],        # two cofinite cells
+        [FC.fin([0, 1]), FC.fin([1]), FC.cof([0, 1])],  # 1 in two fin cells
+        [FC.fin([0]), FC.cof()],                        # 0 in fin and cof
+        [FC.fin([0]), FC.cof([0, 1])],                  # 1 in no cell
+    ])
+    def test_malformed_axis_rejected(self, cells):
+        with pytest.raises(AlgebraError):
+            _meets(FC, [cells])
+        with pytest.raises(AlgebraError):
+            _meets(FC, [[FC.one], cells])
+
+    def test_no_cell_meets_on_fincof(self, monkeypatch):
+        """Work guard: the overlay of two grids of about 40 cells per axis
+        runs ``_meets`` without meeting any two cells."""
+        fp = FreeProduct(FC, FC)
+        x = fp.normalize([Rectangle(FC.fin([n]), FC.fin([n])) for n in range(40)])
+        y = fp.normalize([Rectangle(FC.fin([n]), FC.fin([n + 1])) for n in range(0, 80, 2)])
+        assert min(len(x.left_cells), len(y.right_cells)) >= 40
+        counts = {"meets": 0, "and": 0}
+        inside = []
+        elem_and, kernel = Elem.__and__, free_product._meets
+
+        def counting_and(a, b):
+            counts["and"] += bool(inside)
+            return elem_and(a, b)
+
+        def counting_meets(alg, parts):
+            counts["meets"] += 1
+            inside.append(True)
+            try:
+                return kernel(alg, parts)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Elem, "__and__", counting_and)
+        monkeypatch.setattr(free_product, "_meets", counting_meets)
+        x.leq(y)
+        x & y
+        assert counts == {"meets": 4, "and": 0}
+        # the counter sees the meets the pairwise reference makes
+        inside.append(True)
+        naive_meets(FC, [x.left_cells, y.left_cells])
+        assert counts["and"] >= 40 * 40
