@@ -4,13 +4,18 @@ Elements are immutable values with a unique representation per mathematical
 element, so structural equality (``==``) decides mathematical equality.
 Powerset elements are bitsets over the atom index range; finite-cofinite
 elements are a (mode, sorted support) pair over the naturals.
+
+The one cell-refinement kernel lives here too: ``_meets`` refines partitions
+of the unit by point signatures, after Paige and Tarjan (SIAM J. Comput.
+1987); ``refine_partition``, ``Algebra.joint_cells`` and the free-product
+grid overlay are built on it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 POWERSET = "powerset"
 FINITE_COFINITE = "finite_cofinite"
@@ -158,7 +163,7 @@ class Algebra:
 
     def joint_cells(self, parts: Sequence["Elem"]):
         """Shared cell partition refining every part, plus per-part bitmasks."""
-        cells = refine_partition(self.one, parts, self.sort_key)
+        cells = refine_partition(self.one, parts)
         masks = []
         for x in parts:
             m = 0
@@ -285,29 +290,77 @@ class Elem:
         return (n in support) if mode == "fin" else (n not in support)
 
 
-def refine_partition(one, parts: Sequence, key: Callable) -> list:
+def point_index(alg: Algebra, cells: Sequence[Elem]) -> tuple[dict[int, int], int | None]:
+    """Where the points of one axis lie among its cells.
+
+    Returns a map from each named point to the index of the cell holding it,
+    and the index of the tail cell.  On a powerset axis the named points are
+    the atoms (1-based) and there is no tail (None).  On a finite_cofinite
+    axis they are the members of the fin cells, and every other natural lies
+    in the one cof cell, the tail.  Raises AlgebraError unless the cells
+    partition the unit.
+    """
+    index: dict[int, int] = {}
+    members = 0
+    if alg.kind == POWERSET:
+        for k, c in enumerate(cells):
+            members += c.data.bit_count()
+            index.update((p + 1, k) for p in range(alg.atom_count) if c.data >> p & 1)
+        if members != len(index) or len(index) != alg.atom_count:
+            raise AlgebraError("the cells of an axis do not partition its atoms")
+        return index, None
+    tails = [k for k, c in enumerate(cells) if c.data[0] == "cof"]
+    if len(tails) != 1:
+        raise AlgebraError(f"a finite_cofinite axis has {len(tails)} cofinite cells, not one")
+    for k, c in enumerate(cells):
+        if k != tails[0]:
+            index.update(dict.fromkeys(c.data[1], k))
+            members += len(c.data[1])
+    if members != len(index):
+        raise AlgebraError("a point lies in two fin cells of an axis")
+    if index.keys() != set(cells[tails[0]].data[1]):
+        raise AlgebraError("the fin cells of an axis are not what its cofinite cell leaves out")
+    return index, tails[0]
+
+
+def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]:
+    """Common refinement of partitions of the unit, sorted by ``sort_key``.
+
+    Its cells are the nonzero meets taking one cell from each partition;
+    beside each cell goes its signature, the index of the cell it came from
+    in each one.  On finite_cofinite the named points are grouped by their
+    signatures read off each partition's ``point_index``, so no two cells
+    are ever met; the naturals named nowhere share the signature of the cof
+    cells and make the tail cell.  On a powerset the cells are met pairwise
+    as bitsets, and only the nonzero meets become elements.
+    """
+    if alg.kind == POWERSET:
+        bits = [(alg.one.data, ())]
+        for part in partitions:
+            data = [p.data for p in part]
+            bits = [(m, src + (k,)) for c, src in bits for k, p in enumerate(data) if (m := c & p)]
+        cells = sorted(((Elem(alg, m), src) for m, src in bits), key=lambda t: alg.sort_key(t[0]))
+        return [c for c, _ in cells], [src for _, src in cells]
+    indexes = [point_index(alg, part) for part in partitions]
+    named = sorted(set().union(*(index for index, _ in indexes)))
+    signatures = zip(*([index.get(n, tail) for n in named] for index, tail in indexes))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for n, sig in zip(named, signatures):
+        groups.setdefault(sig, []).append(n)
+    # disjoint supports sort by their least members, and the groups were
+    # opened in increasing order of those, so the fin cells are in key order
+    cells = [Elem(alg, ("fin", tuple(points))) for points in groups.values()]
+    cells.append(Elem(alg, ("cof", tuple(named))))
+    return cells, [*groups, tuple(tail for _, tail in indexes)]
+
+
+def refine_partition(one: Elem, parts: Sequence[Elem]) -> list[Elem]:
     """Atoms of the finite subalgebra generated by ``parts``.
 
-    Splits the unit by each part in turn, keeping nonzero cells; the result is
-    the partition of unity into all nonzero signed meets, sorted by ``key``.
+    The common refinement of the two-cell partitions ``(x, ~x)``: all the
+    nonzero signed meets of the parts, sorted by ``sort_key``.
     """
-    cells = [one]
-    seen = set()
-    for x in parts:
-        if x in seen:
-            continue
-        seen.add(x)
-        nxt = []
-        for c in cells:
-            inside = c & x
-            outside = c & ~x
-            if not inside.is_zero():
-                nxt.append(inside)
-            if not outside.is_zero():
-                nxt.append(outside)
-        cells = nxt
-    cells.sort(key=key)
-    return cells
+    return _meets(one.alg, [(x, ~x) for x in parts])[0]
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -375,12 +428,12 @@ class Hom:
         for g, img in pairs:
             source._check(g)
             target._check(img)
-        cells = refine_partition(source.one, gens, source.sort_key)
+        cells, masks, _ = source.joint_cells(gens)
         images = []
-        for c in cells:
+        for i in range(len(cells)):
             img = target.one
-            for g, gi in pairs:
-                img = img & (gi if c.leq(g) else ~gi)
+            for (_, gi), m in zip(pairs, masks):
+                img = img & (gi if m >> i & 1 else ~gi)
             images.append(img)
         return cls(source, target, cells=tuple(cells), images=tuple(images), label=label)
 

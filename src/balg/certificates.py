@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET
-from .free_product import RectForm, point_index
+from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
+from .free_product import RectForm
 from . import expr
 from .tensor import AtomVector, random_vector
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .algebra import Algebra, Elem, FINITE_COFINITE, POWERSET
+from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
 from .free_product import FreeProduct, RectForm, _canonical
 from . import places
 
@@ -272,13 +272,12 @@ def rectform_from_grid(fp: FreeProduct, payload: dict) -> RectForm:
         raise ExprError("grid matrix does not match its cells", 0)
     if not fp.is_trivial:
         for cells, alg in ((left, fp.left), (right, fp.right)):
-            covered = alg.zero
-            for c in cells:
-                if c.is_zero() or not (covered & c).is_zero():
-                    raise ExprError("grid cells overlap or are empty", 0)
-                covered = covered | c
-            if covered != alg.one:
-                raise ExprError("grid cells do not cover the unit", 0)
+            if any(c.is_zero() for c in cells):
+                raise ExprError("grid cells are empty", 0)
+            try:
+                point_index(alg, cells)
+            except AlgebraError as exc:
+                raise ExprError(f"grid cells do not partition the unit: {exc}", 0) from None
     rows = []
     for row in matrix:
         m = 0

@@ -8,18 +8,11 @@ structural equality decides mathematical equality.
 
 Each axis of a grid partitions that axis's unit, so the common refinement
 of several grids is the nonzero meets of their cells, one cell from each
-grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets and
-copy each grid's rows onto them with bit operations.
-
-On a finite_cofinite axis the meets come from point signatures, after the
-partition refinement of Paige and Tarjan (SIAM J. Comput. 1987).  An axis
-index (``point_index``) sends each named point, a member of a fin cell, to
-its cell, and every other natural to the one cof cell, the tail.  A point's
-signature is its cell in each grid; the points of one signature make one
-fin cell of the common refinement, and the naturals named in no grid make
-its tail cell.  One pass over the named points thus replaces meeting every
-cell of one grid with every cell of the other.  Powerset axes are met pairwise
-on raw bitsets.
+grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets with
+``algebra._meets``, the one refinement kernel, and copy each grid's rows
+onto them with bit operations.  ``normalize`` builds its grid from the
+factors' ``joint_cells``: the cells refining the rectangle sides, and one
+cell mask per side.
 """
 
 from __future__ import annotations
@@ -28,7 +21,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import Algebra, AlgebraError, Elem, POWERSET, refine_partition
+from .algebra import Algebra, AlgebraError, Elem, POWERSET, _meets, point_index
+# bound here by name so that the perfbench tracer can patch it
+from .algebra import refine_partition  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,16 +90,15 @@ class FreeProduct:
         for r in rects:
             self.left._check(r.left)
             self.right._check(r.right)
-        lcells = refine_partition(self.left.one, [r.left for r in rects], self.left.sort_key)
-        rcells = refine_partition(self.right.one, [r.right for r in rects], self.right.sort_key)
-        rows = []
-        for lc in lcells:
-            mask = 0
-            for j, rc in enumerate(rcells):
-                if any(lc.leq(r.left) and rc.leq(r.right) for r in rects):
-                    mask |= 1 << j
-            rows.append(mask)
-        return _canonical(self, lcells, rcells, rows)
+        L, lmasks, _ = self.left.joint_cells([r.left for r in rects])
+        R, rmasks, _ = self.right.joint_cells([r.right for r in rects])
+        # row i: the right cells of every rectangle whose left side holds cell i
+        rows = [0] * len(L)
+        for lm, rm in zip(lmasks, rmasks):
+            for i in range(len(L)):
+                if lm >> i & 1:
+                    rows[i] |= rm
+        return _canonical(self, L, R, rows)
 
     # -- finite structure (both factors nontrivial powersets) ----------------
 
@@ -292,70 +286,6 @@ class RectForm:
                     acc = acc | rc
             out.append(Rectangle(self.left_cells[i], acc))
         return tuple(out)
-
-
-def point_index(alg: Algebra, cells: Sequence[Elem]) -> tuple[dict[int, int], int | None]:
-    """Where the points of one axis lie among its cells.
-
-    Returns a map from each named point to the index of the cell holding it,
-    and the index of the tail cell.  On a powerset axis the named points are
-    the atoms (1-based) and there is no tail (None).  On a finite_cofinite
-    axis they are the members of the fin cells, and every other natural lies
-    in the one cof cell, the tail.  Raises AlgebraError unless the cells
-    partition the unit.
-    """
-    index: dict[int, int] = {}
-    members = 0
-    if alg.kind == POWERSET:
-        for k, c in enumerate(cells):
-            members += c.data.bit_count()
-            index.update((p + 1, k) for p in range(alg.atom_count) if c.data >> p & 1)
-        if members != len(index) or len(index) != alg.atom_count:
-            raise AlgebraError("the cells of an axis do not partition its atoms")
-        return index, None
-    tails = [k for k, c in enumerate(cells) if c.data[0] == "cof"]
-    if len(tails) != 1:
-        raise AlgebraError(f"a finite_cofinite axis has {len(tails)} cofinite cells, not one")
-    for k, c in enumerate(cells):
-        if k != tails[0]:
-            index.update(dict.fromkeys(c.data[1], k))
-            members += len(c.data[1])
-    if members != len(index):
-        raise AlgebraError("a point lies in two fin cells of an axis")
-    if index.keys() != set(cells[tails[0]].data[1]):
-        raise AlgebraError("the fin cells of an axis are not what its cofinite cell leaves out")
-    return index, tails[0]
-
-
-def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]:
-    """Common refinement of partitions of the unit, sorted by ``sort_key``.
-
-    Its cells are the nonzero meets taking one cell from each partition;
-    beside each cell goes its signature, the index of the cell it came from
-    in each one.  On finite_cofinite the named points are grouped by their
-    signatures read off each partition's ``point_index``, so no two cells
-    are ever met; the naturals named nowhere share the signature of the cof
-    cells and make the tail cell.  On a powerset the cells are met pairwise
-    as bitsets, and only the nonzero meets become elements.
-    """
-    if alg.kind == POWERSET:
-        bits = [(alg.one.data, ())]
-        for part in partitions:
-            data = [p.data for p in part]
-            bits = [(m, src + (k,)) for c, src in bits for k, p in enumerate(data) if (m := c & p)]
-        cells = sorted(((Elem(alg, m), src) for m, src in bits), key=lambda t: alg.sort_key(t[0]))
-        return [c for c, _ in cells], [src for _, src in cells]
-    indexes = [point_index(alg, part) for part in partitions]
-    named = sorted(set().union(*(index for index, _ in indexes)))
-    signatures = zip(*([index.get(n, tail) for n in named] for index, tail in indexes))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for n, sig in zip(named, signatures):
-        groups.setdefault(sig, []).append(n)
-    # disjoint supports sort by their least members, and the groups were
-    # opened in increasing order of those, so the fin cells are in key order
-    cells = [Elem(alg, ("fin", tuple(points))) for points in groups.values()]
-    cells.append(Elem(alg, ("cof", tuple(named))))
-    return cells, [*groups, tuple(tail for _, tail in indexes)]
 
 
 def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):

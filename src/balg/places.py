@@ -83,7 +83,7 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
             if x.alg != backend:
                 raise AlgebraError("support from a different backend")
             terms.append((c, x))
-    if getattr(backend, "is_trivial", False) or not terms:
+    if backend.is_trivial or not terms:
         return PlaceFunction(backend, ())
     payload, masks, ncells = backend.joint_cells([x for _, x in terms])
     return from_cell_values(backend, enumerate(_cell_sums(terms, masks, ncells)),
@@ -182,7 +182,7 @@ def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
     if which not in ("meet", "join"):
         raise ValueError("which must be 'meet' or 'join'")
     backend = f.backend
-    if getattr(backend, "is_trivial", False):
+    if backend.is_trivial:
         return PlaceFunction(backend, ())
     op = min if which == "meet" else max
     payload, fvals, gvals = _cell_values(backend, f, g)
@@ -209,7 +209,7 @@ def abs_(f: PlaceFunction) -> PlaceFunction:
 def leq(f: PlaceFunction, g: PlaceFunction) -> bool:
     """Pointwise order: f <= g on every cell of the joint refinement."""
     _match(f, g)
-    if getattr(f.backend, "is_trivial", False):
+    if f.backend.is_trivial:
         return True
     _, fvals, gvals = _cell_values(f.backend, f, g)
     return all(a <= b for a, b in zip(fvals, gvals))

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import Algebra, AlgebraError, refine_partition
+from .algebra import Algebra, AlgebraError
+# bound here by name so that the perfbench tracer can patch it
+from .algebra import refine_partition  # noqa: F401
 from .free_product import FreeProduct
 from . import places
 from .places import PlaceFunction
@@ -174,12 +176,11 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     g_terms = [(Fraction(c), u) for c, u in g_terms if c != 0 and not u.is_zero()]
     if fp.is_trivial or not f_terms or not g_terms:
         return places.zero(fp)
-    lcells = refine_partition(fp.left.one, [x for _, x in f_terms], fp.left.sort_key)
-    rcells = refine_partition(fp.right.one, [u for _, u in g_terms], fp.right.sort_key)
-    lcoef = [next((c for c, x in f_terms if cell.leq(x)), Fraction(0))
-             for cell in lcells]
-    rcoef = [next((c for c, u in g_terms if cell.leq(u)), Fraction(0))
-             for cell in rcells]
+    lcells, lmasks, nl = fp.left.joint_cells([x for _, x in f_terms])
+    rcells, rmasks, nr = fp.right.joint_cells([u for _, u in g_terms])
+    # the supports on each side are disjoint, so a cell's sum is its one coefficient
+    lcoef = places._cell_sums(f_terms, lmasks, nl)
+    rcoef = places._cell_sums(g_terms, rmasks, nr)
     width = len(rcells)
     values = ((i * width + j, a * b) for i, a in enumerate(lcoef)
               for j, b in enumerate(rcoef))

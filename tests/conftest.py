@@ -25,3 +25,26 @@ def fincof_elems():
 def rationals():
     return st.tuples(st.integers(-4, 4), st.integers(1, 3)).map(
         lambda t: Fraction(t[0], t[1]))
+
+
+def split_refine(one, parts):
+    """Reference refinement: the atoms of the subalgebra ``parts`` generate,
+    found by splitting the unit by each part in turn and keeping the nonzero
+    cells, sorted by ``sort_key``."""
+    cells = [one]
+    seen = set()
+    for x in parts:
+        if x in seen:
+            continue
+        seen.add(x)
+        nxt = []
+        for c in cells:
+            inside = c & x
+            outside = c & ~x
+            if not inside.is_zero():
+                nxt.append(inside)
+            if not outside.is_zero():
+                nxt.append(outside)
+        cells = nxt
+    cells.sort(key=one.alg.sort_key)
+    return cells

@@ -122,9 +122,16 @@ class TestSerialization:
         good = {"left_cells": ["fin{0}", "cof{0}"], "right_cells": ["1"],
                 "matrix": [[True], [False]]}
         assert rectform_from_grid(fp, good) == fp.rect(FC.fin([0]), FC.one)
-        for cells in (["fin{0}"], ["fin{0}", "cof{}"], ["0", "1"]):
+        for cells in (["fin{0}"], ["fin{0}", "cof{}"], ["0", "1"],
+                      ["cof{0}", "fin{0}", "cof{1}"],            # two cof cells
+                      ["fin{0,1}", "fin{1}", "cof{0,1}"]):       # 1 in two fin cells
             bad = dict(good, left_cells=cells, matrix=[[True]] * len(cells))
             with pytest.raises(ExprError):
                 rectform_from_grid(fp, bad)
+        fq = FreeProduct(P3, P3)
+        for cells in (["{1,2}", "{2,3}"], ["{1}", "{2}"]):       # overlap, gap
+            bad = {"left_cells": cells, "right_cells": ["1"], "matrix": [[True]] * len(cells)}
+            with pytest.raises(ExprError):
+                rectform_from_grid(fq, bad)
         with pytest.raises(ExprError):
             rectform_from_grid(fp, dict(good, matrix=[[True]]))

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balg import free_product
-from balg.algebra import (POWERSET, AlgebraError, Elem, Hom, powerset, refine_partition,
-                          trivial_algebra)
+from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
 from balg.expr import grid_dict
-from balg.free_product import FreeProduct, Rectangle, _meets, _overlay, induced_hom
-from conftest import FC, P3, P4, fincof_elems, powerset_elems
+from balg.free_product import FreeProduct, Rectangle, _overlay, induced_hom
+from conftest import FC, P3, P4, fincof_elems, powerset_elems, split_refine
 
 P2 = powerset(2)
 A = powerset(2, "A")
@@ -106,6 +105,29 @@ class TestNormalize:
                         assert not cells[i].is_zero()
                         for j in range(i + 1, len(cells)):
                             assert (cells[i] & cells[j]).is_zero()
+
+    def test_rows_come_from_cell_masks(self, monkeypatch):
+        """Work guard: the diagonal of 40 points makes 41 cells per axis,
+        and normalize compares each cell with each rectangle side once,
+        where testing every cell pair against every rectangle makes about
+        41 * 41 * 40 comparisons."""
+        fp = FreeProduct(FC, FC)
+        rects = [Rectangle(FC.fin([n]), FC.fin([n])) for n in range(40)]
+        calls = [0]
+        elem_leq = Elem.leq
+
+        def counting_leq(a, b):
+            calls[0] += 1
+            return elem_leq(a, b)
+
+        monkeypatch.setattr(Elem, "leq", counting_leq)
+        x = fp.normalize(rects)
+        monkeypatch.undo()
+        assert len(x.left_cells) == len(x.right_cells) == 41
+        assert calls[0] <= (41 + 41) * len(rects)
+        for n in (0, 39, 40):
+            assert fp.contains_point(x, n, n) == (n < 40)
+            assert not fp.contains_point(x, n, n + 1)
 
 
 class TestEmbeddings:
@@ -328,10 +350,8 @@ class TestOverlay:
         fp, left, right = OVERLAY_PRODUCTS[name]
         xs = data.draw(st.lists(grid_elems(fp, left, right), min_size=1, max_size=3))
         L, R, rows = _overlay(fp, xs)
-        assert L == refine_partition(fp.left.one, [c for x in xs for c in x.left_cells],
-                                     fp.left.sort_key)
-        assert R == refine_partition(fp.right.one, [c for x in xs for c in x.right_cells],
-                                     fp.right.sort_key)
+        assert L == split_refine(fp.left.one, [c for x in xs for c in x.left_cells])
+        assert R == split_refine(fp.right.one, [c for x in xs for c in x.right_cells])
         for x, xrows in zip(xs, rows):
             for i, lc in enumerate(L):
                 a = next(k for k, c in enumerate(x.left_cells) if lc.leq(c))
@@ -384,7 +404,7 @@ def partitions(alg, elems):
     """A partition of the unit in any cell order: the atoms of the
     subalgebra some drawn elements generate, shuffled."""
     return st.lists(elems, max_size=4).map(
-        lambda xs: refine_partition(alg.one, xs, alg.sort_key)).flatmap(st.permutations)
+        lambda xs: split_refine(alg.one, xs)).flatmap(st.permutations)
 
 
 class TestMeets:
