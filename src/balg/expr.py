@@ -1,7 +1,8 @@
 """Text grammar for elements and place functions.
 
 Element grammar: literals ``{1,3}`` (powerset atom indices, 1-based),
-``fin{0,2}`` / ``cof{1}`` (finite-cofinite), constants ``0`` and ``1``;
+``fin{0,2}`` / ``cof{1}`` (finite-cofinite), constants ``0`` and ``1``,
+numbers in the ASCII digits ``0``-``9`` only;
 operators ``!`` (complement, prefix), ``&`` (meet), ``(+)`` (disjoint sum),
 ``|`` (join), with precedence ``!`` > ``&`` > ``(+)`` > ``|``; parentheses.
 Over a free product the literal ``rect(A_EXPR,B_EXPR)`` denotes a rectangle.
@@ -12,11 +13,12 @@ exact rational coefficients ``p/q``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
-from .free_product import FreeProduct, RectForm, _canonical
+from .free_product import FreeProduct, RectForm
 from . import places
 
 Backend = Union[Algebra, FreeProduct]
@@ -47,9 +49,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             out.append(("OPLUS", "(+)", i))
             i += 3
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(("NUM", text[i:j], i))
             i = j
@@ -206,8 +208,29 @@ class _Parser:
         return value
 
 
+# a lone cell literal exactly as the serializers write it
+_LITERAL = re.compile(r"(fin|cof)?\{([0-9]+(?:,[0-9]+)*)?\}|[01]")
+
+
 def parse_element(backend: Backend, text: str):
-    """Parse an element expression against a backend."""
+    """Parse an element expression against a backend.
+
+    A lone literal of the backend's own kind is read directly; any other
+    text goes through the full parser.
+    """
+    m = _LITERAL.fullmatch(text)
+    if m is not None:
+        if text == "0":
+            return backend.zero
+        if text == "1":
+            return backend.one
+        head, body = m.groups()
+        numbers = [int(s) for s in body.split(",")] if body else []
+        if isinstance(backend, Algebra):
+            if head is None and backend.kind == POWERSET and not backend.trivial:
+                return backend.subset(numbers)
+            if head is not None and backend.kind == FINITE_COFINITE:
+                return backend.fin(numbers) if head == "fin" else backend.cof(numbers)
     p = _Parser(text)
     return p.finish(p.element(backend))
 
@@ -258,34 +281,46 @@ def grid_dict(x: RectForm) -> dict:
     }
 
 
+_BIT = {True: "1", False: "0"}
+
+
 def rectform_from_grid(fp: FreeProduct, payload: dict) -> RectForm:
     """Rebuild an element from its report form.
 
-    Grid operations assume each axis partitions its unit, so cells that
-    overlap, vanish or leave a gap are rejected, as is a matrix of the
-    wrong shape.
+    Only the canonical grid that ``grid_dict`` writes is accepted: each axis
+    partitions its unit into nonzero cells in strictly increasing
+    ``sort_key`` order, no two rows and no two columns of the matrix
+    coincide, and its entries are booleans.  Anything else, a matrix of the
+    wrong shape included, raises ExprError.
     """
     left = [parse_element(fp.left, c) for c in payload["left_cells"]]
     right = [parse_element(fp.right, c) for c in payload["right_cells"]]
     matrix = payload["matrix"]
     if len(matrix) != len(left) or any(len(row) != len(right) for row in matrix):
         raise ExprError("grid matrix does not match its cells", 0)
-    if not fp.is_trivial:
-        for cells, alg in ((left, fp.left), (right, fp.right)):
-            if any(c.is_zero() for c in cells):
-                raise ExprError("grid cells are empty", 0)
-            try:
-                point_index(alg, cells)
-            except AlgebraError as exc:
-                raise ExprError(f"grid cells do not partition the unit: {exc}", 0) from None
-    rows = []
-    for row in matrix:
-        m = 0
-        for j, active in enumerate(row):
-            if active:
-                m |= 1 << j
-        rows.append(m)
-    return _canonical(fp, left, right, rows)
+    if fp.is_trivial:
+        if left or right:
+            raise ExprError("a grid over a trivial free product has no cells", 0)
+        return RectForm(fp, (), (), ())
+    for cells, alg in ((left, fp.left), (right, fp.right)):
+        if any(c.is_zero() for c in cells):
+            raise ExprError("grid cells are empty", 0)
+        try:
+            point_index(alg, cells)
+        except AlgebraError as exc:
+            raise ExprError(f"grid cells do not partition the unit: {exc}", 0) from None
+        keys = [alg.sort_key(c) for c in cells]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ExprError("grid cells are not in canonical order", 0)
+    try:
+        # column j is bit j of its row's mask
+        rows = [int("".join(map(_BIT.__getitem__, reversed(row))), 2)
+                for row in matrix]
+    except (KeyError, TypeError):
+        raise ExprError("grid matrix entries must be true or false", 0) from None
+    if len(set(rows)) != len(rows) or len(set(zip(*matrix))) != len(right):
+        raise ExprError("grid has two equal rows or two equal columns", 0)
+    return RectForm(fp, tuple(left), tuple(right), tuple(rows))
 
 
 def place_text(f: "places.PlaceFunction") -> str:

@@ -2,14 +2,18 @@
 
 Reparses the serialized payloads and rechecks every improvement step:
 strict order decrease, chain continuity, and preserved upper-bound status.
-The upper-bound predicates here are pointwise membership sweeps, written
-apart from the cell-logic the certificate generators use; only the element
-substrate (algebra operations and the expression grammar) is shared.
+The upper-bound predicates here check membership point by point: at each
+natural that some cell support names, and at one natural past them all,
+which stands for every natural named nowhere.  They read cells off their
+own supports, apart from the cell logic the certificate generators use;
+only the element substrate (algebra operations and the expression grammar)
+is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import Elem, finite_cofinite
 from .certificates import DIAGONAL_FAMILY, EVENS_FAMILY
@@ -27,40 +31,42 @@ class ValidationResult:
 def _evens_upper_bound(u: Elem) -> bool:
     """Pointwise: u contains every even number.
 
-    Membership beyond the support horizon is constant, so sweeping the evens
-    up to just past the largest support member is exact.
+    Membership is the same for every natural outside the support, so the
+    even members of the support and one natural past them all decide it.
     """
     mode, support = u.data
-    horizon = (max(support) if support else 0) + 2
-    return all(u.contains(n) for n in range(0, horizon + 1, 2))
+    generic = support[-1] + 1 if support else 0
+    return all(u.contains(n) for n in support if n % 2 == 0) and u.contains(generic)
 
 
-def _point_in_grid(x: RectForm, p: int, q: int) -> bool:
-    row = None
-    for i, c in enumerate(x.left_cells):
-        if c.contains(p):
-            row = x.rows[i]
-            break
-    if row is None:
-        return False
-    for j, c in enumerate(x.right_cells):
-        if c.contains(q):
-            return bool(row >> j & 1)
-    return False
+def _cells_holding(cells: Sequence[Elem], points: Sequence[int]) -> list[int | None]:
+    """Index of the cell of one axis holding each point, or None.
+
+    Read off the cells' own supports: a fin cell holds its members, and the
+    cof cell every natural it does not leave out.
+    """
+    index: dict[int, int] = {}
+    tail, excluded = None, frozenset()
+    for k, c in enumerate(cells):
+        mode, support = c.data
+        if mode == "fin":
+            index.update(dict.fromkeys(support, k))
+        else:
+            tail, excluded = k, frozenset(support)
+    return [index.get(n, None if n in excluded else tail) for n in points]
 
 
 def _diagonal_upper_bound(u: RectForm) -> bool:
     """Pointwise: u contains every diagonal point (n, n).
 
-    Beyond the largest natural named in any cell support, membership of
-    (n, n) is constant; one generic point past the horizon decides the tail.
+    Membership of (n, n) is the same for every natural that no cell support
+    names, so the named naturals and one natural past them all decide it.
     """
-    horizon = 0
-    for c in list(u.left_cells) + list(u.right_cells):
-        support = c.data[1]
-        if support:
-            horizon = max(horizon, max(support))
-    return all(_point_in_grid(u, n, n) for n in range(horizon + 2))
+    named = {n for c in u.left_cells + u.right_cells for n in c.data[1]}
+    points = [*named, max(named, default=-1) + 1]
+    return all(i is not None and j is not None and u.rows[i] >> j & 1
+               for i, j in zip(_cells_holding(u.left_cells, points),
+                               _cells_holding(u.right_cells, points)))
 
 
 def validate_certificate(payload: dict) -> ValidationResult:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from balg.algebra import Elem, finite_cofinite, powerset
+from balg.free_product import Rectangle
 
 P3 = powerset(3)
 P4 = powerset(4)
@@ -48,3 +49,17 @@ def split_refine(one, parts):
         cells = nxt
     cells.sort(key=one.alg.sort_key)
     return cells
+
+
+def grid_elems(fp, left, right):
+    """Elements built from up to three drawn rectangles, maybe complemented."""
+    rects = st.lists(st.builds(Rectangle, left, right), max_size=3)
+    return st.tuples(rects, st.booleans()).map(
+        lambda t: ~fp.normalize(t[0]) if t[1] else fp.normalize(t[0]))
+
+
+def partitions(alg, elems):
+    """A partition of the unit in any cell order: the atoms of the
+    subalgebra some drawn elements generate, shuffled."""
+    return st.lists(elems, max_size=4).map(
+        lambda xs: split_refine(alg.one, xs)).flatmap(st.permutations)

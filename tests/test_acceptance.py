@@ -294,3 +294,23 @@ def test_criterion_10_reproducibility():
 
     criterion(10, "identical configuration and seed give byte-identical "
                   "reports apart from timing", None, body)
+
+
+def test_criterion_11_certificate_revalidation_at_scale():
+    fp = FreeProduct(FC, FC)
+    far = fp.one & ~fp.rect(FC.fin([10**6]), FC.fin([3]))
+    chains = [
+        (certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, fp.one, steps=160), 160),
+        (certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, far, steps=5), 5),
+        (certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=1000), 1000),
+    ]
+    payloads = [(cert.to_dict(), steps) for cert, steps in chains]
+
+    def body():
+        for payload, steps in payloads:
+            v = validate_certificate(payload)
+            assert v.ok and v.steps_checked == steps, v
+
+    criterion(11, "revalidated no-supremum certificates: a 160-step diagonal "
+                  "chain from the unit, a diagonal chain whose grids name 10^6, "
+                  "and a 1000-step even-singleton chain", 4, body)

@@ -5,7 +5,7 @@ import pytest
 from balg.algebra import AlgebraError, powerset, trivial_algebra
 from balg.free_product import FreeProduct, Rectangle
 from balg import certificates as certs
-from balg.validation import validate_certificate
+from balg.validation import _diagonal_upper_bound, _evens_upper_bound, validate_certificate
 from conftest import FC
 
 
@@ -158,6 +158,38 @@ class TestDiagonalRefuterSweep:
             assert got == sweep_diagonal_step(u)
             outcomes[type(got)] += 1
         assert min(outcomes.values()) >= 100
+
+
+class TestValidatorPredicates:
+    """The validator checks named points plus one generic point; the
+    references here sweep every natural up to past the largest one named."""
+
+    def test_diagonal_matches_sweep(self):
+        fp = FreeProduct(FC, FC)
+        rng = random.Random(10)
+        verdicts = []
+        for _ in range(300):
+            u = random_diagonal_grid(fp, rng)
+            horizon = max((n for c in u.left_cells + u.right_cells for n in c.data[1]),
+                          default=0)
+            want = all(fp.contains_point(u, n, n) for n in range(horizon + 2))
+            assert _diagonal_upper_bound(u) == want
+            verdicts.append(want)
+        assert 100 <= sum(verdicts) <= 200
+
+    def test_evens_matches_sweep(self):
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(400):
+            support = rng.sample(range(rng.choice((8, 300))), rng.randint(0, 6))
+            if rng.random() < 0.5:
+                support = [n | 1 for n in support]  # odd points only
+            u = rng.choice((FC.fin, FC.cof))(support)
+            horizon = max(support, default=0) + 2
+            want = all(u.contains(n) for n in range(0, horizon + 1, 2))
+            assert _evens_upper_bound(u) == want
+            verdicts.append(want)
+        assert 100 <= sum(verdicts) <= 300
 
 
 class TestValidation:

@@ -45,6 +45,11 @@ class TestEval:
             ["eval", "--algebra", "P(3)", "--expr", "{1,"], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["fin{²}", "fin{１}"])
+    def test_non_ascii_digit_exit_code(self, text, capsys):
+        code, out, err = run_cli(["eval", "--algebra", "fincof", "--expr", text], capsys)
+        assert code == 2 and out == "" and "unexpected character" in err
+
 
 class TestCertify:
     def test_evens(self, capsys):
@@ -87,6 +92,11 @@ class TestCertify:
              "rect(fin{0,1},fin{0,1})"], capsys)
         assert code == 0
         assert json.loads(out)["witness"] == [2, 2]
+
+    def test_non_ascii_digit_start_exit_code(self, capsys):
+        code, out, err = run_cli(
+            ["certify", "--target", "evens", "--start", "cof{¹}"], capsys)
+        assert code == 2 and out == "" and "unexpected character" in err
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_nonpositive_steps_usage_error(self, steps, capsys):

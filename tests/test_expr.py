@@ -1,12 +1,25 @@
-import random
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from balg.expr import (ExprError, elem_text, grid_dict, parse_element,
+from balg.algebra import POWERSET, Elem, trivial_algebra
+from balg.expr import (ExprError, _Parser, elem_text, grid_dict, parse_element,
                        parse_place, place_text, rect_text, rectform_from_grid)
-from balg.free_product import FreeProduct
+from balg.free_product import FreeProduct, RectForm, _canonical
 from balg import places
-from conftest import FC, P3
+from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
+                      powerset_elems, rationals)
+
+FCxFC = FreeProduct(FC, FC)
+P3xP4 = FreeProduct(P3, P4)
+GRIDS = {
+    "FCxFC": (FCxFC, fincof_elems(), fincof_elems()),
+    "P3xP4": (P3xP4, powerset_elems(P3), powerset_elems(P4)),
+    "P3xFC": (FreeProduct(P3, FC), powerset_elems(P3), fincof_elems()),
+}
+ELEMS = {"P3": (P3, powerset_elems(P3)), "FC": (FC, fincof_elems())}
 
 
 class TestElementGrammar:
@@ -62,12 +75,12 @@ class TestElementGrammar:
 
 
 class TestSerialization:
-    def test_elem_text_roundtrip(self):
-        rng = random.Random(0)
-        for alg in (P3, FC):
-            for _ in range(200):
-                x = alg.random_elem(rng)
-                assert parse_element(alg, elem_text(x)) == x
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_elem_text_roundtrip(self, data):
+        alg, elems = ELEMS[data.draw(st.sampled_from(sorted(ELEMS)))]
+        x = data.draw(elems)
+        assert parse_element(alg, elem_text(x)) == x
 
     def test_canonical_constants(self):
         assert elem_text(P3.zero) == "0"
@@ -75,26 +88,27 @@ class TestSerialization:
         assert elem_text(FC.fin([])) == "0"
         assert elem_text(FC.cof([])) == "1"
 
-    def test_rect_text_roundtrip(self):
-        rng = random.Random(1)
-        for fp in (FreeProduct(P3, P3), FreeProduct(FC, FC), FreeProduct(P3, FC)):
-            for _ in range(100):
-                x = fp.random_elem(rng)
-                assert parse_element(fp, rect_text(x)) == x
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rect_text_roundtrip(self, data):
+        fp, left, right = GRIDS[data.draw(st.sampled_from(sorted(GRIDS)))]
+        x = data.draw(grid_elems(fp, left, right))
+        assert parse_element(fp, rect_text(x)) == x
 
-    def test_grid_roundtrip(self):
-        rng = random.Random(2)
-        fp = FreeProduct(FC, FC)
-        for _ in range(100):
-            x = fp.random_elem(rng)
-            assert rectform_from_grid(fp, grid_dict(x)) == x
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grid_roundtrip(self, data):
+        fp, left, right = GRIDS[data.draw(st.sampled_from(sorted(GRIDS)))]
+        x = data.draw(grid_elems(fp, left, right))
+        assert rectform_from_grid(fp, grid_dict(x)) == x
 
-    def test_place_text_roundtrip(self):
-        rng = random.Random(3)
-        for backend in (P3, FC):
-            for _ in range(150):
-                f = places.random_place(backend, rng)
-                assert parse_place(backend, place_text(f)) == f
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_place_text_roundtrip(self, data):
+        alg, elems = ELEMS[data.draw(st.sampled_from(sorted(ELEMS)))]
+        terms = data.draw(st.lists(st.tuples(rationals(), elems), max_size=4))
+        f = places.canonicalize(alg, terms)
+        assert parse_place(alg, place_text(f)) == f
 
     def test_place_text_style(self):
         f = places.canonicalize(P3, [(2, P3.subset([1, 2])), (3, P3.subset([3]))])
@@ -135,3 +149,170 @@ class TestSerialization:
                 rectform_from_grid(fq, bad)
         with pytest.raises(ExprError):
             rectform_from_grid(fp, dict(good, matrix=[[True]]))
+
+
+class TestDigits:
+    @pytest.mark.parametrize("text", ["fin{²}", "cof{¹}", "fin{１}", "{１}", "fin{0,²}"])
+    def test_only_ascii_digits_are_numbers(self, text):
+        for backend in (FC, P3):
+            with pytest.raises(ExprError):
+                parse_element(backend, text)
+
+    def test_place_coefficients_are_ascii(self):
+        with pytest.raises(ExprError):
+            parse_place(P3, "²*chi({1})")
+
+
+# texts the literal fast path is tried on: strings of these pieces, and
+# literal-shaped ones whose numbers are strings of them too
+LITERAL_PIECES = st.sampled_from(
+    ["fin", "cof", "{", "}", ",", " ", "!", "&", "²", "１", *"0123456789"])
+NUMBERS = st.lists(st.one_of(st.sampled_from("0123456789"), LITERAL_PIECES),
+                   min_size=1, max_size=3).map("".join)
+LITERAL_TEXTS = st.one_of(
+    st.lists(LITERAL_PIECES, max_size=8).map("".join),
+    st.tuples(st.sampled_from(["", "fin", "cof"]), st.lists(NUMBERS, max_size=3)).map(
+        lambda t: t[0] + "{" + ",".join(t[1]) + "}"))
+BACKENDS = {"P3": P3, "FC": FC, "trivial": trivial_algebra(), "FCxFC": FCxFC}
+
+
+def full_parse(backend, text):
+    p = _Parser(text)
+    return p.finish(p.element(backend))
+
+
+def outcome(parse, backend, text):
+    try:
+        return parse(backend, text)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+class TestLiteralFastPath:
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_parser(self, name, data):
+        backend = BACKENDS[name]
+        text = data.draw(LITERAL_TEXTS)
+        assert outcome(parse_element, backend, text) == outcome(full_parse, backend, text)
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("text", ["0", "1", "{}", "{2,1,2}", "{01}", "{4}", "fin{}",
+                                      "fin{3,1,3}", "cof{0}", "cof{1000000,7}", "00",
+                                      "01", "{1,}", "fin{,1}", "fin {1}", "rect(1,0)"])
+    def test_literals_match_full_parser(self, name, text):
+        backend = BACKENDS[name]
+        assert outcome(parse_element, backend, text) == outcome(full_parse, backend, text)
+
+
+def split_cell(alg, cell):
+    """Two nonzero cells whose join is ``cell``, or None if it is an atom."""
+    if alg.kind == POWERSET:
+        low = cell.data & -cell.data
+        return None if low == cell.data else (Elem(alg, low), Elem(alg, cell.data ^ low))
+    mode, support = cell.data
+    if mode == "fin":
+        return None if len(support) < 2 else (alg.fin(support[:1]), alg.fin(support[1:]))
+    n = next(k for k in count() if k not in support)
+    return alg.fin([n]), alg.cof(support + (n,))
+
+
+def report_grid(fp, left, right, matrix):
+    """Report form of a grid over the given cells, put in ``sort_key`` order."""
+    lp = sorted(range(len(left)), key=lambda i: fp.left.sort_key(left[i]))
+    rp = sorted(range(len(right)), key=lambda j: fp.right.sort_key(right[j]))
+    return {"left_cells": [elem_text(left[i]) for i in lp],
+            "right_cells": [elem_text(right[j]) for j in rp],
+            "matrix": [[matrix[i][j] for j in rp] for i in lp]}
+
+
+def split_grid(x, axis):
+    """The report form of x with one splittable cell of an axis split in two,
+    the two parts carrying equal rows (left) or equal columns (right)."""
+    fp = x.fp
+    left, right = list(x.left_cells), list(x.right_cells)
+    matrix = grid_dict(x)["matrix"]
+    alg, cells = (fp.left, left) if axis == "left" else (fp.right, right)
+    for k, c in enumerate(cells):
+        parts = split_cell(alg, c)
+        if parts is None:
+            continue
+        cells[k:k + 1] = parts
+        if axis == "left":
+            matrix.insert(k, list(matrix[k]))
+        else:
+            matrix = [row[:k] + [row[k]] + row[k:] for row in matrix]
+        return report_grid(fp, left, right, matrix)
+    return None
+
+
+class TestCanonicalGrids:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_altered_grids_raise(self, name, data):
+        fp, left, right = GRIDS[name]
+        x = data.draw(grid_elems(fp, left, right))
+        payload = grid_dict(x)
+        for axis, cells in (("left_cells", x.left_cells), ("right_cells", x.right_cells)):
+            if len(cells) < 2:
+                continue
+            # two cells swapped, with their rows or columns: the same element
+            k = data.draw(st.integers(0, len(cells) - 2))
+            swapped = dict(payload, **{axis: list(payload[axis])})
+            swapped[axis][k:k + 2] = swapped[axis][k + 1], swapped[axis][k]
+            if axis == "left_cells":
+                swapped["matrix"] = list(payload["matrix"])
+                swapped["matrix"][k:k + 2] = payload["matrix"][k + 1], payload["matrix"][k]
+            else:
+                swapped["matrix"] = [row[:k] + [row[k + 1], row[k]] + row[k + 2:]
+                                     for row in payload["matrix"]]
+            with pytest.raises(ExprError, match="canonical order"):
+                rectform_from_grid(fp, swapped)
+        for axis in ("left", "right"):
+            split = split_grid(x, axis)
+            if split is not None:
+                with pytest.raises(ExprError, match="two equal"):
+                    rectform_from_grid(fp, split)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_accepts_exactly_the_fixed_points_of_canonical(self, name, data):
+        fp, left, right = GRIDS[name]
+        L = data.draw(partitions(fp.left, left))
+        R = data.draw(partitions(fp.right, right))
+        matrix = data.draw(st.lists(st.lists(st.booleans(), min_size=len(R), max_size=len(R)),
+                                    min_size=len(L), max_size=len(L)))
+        rows = [sum(1 << j for j, a in enumerate(row) if a) for row in matrix]
+        payload = {"left_cells": [elem_text(c) for c in L],
+                   "right_cells": [elem_text(c) for c in R], "matrix": matrix}
+        as_given = RectForm(fp, tuple(L), tuple(R), tuple(rows))
+        if _canonical(fp, L, R, rows) == as_given:
+            assert rectform_from_grid(fp, payload) == as_given
+        else:
+            with pytest.raises(ExprError):
+                rectform_from_grid(fp, payload)
+
+    def test_duplicated_row(self):
+        x = FCxFC.rect(FC.fin([0, 5]), FC.cof([2]))
+        payload = split_grid(x, "left")
+        assert payload["left_cells"] == ["fin{0}", "fin{5}", "cof{0,5}"]
+        assert payload["matrix"][0] == payload["matrix"][1]
+        with pytest.raises(ExprError, match="two equal rows or two equal columns"):
+            rectform_from_grid(FCxFC, payload)
+
+    def test_entries_must_be_booleans(self):
+        payload = grid_dict(FCxFC.rect(FC.fin([0]), FC.one))
+        for entry in (2, None, "yes", [True]):
+            bad = dict(payload, matrix=[[entry], [False]])
+            with pytest.raises(ExprError, match="true or false"):
+                rectform_from_grid(FCxFC, bad)
+
+    def test_trivial_product_grid_has_no_cells(self):
+        fp = FreeProduct(trivial_algebra(), FC)
+        assert rectform_from_grid(fp, grid_dict(fp.one)) == fp.one
+        with pytest.raises(ExprError):
+            rectform_from_grid(fp, {"left_cells": ["0"], "right_cells": ["1"],
+                                    "matrix": [[True]]})

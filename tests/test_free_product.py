@@ -8,7 +8,8 @@ from balg import free_product
 from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
 from balg.expr import grid_dict
 from balg.free_product import FreeProduct, Rectangle, _overlay, induced_hom
-from conftest import FC, P3, P4, fincof_elems, powerset_elems, split_refine
+from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
+                      powerset_elems, split_refine)
 
 P2 = powerset(2)
 A = powerset(2, "A")
@@ -325,13 +326,6 @@ OVERLAY_PRODUCTS = {
 }
 
 
-def grid_elems(fp, left, right):
-    """Elements built from up to three drawn rectangles, maybe complemented."""
-    rects = st.lists(st.builds(Rectangle, left, right), max_size=3)
-    return st.tuples(rects, st.booleans()).map(
-        lambda t: ~fp.normalize(t[0]) if t[1] else fp.normalize(t[0]))
-
-
 def axis_points(alg, cells):
     """Points of one axis: every atom of a powerset; for finite_cofinite,
     [0..H] with H past every natural named in the cells, plus one point
@@ -398,13 +392,6 @@ MEETS_AXES = {
     "P4": (P4, powerset_elems(P4)),
     "FC": (FC, fincof_elems()),
 }
-
-
-def partitions(alg, elems):
-    """A partition of the unit in any cell order: the atoms of the
-    subalgebra some drawn elements generate, shuffled."""
-    return st.lists(elems, max_size=4).map(
-        lambda xs: split_refine(alg.one, xs)).flatmap(st.permutations)
 
 
 class TestMeets:
