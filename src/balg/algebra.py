@@ -5,6 +5,9 @@ element, so structural equality (``==``) decides mathematical equality.
 Powerset elements are bitsets over the atom index range; finite-cofinite
 elements are a (mode, sorted support) pair over the naturals.
 
+Each backend has one n-ary join, ``Algebra.join``; every join of a family
+of elements, ``sup`` and ``join_cells`` among them, goes through it.
+
 The one cell-refinement kernel lives here too: ``_meets`` refines partitions
 of the unit by point signatures, after Paige and Tarjan (SIAM J. Comput.
 1987); ``refine_partition``, ``Algebra.joint_cells`` and the free-product
@@ -132,16 +135,33 @@ class Algebra:
         for bits in range(1 << self.atom_count):
             yield Elem(self, bits)
 
+    def join(self, xs: Iterable["Elem"]) -> "Elem":
+        """Join of a finite family (zero if empty), members unchecked: the
+        union of the bitsets, or of the fin supports when no member is
+        cofinite, else cof of what every cof member leaves out and no fin
+        member holds."""
+        xs = list(xs)
+        if len(xs) == 1:
+            return xs[0]
+        if self.kind == POWERSET:
+            bits = 0
+            for x in xs:
+                bits |= x.data
+            return Elem(self, bits)
+        data = [x.data for x in xs]
+        held = set().union(*(s for mode, s in data if mode == "fin"))
+        cofs = [s for mode, s in data if mode == "cof"]
+        if not cofs:
+            return Elem(self, ("fin", tuple(sorted(held))))
+        left_out = set(cofs[0]).intersection(*cofs[1:]) - held
+        return Elem(self, ("cof", tuple(sorted(left_out))))
+
     def sup(self, xs: Iterable["Elem"]) -> "Elem":
         """Join of a nonempty finite set of elements."""
-        xs = list(xs)
+        xs = [self._check(x) for x in xs]
         if not xs:
             raise AlgebraError("sup of an empty collection")
-        out = xs[0]
-        for x in xs[1:]:
-            out = out | x
-        self._check(out)
-        return out
+        return self.join(xs)
 
     def random_elem(self, rng: random.Random, span: int = 12) -> "Elem":
         if self.trivial:
@@ -174,11 +194,8 @@ class Algebra:
         return cells, masks, len(cells)
 
     def join_cells(self, cells: Sequence["Elem"], mask: int) -> "Elem":
-        out = self.zero
-        for i, c in enumerate(cells):
-            if mask >> i & 1:
-                out = out | c
-        return out
+        """Join of the cells whose indices are the set bits of ``mask``."""
+        return self.join(c for i, c in enumerate(cells) if mask >> i & 1)
 
     def _check(self, x: "Elem") -> "Elem":
         if x.alg != self:
@@ -252,7 +269,7 @@ class Elem:
         self._match(other)
         if self.alg.kind == POWERSET:
             return Elem(self.alg, self.data | other.data)
-        return ~(~self & ~other)
+        return self.alg.join((self, other))
 
     def __xor__(self, other: "Elem") -> "Elem":
         # disjoint sum (x & ~y) | (~x & y)
@@ -458,15 +475,9 @@ class Hom:
             except KeyError:
                 raise HomDomainError("element outside the table domain") from None
         selected = [i for i, c in enumerate(self._cells) if c.leq(x)]
-        rejoin = self.source.zero
-        for i in selected:
-            rejoin = rejoin | self._cells[i]
-        if rejoin != x:
+        if self.source.join(self._cells[i] for i in selected) != x:
             raise HomDomainError("element outside the generated subalgebra")
-        out = self.target.zero
-        for i in selected:
-            out = out | self._images[i]
-        return out
+        return self.target.join(self._images[i] for i in selected)
 
     def domain_elements(self) -> Iterator[Elem]:
         """Every element the homomorphism is defined on (finite domains only)."""
@@ -479,22 +490,14 @@ class Hom:
             if n > 20:
                 raise AlgebraError("domain too large to enumerate")
             for mask in range(1 << n):
-                out = self.source.zero
-                for i in range(n):
-                    if mask >> i & 1:
-                        out = out | self._cells[i]
-                yield out
+                yield self.source.join_cells(self._cells, mask)
 
     def random_domain_elem(self, rng: random.Random) -> Elem:
         if self._atom_map is not None or self._table == "identity":
             return self.source.random_elem(rng)
         if self._table is not None:
             return rng.choice(sorted(self._table, key=self.source.sort_key))
-        out = self.source.zero
-        for c in self._cells:
-            if rng.random() < 0.5:
-                out = out | c
-        return out
+        return self.source.join([c for c in self._cells if rng.random() < 0.5])
 
 
 @dataclass(frozen=True, slots=True)

@@ -86,7 +86,8 @@ def parse_config(text: str) -> SuiteConfig:
     """Parse and validate a JSON configuration."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the interpreter's digit limit
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     _expect(data, "$", dict, "an object")
     _reject_unknown(data, "$", {"algebras", "suites", "trials", "seed", "caps"})

@@ -72,6 +72,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _naturals(runs: list[str], pos: int) -> list[int]:
+    """Values of digit runs starting at ``pos``; a run past the interpreter's
+    limit on integer string conversion is an ExprError, not a ValueError."""
+    try:
+        return [int(r) for r in runs]
+    except ValueError:
+        raise ExprError(f"a number of {max(map(len, runs))} digits is too long", pos) from None
+
+
 class _Parser:
     """Recursive descent over a shared token stream; the backend travels as
     an argument so rect(...) can switch context for its two sides."""
@@ -157,13 +166,13 @@ class _Parser:
         raise ExprError(f"unexpected token {value!r}", pos)
 
     def _numbers(self) -> list[int]:
-        out = []
+        runs, pos = [], self.peek()[2]
         if self.peek()[0] == "NUM":
-            out.append(int(self.next()[1]))
+            runs.append(self.next()[1])
             while self.peek()[0] == "COMMA":
                 self.next()
-                out.append(int(self.expect("NUM")[1]))
-        return out
+                runs.append(self.expect("NUM")[1])
+        return _naturals(runs, pos)
 
     # place-function grammar
     def place(self, backend: Backend) -> "places.PlaceFunction":
@@ -181,16 +190,16 @@ class _Parser:
         if self.peek()[0] == "MINUS":
             self.next()
             sign = -sign
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         coeff = Fraction(1)
         if kind == "NUM":
             self.next()
-            num = int(value)
+            [num] = _naturals([value], pos)
             den = 1
             if self.peek()[0] == "SLASH":
                 self.next()
                 tok = self.expect("NUM")
-                den = int(tok[1])
+                [den] = _naturals([tok[1]], tok[2])
                 if den == 0:
                     raise ExprError("zero denominator", tok[2])
             coeff = Fraction(num, den)
@@ -225,7 +234,7 @@ def parse_element(backend: Backend, text: str):
         if text == "1":
             return backend.one
         head, body = m.groups()
-        numbers = [int(s) for s in body.split(",")] if body else []
+        numbers = _naturals(body.split(","), m.start(2)) if body else []
         if isinstance(backend, Algebra):
             if head is None and backend.kind == POWERSET and not backend.trivial:
                 return backend.subset(numbers)

@@ -13,13 +13,18 @@ grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets with
 onto them with bit operations.  ``normalize`` builds its grid from the
 factors' ``joint_cells``: the cells refining the rectangle sides, and one
 cell mask per side.
+
+The product has one n-ary join, ``FreeProduct.join``, and ``_canonical``
+merges each group of equal rows or equal columns with one factor ``join``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Algebra, AlgebraError, Elem, POWERSET, _meets, point_index
 # bound here by name so that the perfbench tracer can patch it
@@ -116,17 +121,10 @@ class FreeProduct:
                 out.append(self.rect(p, q))
         return tuple(out)
 
-    def from_atom_rows(self, rows: Sequence[int]) -> "RectForm":
-        """Element from an activity matrix over the atom-by-atom grid."""
-        self._require_finite()
-        return _canonical(self, list(self.left.atoms()), list(self.right.atoms()), list(rows))
-
     def from_atom_mask(self, mask: int) -> "RectForm":
+        """Join of the atom rectangles, pair (p, q) at bit p * m + q."""
         self._require_finite()
-        m = self.right.atom_count
-        full = (1 << m) - 1
-        rows = [(mask >> (p * m)) & full for p in range(self.left.atom_count)]
-        return self.from_atom_rows(rows)
+        return self.join_cells((self.left.atoms(), self.right.atoms()), mask)
 
     def atom_mask(self, x: "RectForm") -> int:
         """Bitmask over atom pairs, pair (p, q) at bit p * m + q."""
@@ -164,15 +162,23 @@ class FreeProduct:
             raise AlgebraError(f"({p}, {q}) is not a point of the product")
         return bool(x.rows[i] >> j & 1)
 
-    # one join-of-a-list body for every backend
+    def join(self, xs: Iterable["RectForm"]) -> "RectForm":
+        """Join of a finite family (zero if empty), members unchecked: one
+        overlay of the family, its rows ORed, one canonicalisation."""
+        xs = list(xs)
+        if self.is_trivial or not xs:
+            return self.zero
+        L, R, grids = _overlay(self, xs)
+        return _canonical(self, L, R, [reduce(or_, row) for row in zip(*grids)])
+
+    # one sup body for every backend: check each member, then join
     sup = Algebra.sup
 
     def random_elem(self, rng: random.Random) -> "RectForm":
         if self.is_trivial:
             return self.zero
-        out = self.zero
-        for _ in range(rng.randint(1, 3)):
-            out = out | self.rect(self.left.random_elem(rng), self.right.random_elem(rng))
+        out = self.join([self.rect(self.left.random_elem(rng), self.right.random_elem(rng))
+                         for _ in range(rng.randint(1, 3))])
         if rng.random() < 0.3:
             out = ~out
         return out
@@ -211,7 +217,7 @@ class FreeProduct:
         return _canonical(self, list(L), list(R), rows)
 
     def _check(self, x: "RectForm") -> "RectForm":
-        if x.fp != self:
+        if not isinstance(x, RectForm) or x.fp != self:
             raise AlgebraError("element belongs to a different free product")
         return x
 
@@ -276,16 +282,9 @@ class RectForm:
         join of its active right cells.  Cells with identical rows were
         already merged by canonicalization, so the output is deterministic.
         """
-        out = []
-        for i, row in enumerate(self.rows):
-            if row == 0:
-                continue
-            acc = self.fp.right.zero
-            for j, rc in enumerate(self.right_cells):
-                if row >> j & 1:
-                    acc = acc | rc
-            out.append(Rectangle(self.left_cells[i], acc))
-        return tuple(out)
+        right = self.fp.right
+        return tuple(Rectangle(lc, right.join_cells(self.right_cells, row))
+                     for lc, row in zip(self.left_cells, self.rows) if row)
 
 
 def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
@@ -323,30 +322,24 @@ def _canonical(fp: FreeProduct, L: list[Elem], R: list[Elem],
     """Coarsen a grid by merging equal rows and equal columns, then order."""
     if fp.is_trivial:
         return RectForm(fp, (), (), ())
-    # merge left cells sharing a row pattern
-    row_groups: dict[int, Elem] = {}
-    for i, rm in enumerate(rows):
-        if rm in row_groups:
-            row_groups[rm] = row_groups[rm] | L[i]
-        else:
-            row_groups[rm] = L[i]
+    # merge left cells sharing a row pattern: a lone cell stays as it is, and
+    # each group of several is joined once
+    row_groups: dict[int, list[Elem]] = {}
+    for cell, rm in zip(L, rows):
+        row_groups.setdefault(rm, []).append(cell)
     mrows = list(row_groups)
-    mL = [row_groups[rm] for rm in mrows]
+    mL = [g[0] if len(g) == 1 else fp.left.join(g) for g in row_groups.values()]
     # merge right cells sharing a column pattern over the merged rows
-    col_groups: dict[int, Elem] = {}
-    col_reps: dict[int, int] = {}
+    col_groups: dict[int, list[int]] = {}
     for j in range(len(R)):
         cm = 0
         for k, rm in enumerate(mrows):
             if rm >> j & 1:
                 cm |= 1 << k
-        if cm in col_groups:
-            col_groups[cm] = col_groups[cm] | R[j]
-        else:
-            col_groups[cm] = R[j]
-            col_reps[cm] = j
-    mR = list(col_groups.values())
-    reps = list(col_reps.values())
+        col_groups.setdefault(cm, []).append(j)
+    reps = [js[0] for js in col_groups.values()]
+    mR = [R[js[0]] if len(js) == 1 else fp.right.join([R[j] for j in js])
+          for js in col_groups.values()]
     rows2 = []
     for rm in mrows:
         m = 0
@@ -390,22 +383,18 @@ class InducedHom:
         self.target = target
 
     def __call__(self, x: RectForm) -> Elem:
-        out = self.target.zero
-        for i, row in enumerate(x.rows):
-            if row == 0:
-                continue
-            left_img = self.phi_left(x.left_cells[i])
-            for j in range(len(x.right_cells)):
-                if row >> j & 1:
-                    out = out | (left_img & self.phi_right(x.right_cells[j]))
-        return out
+        pieces = []
+        for lc, row in zip(x.left_cells, x.rows):
+            if row:
+                left_img = self.phi_left(lc)
+                pieces += [left_img & self.phi_right(rc)
+                           for j, rc in enumerate(x.right_cells) if row >> j & 1]
+        return self.target.join(pieces)
 
     def via_rectangles(self, x: RectForm) -> Elem:
         """Same map computed through the disjoint-rectangle decomposition."""
-        out = self.target.zero
-        for r in x.decompose_disjoint():
-            out = out | (self.phi_left(r.left) & self.phi_right(r.right))
-        return out
+        return self.target.join(self.phi_left(r.left) & self.phi_right(r.right)
+                                for r in x.decompose_disjoint())
 
 
 def induced_hom(phi_left, phi_right, target: Algebra) -> InducedHom:

@@ -38,10 +38,7 @@ class PlaceFunction:
 
     def support(self):
         """Join of all term supports."""
-        out = self.backend.zero
-        for _, x in self.terms:
-            out = out | x
-        return out
+        return self.backend.join(x for _, x in self.terms)
 
     def __add__(self, other: "PlaceFunction") -> "PlaceFunction":
         return add_refine(self, other)
@@ -86,21 +83,20 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
     if backend.is_trivial or not terms:
         return PlaceFunction(backend, ())
     payload, masks, ncells = backend.joint_cells([x for _, x in terms])
-    return from_cell_values(backend, enumerate(_cell_sums(terms, masks, ncells)),
-                            lambda mask: backend.join_cells(payload, mask))
+    return from_cell_values(backend, payload, enumerate(_cell_sums(terms, masks, ncells)))
 
 
-def from_cell_values(backend, values, join) -> PlaceFunction:
+def from_cell_values(backend, payload, values) -> PlaceFunction:
     """Canonical place function from (cell index, coefficient) pairs.
 
-    Cells sharing a nonzero coefficient become one support, ``join(mask)``
-    of the bitmask of their indices; zero cells are dropped.
+    Cells sharing a nonzero coefficient become one support, joined from
+    ``payload`` by ``backend.join_cells``; zero cells are dropped.
     """
     groups: dict[Fraction, int] = {}
     for i, v in values:
         if v != 0:
             groups[v] = groups.get(v, 0) | (1 << i)
-    terms = [(v, join(mask)) for v, mask in groups.items()]
+    terms = [(v, backend.join_cells(payload, mask)) for v, mask in groups.items()]
     terms.sort(key=lambda t: backend.sort_key(t[1]))
     return PlaceFunction(backend, tuple(terms))
 
@@ -186,8 +182,7 @@ def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
         return PlaceFunction(backend, ())
     op = min if which == "meet" else max
     payload, fvals, gvals = _cell_values(backend, f, g)
-    return from_cell_values(backend, enumerate(map(op, fvals, gvals)),
-                            lambda mask: backend.join_cells(payload, mask))
+    return from_cell_values(backend, payload, enumerate(map(op, fvals, gvals)))
 
 
 def meet(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:

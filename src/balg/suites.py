@@ -812,7 +812,7 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                     and not a.trivial and not b.trivial
                     and a.atom_count * b.atom_count <= 16} | {(2, 3)})
     for n, m in pairs:
-        verdict = band_model.compare_band_products(n, m, rng=rng)
+        verdict = band_model.compare_band_products(n, m, pair_samples=cfg.trials, rng=rng)
         s.check(verdict.ok, f"band product contrast at ({n}, {m})",
                 detail=verdict.detail)
         s.check(verdict.atoms_each == n * m, f"band product atoms at ({n}, {m})")

@@ -135,7 +135,9 @@ def from_atom_model(backend, v: AtomVector) -> PlaceFunction:
     labels, n = _finite_atoms(backend)
     if labels != v.space:
         raise ValueError("vector space does not match the backend's atoms")
-    return places.from_cell_values(backend, enumerate(v.values), backend.from_atom_mask)
+    atoms = ((backend.left.atoms(), backend.right.atoms())
+             if isinstance(backend, FreeProduct) else backend.atoms())
+    return places.from_cell_values(backend, atoms, enumerate(v.values))
 
 
 def _finite_atoms(backend) -> tuple[tuple, int]:
@@ -184,8 +186,7 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     width = len(rcells)
     values = ((i * width + j, a * b) for i, a in enumerate(lcoef)
               for j, b in enumerate(rcoef))
-    return places.from_cell_values(fp, values,
-                                   lambda mask: fp.join_cells((lcells, rcells), mask))
+    return places.from_cell_values(fp, (lcells, rcells), values)
 
 
 def psi_terms_by_rectangles(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:

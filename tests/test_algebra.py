@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from balg import algebra, free_product, tensor
 from balg.algebra import (Algebra, AlgebraError, Elem, Hom, check_homomorphism,
                           powerset, refine_partition, trivial_algebra)
-from conftest import FC, P3, P4, fincof_elems, powerset_elems, split_refine
+from balg.free_product import FreeProduct
+from conftest import (FC, P3, P4, fincof_elems, grid_elems, powerset_elems,
+                      split_refine)
 
 
 def atoms_of(x):
@@ -98,6 +100,12 @@ class TestSup:
     def test_empty_rejected(self):
         with pytest.raises(AlgebraError):
             P3.sup([])
+        # so is a member of another algebra, first or later in the family
+        fp = FreeProduct(P3, FC)
+        for alg, xs in ((P3, [P4.one]), (P3, [P3.zero, P4.one]), (FC, [FC.one, P3.one]),
+                        (fp, [fp.one, P3.one]), (fp, [FreeProduct(P4, FC).one])):
+            with pytest.raises(AlgebraError):
+                alg.sup(xs)
 
     def test_least_upper_bound_exhaustive(self):
         rng = random.Random(2)
@@ -237,6 +245,64 @@ def test_refine_partition_matches_split_reference(name, data):
                               min_size=1, max_size=5))
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=5))
     assert refine_partition(alg.one, parts) == split_refine(alg.one, parts)
+
+
+P2 = powerset(2)
+FCxFC = FreeProduct(FC, FC)
+P2xFC = FreeProduct(P2, FC)
+JOIN_BACKENDS = {
+    "P3": (P3, powerset_elems(P3)),
+    "P4": (P4, powerset_elems(P4)),
+    "trivial": (trivial_algebra(), st.just(trivial_algebra().zero)),
+    "FC": (FC, fincof_elems()),
+    "FCxFC": (FCxFC, grid_elems(FCxFC, fincof_elems(), fincof_elems())),
+    "P2xFC": (P2xFC, grid_elems(P2xFC, powerset_elems(P2), fincof_elems())),
+}
+
+
+def de_morgan_join(alg, xs):
+    """Reference join from meets and complements only: ~(~x1 & ... & ~xk)."""
+    meet = alg.one
+    for x in xs:
+        meet = meet & ~x
+    return ~meet
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_BACKENDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_join_matches_de_morgan_oracle(name, data):
+    """Each backend's one n-ary join, for families of 0-5 members."""
+    alg, elems = JOIN_BACKENDS[name]
+    xs = data.draw(st.lists(elems, max_size=5))
+    assert alg.join(xs) == de_morgan_join(alg, xs)
+
+
+P11 = powerset(11)
+# fincof elements whose supports lie below 10
+windowed = st.tuples(st.sampled_from(("fin", "cof")),
+                     st.frozensets(st.integers(0, 9), max_size=6)).map(
+    lambda t: Elem(FC, (t[0], tuple(sorted(t[1])))))
+
+
+def window(x):
+    """The image in P(11) of a fincof element with support below 10: the
+    natural n is atom n + 1, and atom 11 stands for every natural from 10 on."""
+    mode, support = x.data
+    below = P11.subset(n + 1 for n in support)
+    return below if mode == "fin" else ~below
+
+
+@given(windowed, windowed, st.lists(windowed, max_size=5))
+def test_fincof_agrees_with_powerset_on_a_window(x, y, xs):
+    """Differential check of the two backends: the window map is an
+    isomorphism, so every operation commutes with it."""
+    assert window(x & y) == window(x) & window(y)
+    assert window(x | y) == window(x) | window(y)
+    assert window(x ^ y) == window(x) ^ window(y)
+    assert window(~x) == ~window(x)
+    assert x.leq(y) == window(x).leq(window(y))
+    assert window(FC.join(xs)) == P11.join([window(v) for v in xs])
 
 
 def test_refine_partition_bound_where_the_tracer_patches_it():

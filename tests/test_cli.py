@@ -8,6 +8,10 @@ from balg.cli import main, parse_algebra_spec
 from balg.config import default_config_dict
 
 
+# past the interpreter's 4,300-digit limit on integer string conversion
+BIG = "7" * 5000
+
+
 def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
@@ -49,6 +53,11 @@ class TestEval:
     def test_non_ascii_digit_exit_code(self, text, capsys):
         code, out, err = run_cli(["eval", "--algebra", "fincof", "--expr", text], capsys)
         assert code == 2 and out == "" and "unexpected character" in err
+
+    def test_oversized_number_exit_code(self, capsys):
+        code, out, err = run_cli(["eval", "--algebra", "fincof", "--expr", f"fin{{{BIG}}}"],
+                                 capsys)
+        assert code == 2 and out == "" and "too long" in err
 
 
 class TestCertify:
@@ -98,6 +107,11 @@ class TestCertify:
             ["certify", "--target", "evens", "--start", "cof{¹}"], capsys)
         assert code == 2 and out == "" and "unexpected character" in err
 
+    def test_oversized_start_exit_code(self, capsys):
+        code, out, err = run_cli(
+            ["certify", "--target", "evens", "--start", f"cof{{{BIG}}}"], capsys)
+        assert code == 2 and out == "" and "too long" in err
+
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_nonpositive_steps_usage_error(self, steps, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,6 +154,14 @@ class TestVerify:
             "suites": ["core_axioms"]}), encoding="utf-8")
         code, _, err = run_cli(["verify", "--config", str(path)], capsys)
         assert code == 2 and "cap exceeded" in err
+
+    def test_oversized_integer_config_exit_2(self, tmp_path, capsys):
+        text = json.dumps(default_config_dict())
+        assert '"atoms": 2' in text
+        path = tmp_path / "big.json"
+        path.write_text(text.replace('"atoms": 2', f'"atoms": {BIG}'), encoding="utf-8")
+        code, out, err = run_cli(["verify", "--config", str(path)], capsys)
+        assert code == 2 and out == "" and "config error" in err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(["verify", "--config", str(tmp_path / "none.json")],

@@ -336,6 +336,20 @@ def axis_points(alg, cells):
     return list(range(horizon + 1)) + [horizon + 1000]
 
 
+class TestJoin:
+    def test_one_overlay(self, monkeypatch):
+        """Work guard: the join of k grids overlays them once."""
+        fp = FreeProduct(FC, FC)
+        xs = [fp.rect(FC.fin([n]), FC.cof([n])) for n in range(5)]
+        want = xs[0] | xs[1] | xs[2] | xs[3] | xs[4]
+        calls = []
+        overlay = free_product._overlay
+        monkeypatch.setattr(free_product, "_overlay",
+                            lambda fp_, grids: calls.append(len(grids)) or overlay(fp_, grids))
+        assert fp.join(xs) == want
+        assert calls == [5]
+
+
 class TestOverlay:
     @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
     @settings(max_examples=120, deadline=None)

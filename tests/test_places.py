@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg.algebra import powerset, trivial_algebra
+from balg.algebra import Elem, powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places
 from conftest import FC, P3, fincof_elems, powerset_elems, rationals
@@ -83,6 +83,21 @@ class TestCanonicalize:
     def test_trivial_backend_collapses(self):
         t = trivial_algebra()
         assert places.canonicalize(t, [(1, t.one)]).is_zero()
+
+    def test_cells_join_without_pairwise_or(self, monkeypatch):
+        """Work guard: over fincof, canonicalize and lattice join the cells
+        sharing a coefficient in one step, with no ``Elem.__or__`` call; a
+        pairwise fold makes one per cell, 41 in ``canonicalize`` here."""
+        raw = [(Fraction(1 + n % 2), FC.fin([n, n + 1])) for n in range(40)]
+        g = places.chi(FC.cof(range(0, 80, 3)))
+        calls = []
+        elem_or = Elem.__or__
+        monkeypatch.setattr(Elem, "__or__", lambda a, b: calls.append(1) or elem_or(a, b))
+        f = places.canonicalize(FC, raw)
+        places.meet(f, g)
+        places.join(f, g)
+        assert calls == []
+        assert f.terms == ((1, FC.fin([0])), (3, FC.fin(range(1, 40))), (2, FC.fin([40])))
 
 
 class TestChi:

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from balg import bands
 from balg.config import default_config, parse_config
 from balg.suites import SUITES, Report, run_suites, serialize_value, suite_rng
 
@@ -65,6 +68,40 @@ def test_completeness_payload_structure():
     assert len(cases) == 5
     assert any("unverifiable" in entry for entry in payload["dichotomy"])
     assert all(e["subsets_checked"] >= 1 for e in payload["exhaustive"])
+
+
+def test_bands_draws_trials_pairs(monkeypatch):
+    calls = []
+
+    def fake_compare(n, m, pair_samples=200, rng=None):
+        calls.append(((n, m), pair_samples))
+        return bands.BandProductCheck(True, n * m, "stub")
+
+    monkeypatch.setattr(bands, "compare_band_products", fake_compare)
+    cfg = light_config(["bands"], trials=7)
+    assert SUITES["bands"](cfg, suite_rng(cfg.seed, "bands")).ok
+    assert sorted(calls) == [((2, 2), 7), ((2, 3), 7), ((3, 2), 7), ((3, 3), 7)]
+
+
+# sha256 of the timeless report (every "seconds" set to 0) of
+# configs/default.json at trials 15; a change that alters report bytes on
+# purpose updates these digests and says which fields changed
+REPORT_DIGESTS = {
+    0: "85d6c05eb2151035ffeec1a7c6a16b11d6da6d7924cd1b533c8b32ebbb2f1852",
+    1: "c10e7b123acd85634c51645376636e994306c97ae9cf5bac1322b350dcf1a857",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(seed):
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    base = json.loads(path.read_text(encoding="utf-8"))
+    report = run_suites(parse_config(json.dumps({**base, "trials": 15, "seed": seed})))
+    d = report.to_dict()
+    for s in d["suites"]:
+        s["seconds"] = 0
+    text = json.dumps(d, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[seed]
 
 
 def test_reports_reproducible_modulo_timing():
