@@ -3,7 +3,9 @@
 Elements are immutable values with a unique representation per mathematical
 element, so structural equality (``==``) decides mathematical equality.
 Powerset elements are bitsets over the atom index range; finite-cofinite
-elements are a (mode, sorted support) pair over the naturals.
+elements are a (mode, sorted support) pair over the naturals.  The trivial
+algebra is P(0), the powerset of no points: its one bitset, 0, is both zero
+and unit, so the powerset arithmetic covers it.
 
 Each backend has one n-ary join, ``Algebra.join``; every join of a family
 of elements, ``sup`` and ``join_cells`` among them, goes through it.
@@ -36,26 +38,22 @@ class Algebra:
 
     ``powerset`` is the algebra of subsets of ``atom_count`` points (atom
     indices are 1-based in text form); ``finite_cofinite`` is the algebra of
-    finite and cofinite subsets of the naturals.  A ``trivial`` algebra is the
-    one-element algebra in which 0 = 1.  The ``name`` is a display label and
-    does not participate in equality.
+    finite and cofinite subsets of the naturals.  The trivial algebra, the
+    one-element algebra in which 0 = 1, is the powerset of no points, P(0).
+    The ``name`` is a display label and does not participate in equality.
     """
 
     kind: str
     atom_count: int = 0
-    trivial: bool = False
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (POWERSET, FINITE_COFINITE):
             raise AlgebraError(f"unknown algebra kind {self.kind!r}")
-        if self.trivial:
-            if self.kind != POWERSET or self.atom_count != 0:
-                raise AlgebraError("the trivial algebra is flagged, not given atoms")
-        elif self.kind == POWERSET:
-            if not 1 <= self.atom_count <= MAX_ATOMS:
+        if self.kind == POWERSET:
+            if not 0 <= self.atom_count <= MAX_ATOMS:
                 raise AlgebraError(
-                    f"powerset atom count must be 1..{MAX_ATOMS}, got {self.atom_count}"
+                    f"powerset atom count must be 0..{MAX_ATOMS}, got {self.atom_count}"
                 )
         elif self.atom_count != 0:
             raise AlgebraError("finite_cofinite has no atom count")
@@ -70,19 +68,17 @@ class Algebra:
 
     @property
     def one(self) -> "Elem":
-        if self.trivial:
-            return Elem(self, 0)
         if self.kind == POWERSET:
             return Elem(self, (1 << self.atom_count) - 1)
         return Elem(self, ("cof", ()))
 
     @property
     def is_trivial(self) -> bool:
-        return self.trivial
+        return self.kind == POWERSET and self.atom_count == 0
 
     def subset(self, atoms: Iterable[int]) -> "Elem":
         """Powerset element from 1-based atom indices."""
-        if self.kind != POWERSET or self.trivial:
+        if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("subset literals require a nontrivial powerset algebra")
         bits = 0
         for a in atoms:
@@ -107,7 +103,7 @@ class Algebra:
 
     def atoms(self) -> tuple["Elem", ...]:
         """The minimal nonzero elements, in index order (powerset only)."""
-        if self.trivial:
+        if self.is_trivial:
             raise AlgebraError("the trivial algebra has no atoms")
         if self.kind != POWERSET:
             raise AlgebraError("atoms are not enumerable for finite_cofinite")
@@ -115,21 +111,18 @@ class Algebra:
 
     def atom_mask(self, x: "Elem") -> int:
         """Bitmask of atoms below x (powerset only)."""
-        if self.kind != POWERSET or self.trivial:
+        if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("atom masks require a nontrivial powerset algebra")
         self._check(x)
         return x.data  # type: ignore[return-value]
 
     def from_atom_mask(self, bits: int) -> "Elem":
-        if self.kind != POWERSET or self.trivial:
+        if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("atom masks require a nontrivial powerset algebra")
         return Elem(self, bits & ((1 << self.atom_count) - 1))
 
     def elements(self) -> Iterator["Elem"]:
         """All elements (finite algebras only)."""
-        if self.trivial:
-            yield self.zero
-            return
         if self.kind != POWERSET:
             raise AlgebraError("finite_cofinite is infinite")
         for bits in range(1 << self.atom_count):
@@ -163,13 +156,13 @@ class Algebra:
             raise AlgebraError("sup of an empty collection")
         return self.join(xs)
 
-    def random_elem(self, rng: random.Random, span: int = 12) -> "Elem":
-        if self.trivial:
-            return self.zero
+    def random_elem(self, rng: random.Random) -> "Elem":
+        """A uniform powerset element, or a fin or cof set of up to four
+        naturals below 12."""
         if self.kind == POWERSET:
             return Elem(self, rng.getrandbits(self.atom_count))
         size = rng.randint(0, 4)
-        support = _support(rng.sample(range(span), size))
+        support = _support(rng.sample(range(12), size))
         return Elem(self, (rng.choice(("fin", "cof")), support))
 
     def sort_key(self, x: "Elem"):
@@ -198,21 +191,26 @@ class Algebra:
         return self.join(c for i, c in enumerate(cells) if mask >> i & 1)
 
     def _check(self, x: "Elem") -> "Elem":
+        if not isinstance(x, Elem):
+            raise AlgebraError(f"{type(x).__name__} used as an element of {self.name or self.kind}")
         if x.alg != self:
             raise AlgebraError(f"element of {x.alg.name or x.alg.kind} used in {self.name or self.kind}")
         return x
 
 
 def powerset(atom_count: int, name: str = "") -> Algebra:
-    return Algebra(POWERSET, atom_count, False, name or f"P({atom_count})")
+    """P(n) for n = 1..MAX_ATOMS; P(0) is ``trivial_algebra``."""
+    if not 1 <= atom_count <= MAX_ATOMS:
+        raise AlgebraError(f"powerset atom count must be 1..{MAX_ATOMS}, got {atom_count}")
+    return Algebra(POWERSET, atom_count, name or f"P({atom_count})")
 
 
 def finite_cofinite(name: str = "") -> Algebra:
-    return Algebra(FINITE_COFINITE, 0, False, name or "finite_cofinite")
+    return Algebra(FINITE_COFINITE, 0, name or "finite_cofinite")
 
 
 def trivial_algebra(name: str = "") -> Algebra:
-    return Algebra(POWERSET, 0, True, name or "trivial")
+    return Algebra(POWERSET, 0, name or "trivial")
 
 
 def _support(items: Iterable[int]) -> tuple[int, ...]:
@@ -258,8 +256,6 @@ class Elem:
         return Elem(self.alg, ("cof", _support(a | b)))
 
     def __invert__(self) -> "Elem":
-        if self.alg.trivial:
-            return self
         if self.alg.kind == POWERSET:
             return Elem(self.alg, self.data ^ ((1 << self.alg.atom_count) - 1))
         mode, support = self.data
@@ -428,9 +424,7 @@ class Hom:
 
     @classmethod
     def identity(cls, alg: Algebra) -> "Hom":
-        if alg.kind == POWERSET and not alg.trivial:
-            return cls.from_atom_map(alg, alg, range(1, alg.atom_count + 1), label="id")
-        return cls(alg, alg, table="identity", label="id")
+        return cls.from_atom_map(alg, alg, range(1, alg.atom_count + 1), label="id")
 
     @classmethod
     def from_generator_images(cls, source: Algebra, target: Algebra,
@@ -467,8 +461,6 @@ class Hom:
                 if x.data >> (a - 1) & 1:
                     bits |= 1 << q
             return Elem(self.target, bits)
-        if self._table == "identity":
-            return Elem(self.target, x.data)
         if self._table is not None:
             try:
                 return self._table[x]
@@ -481,7 +473,7 @@ class Hom:
 
     def domain_elements(self) -> Iterator[Elem]:
         """Every element the homomorphism is defined on (finite domains only)."""
-        if self._atom_map is not None or self._table == "identity":
+        if self._atom_map is not None:
             yield from self.source.elements()
         elif self._table is not None:
             yield from self._table
@@ -493,7 +485,7 @@ class Hom:
                 yield self.source.join_cells(self._cells, mask)
 
     def random_domain_elem(self, rng: random.Random) -> Elem:
-        if self._atom_map is not None or self._table == "identity":
+        if self._atom_map is not None:
             return self.source.random_elem(rng)
         if self._table is not None:
             return rng.choice(sorted(self._table, key=self.source.sort_key))

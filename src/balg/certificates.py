@@ -80,7 +80,7 @@ def _step_dict(s: RefuteStep) -> dict:
 def check_finite_completeness(alg: Algebra) -> Certificate:
     """Walk every nonempty subset of a small powerset algebra and verify a
     least upper bound exists (``subset_without_supremum``)."""
-    if alg.trivial:
+    if alg.is_trivial:
         return Certificate("exhaustive_complete", f"{alg.name}: all subsets", (), 1)
     if alg.kind != POWERSET:
         raise AlgebraError("exhaustive completeness requires a finite algebra")
@@ -124,11 +124,10 @@ def subset_without_supremum(count: int) -> int | None:
     return None
 
 
-def check_model_dedekind_complete(dim: int, rng: random.Random,
-                                  random_families: int = 100) -> dict:
+def check_model_dedekind_complete(dim: int, rng: random.Random) -> dict:
     """Bounded-set suprema in the atom-coordinate model of dimension dim.
 
-    Exhausts all nonempty subsets of a base family and samples random
+    Exhausts all nonempty subsets of a base family and samples 100 random
     bounded families: through dimension 3 the base family is every component
     (0/1 vector); above that the components are too many to exhaust, so the
     base family is the indicators with the unit.  For each family the
@@ -166,7 +165,7 @@ def check_model_dedekind_complete(dim: int, rng: random.Random,
             families += 1
             if not least_upper_bound_ok([comps[i] for i in sub]):
                 return {"ok": False, "dimension": dim, "families_checked": families}
-    for _ in range(random_families):
+    for _ in range(100):
         family = [random_vector(space, rng) for _ in range(rng.randint(1, 5))]
         families += 1
         if not least_upper_bound_ok(family):
@@ -236,13 +235,6 @@ def improve_upper_bound_diagonal(u: RectForm) -> RefuteStep | NotUpperBound:
         m2 += 1
     improved = u & ~fp.rect(fp.left.fin([m]), fp.right.fin([m2]))
     return RefuteStep(u, (m, m2), improved)
-
-
-def diagonal_members_below(u: RectForm, count: int) -> bool:
-    """Whether the first ``count`` diagonal rectangles all lie below u."""
-    fp = u.fp
-    return all(fp.rect(fp.left.fin([n]), fp.right.fin([n])).leq(u)
-               for n in range(count))
 
 
 def no_supremum_certificate(family: str, start, steps: int = 3):

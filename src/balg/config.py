@@ -63,7 +63,7 @@ class SuiteConfig:
 
 def _algebra_dict(a: Algebra) -> dict:
     out = {"name": a.name, "kind": a.kind}
-    if a.trivial:
+    if a.is_trivial:
         out["trivial"] = True
     elif a.kind == POWERSET:
         out["atoms"] = a.atom_count
@@ -169,7 +169,7 @@ def parse_config(text: str) -> SuiteConfig:
 def _check_suite_requirements(cfg: SuiteConfig) -> None:
     """Every requested suite must reference declared algebras of the kinds
     it exercises."""
-    nontrivial = [a for a in cfg.algebras if not a.trivial]
+    nontrivial = [a for a in cfg.algebras if not a.is_trivial]
     fin_powersets = [a for a in nontrivial if a.kind == POWERSET]
     fincofs = [a for a in nontrivial if a.kind == FINITE_COFINITE]
     small_powersets = [a for a in fin_powersets

@@ -144,7 +144,7 @@ class _Parser:
         if kind == "LBRACE":
             atoms = self._numbers()
             self.expect("RBRACE")
-            if not isinstance(backend, Algebra) or backend.kind != POWERSET or backend.trivial:
+            if not isinstance(backend, Algebra) or backend.kind != POWERSET or backend.is_trivial:
                 raise ExprError("{...} literal outside a nontrivial powerset algebra", pos)
             return backend.subset(atoms)
         if kind == "NAME" and value in ("fin", "cof"):
@@ -236,7 +236,7 @@ def parse_element(backend: Backend, text: str):
         head, body = m.groups()
         numbers = _naturals(body.split(","), m.start(2)) if body else []
         if isinstance(backend, Algebra):
-            if head is None and backend.kind == POWERSET and not backend.trivial:
+            if head is None and backend.kind == POWERSET and not backend.is_trivial:
                 return backend.subset(numbers)
             if head is not None and backend.kind == FINITE_COFINITE:
                 return backend.fin(numbers) if head == "fin" else backend.cof(numbers)

@@ -14,8 +14,12 @@ onto them with bit operations.  ``normalize`` builds its grid from the
 factors' ``joint_cells``: the cells refining the rectangle sides, and one
 cell mask per side.
 
-The product has one n-ary join, ``FreeProduct.join``, and ``_canonical``
-merges each group of equal rows or equal columns with one factor ``join``.
+The product has one n-ary join, ``FreeProduct.join``.  ``_canonical``
+coarsens a grid one axis at a time with one step, ``_merge``: it merges the
+left cells with equal rows, transposes, merges the right cells with equal
+columns and transposes back, each group of cells joined once with the
+factor's ``join``.  The complement of a canonical grid complements its rows
+and is canonical as it stands.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ class FreeProduct:
             return self.zero
         width = len(R)
         rows = [(mask >> (i * width)) & ((1 << width) - 1) for i in range(len(L))]
-        return _canonical(self, list(L), list(R), rows)
+        return _canonical(self, L, R, rows)
 
     def _check(self, x: "RectForm") -> "RectForm":
         if not isinstance(x, RectForm) or x.fp != self:
@@ -261,9 +265,11 @@ class RectForm:
     def __invert__(self) -> "RectForm":
         if self.fp.is_trivial:
             return self
+        # complementing every row keeps the rows distinct and the columns
+        # distinct, so the complement of a canonical grid is canonical
         full = (1 << len(self.right_cells)) - 1
-        return _canonical(self.fp, list(self.left_cells), list(self.right_cells),
-                          [r ^ full for r in self.rows])
+        return RectForm(self.fp, self.left_cells, self.right_cells,
+                        tuple(r ^ full for r in self.rows))
 
     def leq(self, other: "RectForm") -> bool:
         self._match(other)
@@ -317,50 +323,41 @@ def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
     return next((k for k, c in enumerate(cells) if c.contains(n)), None)
 
 
-def _canonical(fp: FreeProduct, L: list[Elem], R: list[Elem],
+def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
                rows: list[int]) -> RectForm:
-    """Coarsen a grid by merging equal rows and equal columns, then order."""
+    """Coarsen a grid one axis at a time: merge the left cells with equal
+    rows, then the right cells with equal columns."""
     if fp.is_trivial:
         return RectForm(fp, (), (), ())
-    # merge left cells sharing a row pattern: a lone cell stays as it is, and
-    # each group of several is joined once
-    row_groups: dict[int, list[Elem]] = {}
-    for cell, rm in zip(L, rows):
-        row_groups.setdefault(rm, []).append(cell)
-    mrows = list(row_groups)
-    mL = [g[0] if len(g) == 1 else fp.left.join(g) for g in row_groups.values()]
-    # merge right cells sharing a column pattern over the merged rows
-    col_groups: dict[int, list[int]] = {}
-    for j in range(len(R)):
-        cm = 0
-        for k, rm in enumerate(mrows):
-            if rm >> j & 1:
-                cm |= 1 << k
-        col_groups.setdefault(cm, []).append(j)
-    reps = [js[0] for js in col_groups.values()]
-    mR = [R[js[0]] if len(js) == 1 else fp.right.join([R[j] for j in js])
-          for js in col_groups.values()]
-    rows2 = []
-    for rm in mrows:
-        m = 0
-        for newj, j in enumerate(reps):
-            if rm >> j & 1:
-                m |= 1 << newj
-        rows2.append(m)
-    # deterministic cell order
-    lperm = sorted(range(len(mL)), key=lambda i: fp.left.sort_key(mL[i]))
-    rperm = sorted(range(len(mR)), key=lambda j: fp.right.sort_key(mR[j]))
-    final_rows = []
-    for i in lperm:
-        m = 0
-        for newj, j in enumerate(rperm):
-            if rows2[i] >> j & 1:
-                m |= 1 << newj
-        final_rows.append(m)
-    return RectForm(fp,
-                    tuple(mL[i] for i in lperm),
-                    tuple(mR[j] for j in rperm),
-                    tuple(final_rows))
+    L, rows = _merge(fp.left, L, rows)
+    R, cols = _merge(fp.right, R, _transpose(rows, len(R)))
+    return RectForm(fp, L, R, tuple(_transpose(cols, len(L))))
+
+
+def _merge(alg: Algebra, cells: Sequence[Elem], masks: Sequence[int]):
+    """Join the cells that share a mask, a lone cell kept as it is and each
+    group of several joined once, and sort the merged cells by ``sort_key``.
+
+    Returns the merged cells and, beside each, its mask.
+    """
+    groups: dict[int, list[Elem]] = {}
+    for cell, m in zip(cells, masks):
+        groups.setdefault(m, []).append(cell)
+    merged = sorted(((g[0] if len(g) == 1 else alg.join(g), m) for m, g in groups.items()),
+                    key=lambda t: alg.sort_key(t[0]))
+    return tuple(c for c, _ in merged), [m for _, m in merged]
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The ``width`` columns of a bit matrix given by its rows, each column a
+    mask over the rows."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
 
 
 class InducedHom:

@@ -242,10 +242,10 @@ def as_element(f: PlaceFunction):
     return None
 
 
-def random_place(backend, rng: random.Random, max_terms: int = 3,
-                 positive: bool = False) -> PlaceFunction:
+def random_place(backend, rng: random.Random, positive: bool = False) -> PlaceFunction:
+    """Up to three random terms (at least one when ``positive``)."""
     raw = []
-    for _ in range(rng.randint(0 if not positive else 1, max_terms)):
+    for _ in range(rng.randint(0 if not positive else 1, 3)):
         num = rng.randint(1, 4) if positive else rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
         coeff = Fraction(num, rng.randint(1, 3))
         raw.append((coeff, backend.random_elem(rng)))

@@ -190,7 +190,7 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
             xs = [alg.random_elem(rng) for _ in range(rng.randint(1, 4))]
             top = alg.sup(xs)
             s.check(all(v.leq(top) for v in xs), f"{label}:sup-bounds", xs=xs)
-            if alg.kind == POWERSET and not alg.trivial:
+            if alg.kind == POWERSET and not alg.is_trivial:
                 least = all(top.leq(b) for b in alg.elements()
                             if all(v.leq(b) for v in xs))
             else:
@@ -202,7 +202,7 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                         break
             if not s.check(least, f"{label}:sup-least", xs=xs, join=top):
                 return s
-        if alg.kind == POWERSET and not alg.trivial:
+        if alg.kind == POWERSET and not alg.is_trivial:
             universe = frozenset(range(alg.atom_count))
             for _ in range(cfg.trials):
                 tree = _random_expr_tree(alg, rng, 4)
@@ -219,7 +219,7 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.trivial]
+    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial]
     for alg in powersets:
         exhaustive = alg.atom_count <= 3
         verdict = check_homomorphism(Hom.identity(alg), exhaustive=exhaustive,
@@ -273,7 +273,7 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def _pairings(cfg: SuiteConfig) -> list[FreeProduct]:
-    nontrivial = [a for a in cfg.algebras if not a.trivial]
+    nontrivial = [a for a in cfg.algebras if not a.is_trivial]
     out = []
     for a in nontrivial:
         for b in nontrivial:
@@ -284,8 +284,7 @@ def _pairings(cfg: SuiteConfig) -> list[FreeProduct]:
     return out
 
 
-def suite_free_product(cfg: SuiteConfig, rng: random.Random,
-                       count_cap: int = 12) -> _Suite:
+def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     for fp in _pairings(cfg):
         a, b = fp.left, fp.right
@@ -299,7 +298,7 @@ def suite_free_product(cfg: SuiteConfig, rng: random.Random,
                         for i in range(len(atoms)) for j in range(i + 1, len(atoms))),
                     f"{fp.name}: atoms disjoint")
             s.check(fp.sup(atoms) == fp.one, f"{fp.name}: atoms join to unit")
-            if n_m <= count_cap:
+            if n_m <= 12:
                 seen = set()
                 for mask in range(1 << n_m):
                     seen.add(fp.from_atom_mask(mask))
@@ -385,7 +384,7 @@ def suite_free_product(cfg: SuiteConfig, rng: random.Random,
             s.check(((x & sp) | (x & ~sp)) == x, f"{fp.name}: operand re-split")
     # collapse with a trivial factor
     triv = trivial_algebra()
-    others = [a for a in cfg.algebras if not a.trivial][:2] or [powerset(1)]
+    others = [a for a in cfg.algebras if not a.is_trivial][:2] or [powerset(1)]
     for other in others:
         for fp in (FreeProduct(triv, other), FreeProduct(other, triv)):
             s.check(fp.is_trivial, "trivial factor collapses the product")
@@ -403,7 +402,7 @@ def suite_free_product(cfg: SuiteConfig, rng: random.Random,
 
 def suite_place_addition(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    backends = [a for a in cfg.algebras if not a.trivial]
+    backends = [a for a in cfg.algebras if not a.is_trivial]
     for alg in backends:
         label = alg.name or alg.kind
         for _ in range(cfg.trials):
@@ -512,7 +511,7 @@ def _check_chi_isomorphism(s: _Suite, alg: Algebra) -> None:
 def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     for alg in cfg.algebras:
-        if alg.trivial:
+        if alg.is_trivial:
             continue
         label = alg.name or alg.kind
         for _ in range(max(1, cfg.trials // 8)):
@@ -540,7 +539,7 @@ def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
                      break_bimorphism: bool = False) -> _Suite:
     s = _Suite(rng)
-    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.trivial]
+    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial]
     pairs = [(a, b) for a in powersets for b in powersets
              if a.atom_count * b.atom_count <= 16]
     for a, b in pairs:
@@ -642,7 +641,7 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
 
 def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.trivial]
+    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial]
     sources = [a for a in powersets if a.atom_count <= 3] or [powerset(2)]
     targets = powersets or [powerset(2)]
     hom_pairs = min(cfg.trials, 100)
@@ -735,7 +734,7 @@ def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     dims = sorted({a.atom_count for a in cfg.algebras
-                   if a.kind == POWERSET and not a.trivial} | {4})
+                   if a.kind == POWERSET and not a.is_trivial} | {4})
     for dim in dims:
         space = tuple(range(1, dim + 1))
         for _ in range(max(1, cfg.trials // 2)):
@@ -809,7 +808,7 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     pairs = sorted({(a.atom_count, b.atom_count)
                     for a in cfg.algebras for b in cfg.algebras
                     if a.kind == POWERSET and b.kind == POWERSET
-                    and not a.trivial and not b.trivial
+                    and not a.is_trivial and not b.is_trivial
                     and a.atom_count * b.atom_count <= 16} | {(2, 3)})
     for n, m in pairs:
         verdict = band_model.compare_band_products(n, m, pair_samples=cfg.trials, rng=rng)
@@ -834,7 +833,7 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     payload: dict = {"exhaustive": [], "model_bounded_sups": [],
                      "certificates": {}, "dichotomy": []}
-    small = [a for a in cfg.algebras if a.kind == POWERSET and not a.trivial
+    small = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial
              and a.atom_count <= cfg.caps.max_subset_enum]
     for alg in small:
         cert = certs.check_finite_completeness(alg)
@@ -846,7 +845,7 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
         payload["exhaustive"].append(entry)
         ok = validate_certificate(cert.to_dict()).ok
         s.check(ok, f"{alg.name}: certificate revalidates")
-    trivial_declared = [a for a in cfg.algebras if a.trivial]
+    trivial_declared = [a for a in cfg.algebras if a.is_trivial]
     for alg in trivial_declared:
         cert = certs.check_finite_completeness(alg)
         entry = cert.to_dict()

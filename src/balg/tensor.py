@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import Algebra, AlgebraError
+from .algebra import POWERSET, Algebra, AlgebraError
 # bound here by name so that the perfbench tracer can patch it
 from .algebra import refine_partition  # noqa: F401
 from .free_product import FreeProduct
@@ -142,6 +142,8 @@ def from_atom_model(backend, v: AtomVector) -> PlaceFunction:
 
 def _finite_atoms(backend) -> tuple[tuple, int]:
     if isinstance(backend, Algebra):
+        if backend.kind != POWERSET:
+            raise AlgebraError(f"no finite atom model for {backend.name or backend.kind}")
         return atom_space(backend), backend.atom_count
     if isinstance(backend, FreeProduct):
         return pair_space(backend.left, backend.right), backend.atom_count
@@ -380,8 +382,9 @@ class LinearLatticeMap:
                 return False
         return True
 
-    def preserves_abs(self, rng: random.Random, trials: int = 100) -> bool:
-        for _ in range(trials):
+    def preserves_abs(self, rng: random.Random) -> bool:
+        """|Lv| = L|v| on 100 random vectors v."""
+        for _ in range(100):
             v = random_vector(self.source, rng)
             if self.apply(v).abs() != self.apply(v.abs()):
                 return False
@@ -460,16 +463,16 @@ class OntoInjectiveCheck:
 
 
 def verify_T_onto_and_injective(a: Algebra, b: Algebra,
-                                rng: random.Random | None = None,
-                                spanning_extra: int = 5) -> OntoInjectiveCheck:
-    """Onto via explicit preimages for a spanning set; injective via exact
-    rational rank of the coordinate matrix."""
+                                rng: random.Random | None = None) -> OntoInjectiveCheck:
+    """Onto via explicit preimages for a spanning set (the atoms, the unit
+    and five random place functions); injective via exact rational rank of
+    the coordinate matrix."""
     rng = rng or random.Random(0)
     t = build_T(a, b)
     fp = t.fp
     targets = [places.chi(x) for x in fp.atoms()]
     targets.append(places.unit(fp))
-    for _ in range(spanning_extra):
+    for _ in range(5):
         targets.append(places.random_place(fp, rng))
     witnesses = []
     for h in targets:

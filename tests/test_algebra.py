@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balg import algebra, free_product, tensor
-from balg.algebra import (Algebra, AlgebraError, Elem, Hom, check_homomorphism,
+from balg.algebra import (POWERSET, Algebra, AlgebraError, Elem, Hom, check_homomorphism,
                           powerset, refine_partition, trivial_algebra)
 from balg.free_product import FreeProduct
 from conftest import (FC, P3, P4, fincof_elems, grid_elems, powerset_elems,
@@ -74,6 +74,14 @@ class TestDescriptor:
         t = trivial_algebra()
         assert t.zero == t.one
         assert list(t.elements()) == [t.zero]
+        # it is the powerset of no points, and draws nothing from a generator
+        assert t == Algebra(POWERSET, 0) and t.is_trivial
+        assert not any(a.is_trivial for a in (powerset(1), P3, FC))
+        assert ~t.zero == t.one
+        rng = random.Random(4)
+        state = rng.getstate()
+        assert t.random_elem(rng) == t.zero
+        assert rng.getstate() == state
 
     def test_atoms(self):
         assert P3.atoms() == (P3.subset([1]), P3.subset([2]), P3.subset([3]))
@@ -82,8 +90,11 @@ class TestDescriptor:
     def test_atoms_errors(self):
         with pytest.raises(AlgebraError):
             FC.atoms()
-        with pytest.raises(AlgebraError):
-            trivial_algebra().atoms()
+        t = trivial_algebra()
+        for call in (t.atoms, lambda: t.subset([]), lambda: t.atom_mask(t.zero),
+                     lambda: t.from_atom_mask(0)):
+            with pytest.raises(AlgebraError):
+                call()
 
     def test_name_does_not_affect_equality(self):
         assert powerset(3, "X") == powerset(3, "Y")
@@ -100,10 +111,11 @@ class TestSup:
     def test_empty_rejected(self):
         with pytest.raises(AlgebraError):
             P3.sup([])
-        # so is a member of another algebra, first or later in the family
+        # so is a member of another algebra or a non-element, first or later
         fp = FreeProduct(P3, FC)
         for alg, xs in ((P3, [P4.one]), (P3, [P3.zero, P4.one]), (FC, [FC.one, P3.one]),
-                        (fp, [fp.one, P3.one]), (fp, [FreeProduct(P4, FC).one])):
+                        (fp, [fp.one, P3.one]), (fp, [FreeProduct(P4, FC).one]),
+                        (P3, [3]), (FC, [FC.one, ("fin", ())]), (P3, [fp.one])):
             with pytest.raises(AlgebraError):
                 alg.sup(xs)
 
@@ -317,6 +329,10 @@ class TestHomomorphisms:
         p2 = powerset(2)
         verdict = check_homomorphism(Hom.identity(p2), exhaustive=True)
         assert verdict.ok and verdict.pairs_checked == 16
+        verdict = check_homomorphism(Hom.identity(trivial_algebra()), exhaustive=True)
+        assert verdict.ok and verdict.pairs_checked == 1
+        with pytest.raises(AlgebraError):
+            Hom.identity(FC)
 
     def test_constant_to_one_fails_disjoint_sum(self):
         p2 = powerset(2)

@@ -93,8 +93,9 @@ class TestDiagonalRefuter:
         chain = [cert.steps[0].upper_bound] + [s.improved for s in cert.steps]
         for prev, cur in zip(chain, chain[1:]):
             assert cur.leq(prev) and cur != prev
+        diagonal = [self.fp.rect(FC.fin([n]), FC.fin([n])) for n in range(8)]
         for u in chain:
-            assert certs.diagonal_members_below(u, 8)
+            assert all(d.leq(u) for d in diagonal)
 
     def test_steps_keep_diagonal(self):
         rng = random.Random(2)

@@ -24,7 +24,7 @@ class TestAlgebraSpec:
         assert parse_algebra_spec("powerset:5").atom_count == 5
         assert parse_algebra_spec("finite_cofinite").kind == "finite_cofinite"
         assert parse_algebra_spec("fincof").kind == "finite_cofinite"
-        assert parse_algebra_spec("trivial").trivial
+        assert parse_algebra_spec("trivial").is_trivial
 
     def test_bad_specs(self):
         from balg.algebra import AlgebraError

@@ -29,7 +29,7 @@ class TestParse:
             suites=["core_axioms", "completeness"],
             trials=50, seed=7, caps={"max_atoms": 8, "max_subset_enum": 3}))
         assert len(cfg.algebras) == 3
-        assert cfg.algebras[2].trivial
+        assert cfg.algebras[2].is_trivial
         assert cfg.caps.max_atoms == 8
 
     def test_default_config_valid(self):

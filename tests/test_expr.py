@@ -8,7 +8,7 @@ from balg.algebra import POWERSET, Elem, trivial_algebra
 from balg.expr import (ExprError, _Parser, elem_text, grid_dict, parse_element,
                        parse_place, place_text, rect_text, rectform_from_grid)
 from balg.free_product import FreeProduct, RectForm, _canonical
-from balg import places
+from balg import free_product, places
 from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
                       powerset_elems, rationals)
 
@@ -206,6 +206,15 @@ class TestLiteralFastPath:
         assert outcome(parse_element, backend, text) == outcome(full_parse, backend, text)
 
 
+def axis_points(alg, cells):
+    """The points of an axis the cells name, and on finite_cofinite one
+    natural past them all."""
+    if alg.kind == POWERSET:
+        return range(1, alg.atom_count + 1)
+    named = sorted(set().union(*(c.data[1] for c in cells)))
+    return named + [named[-1] + 1 if named else 0]
+
+
 def split_cell(alg, cell):
     """Two nonzero cells whose join is ``cell``, or None if it is an atom."""
     if alg.kind == POWERSET:
@@ -294,6 +303,60 @@ class TestCanonicalGrids:
         else:
             with pytest.raises(ExprError):
                 rectform_from_grid(fp, payload)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_canonical_of_any_grid(self, name, data):
+        """``_canonical`` of a grid in any cell order, with equal rows and
+        equal columns: canonical, and the same set as the raw grid at every
+        named point and at one generic point."""
+        fp, left, right = GRIDS[name]
+        L = data.draw(partitions(fp.left, left))
+        R = data.draw(partitions(fp.right, right))
+        # rows drawn from a few patterns, so that rows and columns repeat
+        pool = data.draw(st.lists(st.integers(0, (1 << len(R)) - 1), min_size=1, max_size=3))
+        rows = [data.draw(st.sampled_from(pool)) for _ in L]
+        x = _canonical(fp, L, R, rows)
+        assert len(set(x.rows)) == len(x.rows)
+        cols = [tuple(r >> j & 1 for r in x.rows) for j in range(len(x.right_cells))]
+        assert len(set(cols)) == len(cols)
+        for cells, alg in ((x.left_cells, fp.left), (x.right_cells, fp.right)):
+            assert alg.sup(cells) == alg.one
+            keys = [alg.sort_key(c) for c in cells]
+            assert keys == sorted(keys)
+            assert not any(c.is_zero() for c in cells)
+            assert all((c & d).is_zero() for k, c in enumerate(cells) for d in cells[k + 1:])
+        for p in axis_points(fp.left, L):
+            i = next(k for k, c in enumerate(L) if c.contains(p))
+            for q in axis_points(fp.right, R):
+                j = next(k for k, c in enumerate(R) if c.contains(q))
+                assert fp.contains_point(x, p, q) == bool(rows[i] >> j & 1)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_complement_is_canonical_as_it_stands(self, name, data):
+        fp, left, right = GRIDS[name]
+        x = data.draw(grid_elems(fp, left, right))
+        assert rectform_from_grid(fp, grid_dict(~x)) == ~x
+        assert (x & ~x).is_zero() and (x | ~x) == fp.one and ~~x == x
+
+    def test_complement_does_not_canonicalise(self, monkeypatch):
+        """Work guard: ``~`` complements the rows of the canonical grid it
+        is given and calls ``_canonical`` not at all."""
+        xs = [~FCxFC.rect(FC.fin([n]), FC.fin([n + 1])) for n in range(5)]
+        xs += [FCxFC.zero, FCxFC.one, P3xP4.rect(P3.subset([1]), P4.subset([2, 3]))]
+        calls = [0]
+        canonical = free_product._canonical
+
+        def counting(*args):
+            calls[0] += 1
+            return canonical(*args)
+
+        monkeypatch.setattr(free_product, "_canonical", counting)
+        assert all(~x != x for x in xs)
+        assert calls[0] == 0
 
     def test_duplicated_row(self):
         x = FCxFC.rect(FC.fin([0, 5]), FC.cof([2]))

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from balg import bands
+from balg import certificates as certs
+from balg.algebra import finite_cofinite
 from balg.config import default_config, parse_config
+from balg.free_product import FreeProduct
 from balg.suites import SUITES, Report, run_suites, serialize_value, suite_rng
+from balg.validation import validate_certificate
 
 
 def light_config(suites, trials=30):
@@ -84,24 +89,89 @@ def test_bands_draws_trials_pairs(monkeypatch):
 
 
 # sha256 of the timeless report (every "seconds" set to 0) of
-# configs/default.json at trials 15; a change that alters report bytes on
-# purpose updates these digests and says which fields changed
+# configs/default.json at trials 15, of the same config with a trivial
+# algebra added, and of the certify outputs of ``certify_outputs``; a change
+# that alters these bytes on purpose updates the digests and says which
+# fields changed
 REPORT_DIGESTS = {
     0: "85d6c05eb2151035ffeec1a7c6a16b11d6da6d7924cd1b533c8b32ebbb2f1852",
     1: "c10e7b123acd85634c51645376636e994306c97ae9cf5bac1322b350dcf1a857",
 }
+TRIVIAL_REPORT_DIGEST = "dc05a16be650bc2557645c410a4a2090b81bd56839d8658791810215b847d22d"
+CERTIFICATE_DIGEST = "ef1a48add35204cf501b77df75ff31f788b98756fc166ecb5fba204521762614"
+
+
+def default_config_with(**changes):
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    return {**json.loads(path.read_text(encoding="utf-8")), **changes}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+def timeless_report_digest(data: dict) -> str:
+    d = run_suites(parse_config(json.dumps(data))).to_dict()
+    for s in d["suites"]:
+        s["seconds"] = 0
+    return digest(d)
 
 
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 def test_report_bytes_are_pinned(seed):
-    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
-    base = json.loads(path.read_text(encoding="utf-8"))
-    report = run_suites(parse_config(json.dumps({**base, "trials": 15, "seed": seed})))
-    d = report.to_dict()
-    for s in d["suites"]:
-        s["seconds"] = 0
-    text = json.dumps(d, sort_keys=True, indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[seed]
+    data = default_config_with(trials=15, seed=seed)
+    assert timeless_report_digest(data) == REPORT_DIGESTS[seed]
+
+
+def test_trivial_algebra_report_bytes_are_pinned():
+    data = default_config_with(trials=15, seed=0)
+    data["algebras"] = data["algebras"] + [{"name": "T", "kind": "powerset", "trivial": True}]
+    assert timeless_report_digest(data) == TRIVIAL_REPORT_DIGEST
+
+
+def certify_outputs() -> list[dict]:
+    """What ``balg certify`` prints, revalidation verdict included, for 40
+    diagonal starts and 20 evens starts of 4 to 12 steps drawn from a seeded
+    generator: the unit with off-diagonal points cut out (now and then a
+    diagonal one, which is no upper bound), sometimes joined with a
+    rectangle, and cofinite sets leaving out odd naturals (now and then an
+    even one), or a finite set."""
+    rng = random.Random(8)
+    fc = finite_cofinite()
+    fp = FreeProduct(fc, fc)
+    starts = []
+    for _ in range(40):
+        u = fp.one
+        for _ in range(rng.randint(0, 4)):
+            m = rng.choice((rng.randrange(12), rng.randrange(10**6)))
+            m2 = rng.randrange(12)
+            if m != m2 or rng.random() < 0.2:
+                u = u & ~fp.rect(fc.fin([m]), fc.fin([m2]))
+        if rng.random() < 0.25:
+            u = u | fp.rect(fc.fin(rng.sample(range(12), 2)), fc.cof([rng.randrange(12)]))
+        starts.append((certs.DIAGONAL_FAMILY, u, rng.randint(4, 12)))
+    for _ in range(20):
+        left_out = [2 * rng.randrange(30) + (rng.random() < 0.9) for _ in range(rng.randint(0, 3))]
+        u = fc.cof(left_out) if rng.random() < 0.9 else fc.fin(left_out)
+        starts.append((certs.EVENS_FAMILY, u, rng.randint(4, 12)))
+    out = []
+    for family, u, steps in starts:
+        outcome = certs.no_supremum_certificate(family, u, steps=steps)
+        if isinstance(outcome, certs.NotUpperBound):
+            out.append({"verdict": "not_upper_bound", "family": family,
+                        "witness": serialize_value(outcome.witness)})
+        else:
+            payload = outcome.to_dict()
+            payload["revalidated"] = validate_certificate(payload).ok
+            out.append(payload)
+    return out
+
+
+def test_certificate_bytes_are_pinned():
+    outputs = certify_outputs()
+    assert sum("revalidated" in o for o in outputs) >= 40
+    assert all(o.get("revalidated", True) for o in outputs)
+    assert digest(outputs) == CERTIFICATE_DIGEST
 
 
 def test_reports_reproducible_modulo_timing():
