@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .algebra import Algebra, AlgebraError, finite_cofinite, powerset, trivial_algebra
 from .certificates import (Certificate, DIAGONAL_FAMILY, EVENS_FAMILY,
@@ -76,7 +77,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -86,16 +87,18 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = run_suites(cfg)
-    if args.format == "text":
-        rendered = _render_text(report)
-    else:
-        rendered = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    # open the report before any suite runs, so a bad path costs no run
+    try:
+        sink = open(args.report, "w", encoding="utf-8") if args.report else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    with sink as out:
+        report = run_suites(cfg)
+        if args.format == "text":
+            out.write(_render_text(report))
+        else:
+            out.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     return EXIT_PASS if report.all_pass else EXIT_FAIL
 
 

@@ -50,6 +50,25 @@ class SuiteConfig:
     seed: int = 0
     caps: Caps = field(default_factory=Caps)
 
+    # the algebras the suites exercise, in declaration order; the small
+    # powersets are those whose subsets completeness enumerates
+    @property
+    def nontrivial(self) -> tuple[Algebra, ...]:
+        return tuple(a for a in self.algebras if not a.is_trivial)
+
+    @property
+    def powersets(self) -> tuple[Algebra, ...]:
+        return tuple(a for a in self.nontrivial if a.kind == POWERSET)
+
+    @property
+    def fincofs(self) -> tuple[Algebra, ...]:
+        return tuple(a for a in self.algebras if a.kind == FINITE_COFINITE)
+
+    @property
+    def small_powersets(self) -> tuple[Algebra, ...]:
+        return tuple(a for a in self.powersets
+                     if a.atom_count <= self.caps.max_subset_enum)
+
     def echo(self) -> dict:
         return {
             "algebras": [_algebra_dict(a) for a in self.algebras],
@@ -169,26 +188,20 @@ def parse_config(text: str) -> SuiteConfig:
 def _check_suite_requirements(cfg: SuiteConfig) -> None:
     """Every requested suite must reference declared algebras of the kinds
     it exercises."""
-    nontrivial = [a for a in cfg.algebras if not a.is_trivial]
-    fin_powersets = [a for a in nontrivial if a.kind == POWERSET]
-    fincofs = [a for a in nontrivial if a.kind == FINITE_COFINITE]
-    small_powersets = [a for a in fin_powersets
-                       if a.atom_count <= cfg.caps.max_subset_enum]
-
     def need(suite: str, ok: bool, what: str) -> None:
         if suite in cfg.suites and not ok:
             raise ConfigError("$.suites",
                               f"suite {suite!r} references no declared {what}")
 
-    need("homomorphisms", bool(fin_powersets), "nontrivial powerset algebra")
-    need("free_product", bool(nontrivial), "nontrivial algebra")
-    need("place_addition", bool(nontrivial), "nontrivial algebra")
-    need("regularity", bool(nontrivial), "nontrivial algebra")
-    need("tensor_iso", bool(fin_powersets), "nontrivial powerset algebra")
-    need("universal_property", bool(fin_powersets), "nontrivial powerset algebra")
-    need("completeness", bool(small_powersets),
+    need("homomorphisms", bool(cfg.powersets), "nontrivial powerset algebra")
+    need("free_product", bool(cfg.nontrivial), "nontrivial algebra")
+    need("place_addition", bool(cfg.nontrivial), "nontrivial algebra")
+    need("regularity", bool(cfg.nontrivial), "nontrivial algebra")
+    need("tensor_iso", bool(cfg.powersets), "nontrivial powerset algebra")
+    need("universal_property", bool(cfg.powersets), "nontrivial powerset algebra")
+    need("completeness", bool(cfg.small_powersets),
          "powerset algebra within the subset-enumeration cap")
-    need("completeness", bool(fincofs), "finite_cofinite algebra")
+    need("completeness", bool(cfg.fincofs), "finite_cofinite algebra")
 
 
 def default_config() -> SuiteConfig:

@@ -19,7 +19,9 @@ coarsens a grid one axis at a time with one step, ``_merge``: it merges the
 left cells with equal rows, transposes, merges the right cells with equal
 columns and transposes back, each group of cells joined once with the
 factor's ``join``.  The complement of a canonical grid complements its rows
-and is canonical as it stands.
+and is canonical as it stands.  A product with a trivial factor has one
+element, the empty grid with no cells: only ``_overlay`` tests for this, and
+``normalize`` finds every rectangle there zero.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class FreeProduct:
         order and of how rectangles were split.
         """
         rects = [r for r in rects if not r.is_zero()]
-        if self.is_trivial or not rects:
+        if not rects:
             return self.zero
         for r in rects:
             self.left._check(r.left)
@@ -170,7 +172,7 @@ class FreeProduct:
         """Join of a finite family (zero if empty), members unchecked: one
         overlay of the family, its rows ORed, one canonicalisation."""
         xs = list(xs)
-        if self.is_trivial or not xs:
+        if not xs:
             return self.zero
         L, R, grids = _overlay(self, xs)
         return _canonical(self, L, R, [reduce(or_, row) for row in zip(*grids)])
@@ -200,8 +202,6 @@ class FreeProduct:
         The payload is a (left cells, right cells) pair; flat cell index
         ``i * len(right cells) + j``.
         """
-        if self.is_trivial:
-            return ((), ()), [0 for _ in parts], 0
         L, R, grids = _overlay(self, parts)
         width = len(R)
         masks = []
@@ -214,8 +214,6 @@ class FreeProduct:
 
     def join_cells(self, payload, mask: int) -> "RectForm":
         L, R = payload
-        if self.is_trivial:
-            return self.zero
         width = len(R)
         rows = [(mask >> (i * width)) & ((1 << width) - 1) for i in range(len(L))]
         return _canonical(self, L, R, rows)
@@ -248,8 +246,6 @@ class RectForm:
 
     def _binary(self, other: "RectForm", op) -> "RectForm":
         self._match(other)
-        if self.fp.is_trivial:
-            return self
         L, R, (a, b) = _overlay(self.fp, (self, other))
         return _canonical(self.fp, L, R, [op(x, y) for x, y in zip(a, b)])
 
@@ -263,8 +259,6 @@ class RectForm:
         return self._binary(other, lambda x, y: x ^ y)
 
     def __invert__(self) -> "RectForm":
-        if self.fp.is_trivial:
-            return self
         # complementing every row keeps the rows distinct and the columns
         # distinct, so the complement of a canonical grid is canonical
         full = (1 << len(self.right_cells)) - 1
@@ -273,8 +267,6 @@ class RectForm:
 
     def leq(self, other: "RectForm") -> bool:
         self._match(other)
-        if self.fp.is_trivial:
-            return True
         _, _, (a, b) = _overlay(self.fp, (self, other))
         return all(x & ~y == 0 for x, y in zip(a, b))
 
@@ -297,8 +289,10 @@ def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
     """Common grid of several elements, with each element's rows on it.
 
     Returns the common left and right cells and, per element, its activity
-    rows over them.
+    rows over them.  Over a trivial product the common grid is empty.
     """
+    if fp.is_trivial:
+        return (), (), [[] for _ in grids]
     L, lsrc = _meets(fp.left, [x.left_cells for x in grids])
     R, rsrc = _meets(fp.right, [x.right_cells for x in grids])
     out = []
@@ -327,8 +321,6 @@ def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
                rows: list[int]) -> RectForm:
     """Coarsen a grid one axis at a time: merge the left cells with equal
     rows, then the right cells with equal columns."""
-    if fp.is_trivial:
-        return RectForm(fp, (), (), ())
     L, rows = _merge(fp.left, L, rows)
     R, cols = _merge(fp.right, R, _transpose(rows, len(R)))
     return RectForm(fp, L, R, tuple(_transpose(cols, len(L))))

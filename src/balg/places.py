@@ -80,7 +80,7 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
             if x.alg != backend:
                 raise AlgebraError("support from a different backend")
             terms.append((c, x))
-    if backend.is_trivial or not terms:
+    if not terms:
         return PlaceFunction(backend, ())
     payload, masks, ncells = backend.joint_cells([x for _, x in terms])
     return from_cell_values(backend, payload, enumerate(_cell_sums(terms, masks, ncells)))
@@ -178,8 +178,6 @@ def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
     if which not in ("meet", "join"):
         raise ValueError("which must be 'meet' or 'join'")
     backend = f.backend
-    if backend.is_trivial:
-        return PlaceFunction(backend, ())
     op = min if which == "meet" else max
     payload, fvals, gvals = _cell_values(backend, f, g)
     return from_cell_values(backend, payload, enumerate(map(op, fvals, gvals)))
@@ -204,8 +202,6 @@ def abs_(f: PlaceFunction) -> PlaceFunction:
 def leq(f: PlaceFunction, g: PlaceFunction) -> bool:
     """Pointwise order: f <= g on every cell of the joint refinement."""
     _match(f, g)
-    if f.backend.is_trivial:
-        return True
     _, fvals, gvals = _cell_values(f.backend, f, g)
     return all(a <= b for a, b in zip(fvals, gvals))
 

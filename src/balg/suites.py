@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Algebra, AlgebraError, Elem, FINITE_COFINITE, Hom, POWERSET,
+from .algebra import (Algebra, AlgebraError, Elem, Hom, POWERSET,
                       check_homomorphism, powerset, trivial_algebra)
 from .free_product import FreeProduct, Rectangle, RectForm, induced_hom
 from . import bands as band_model
@@ -219,7 +219,7 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial]
+    powersets = cfg.powersets
     for alg in powersets:
         exhaustive = alg.atom_count <= 3
         verdict = check_homomorphism(Hom.identity(alg), exhaustive=exhaustive,
@@ -238,8 +238,7 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                                atom_map=amap, axiom=verdict.axiom,
                                witness=verdict.witness):
                     return s
-    fincofs = [a for a in cfg.algebras if a.kind == FINITE_COFINITE]
-    for alg in fincofs:
+    for alg in cfg.fincofs:
         gens = [alg.fin([0]), alg.fin([1, 2])]
         h = Hom.from_generator_images(alg, alg, [(g, g) for g in gens])
         verdict = check_homomorphism(h, trials=cfg.trials, rng=rng)
@@ -273,10 +272,9 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def _pairings(cfg: SuiteConfig) -> list[FreeProduct]:
-    nontrivial = [a for a in cfg.algebras if not a.is_trivial]
     out = []
-    for a in nontrivial:
-        for b in nontrivial:
+    for a in cfg.nontrivial:
+        for b in cfg.nontrivial:
             if (a.kind == POWERSET and b.kind == POWERSET
                     and a.atom_count * b.atom_count > 16):
                 continue
@@ -384,7 +382,7 @@ def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
             s.check(((x & sp) | (x & ~sp)) == x, f"{fp.name}: operand re-split")
     # collapse with a trivial factor
     triv = trivial_algebra()
-    others = [a for a in cfg.algebras if not a.is_trivial][:2] or [powerset(1)]
+    others = cfg.nontrivial[:2] or [powerset(1)]
     for other in others:
         for fp in (FreeProduct(triv, other), FreeProduct(other, triv)):
             s.check(fp.is_trivial, "trivial factor collapses the product")
@@ -402,8 +400,7 @@ def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 def suite_place_addition(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    backends = [a for a in cfg.algebras if not a.is_trivial]
-    for alg in backends:
+    for alg in cfg.nontrivial:
         label = alg.name or alg.kind
         for _ in range(cfg.trials):
             f = places.random_place(alg, rng)
@@ -510,9 +507,7 @@ def _check_chi_isomorphism(s: _Suite, alg: Algebra) -> None:
 
 def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    for alg in cfg.algebras:
-        if alg.is_trivial:
-            continue
+    for alg in cfg.nontrivial:
         label = alg.name or alg.kind
         for _ in range(max(1, cfg.trials // 8)):
             xs = []
@@ -539,7 +534,7 @@ def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
                      break_bimorphism: bool = False) -> _Suite:
     s = _Suite(rng)
-    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial]
+    powersets = cfg.powersets
     pairs = [(a, b) for a in powersets for b in powersets
              if a.atom_count * b.atom_count <= 16]
     for a, b in pairs:
@@ -587,9 +582,8 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
         s.check(onto.rank == len(space), f"{name}: full rank", rank=onto.rank)
         s.note(f"{name}: rank", rank=onto.rank, dimension=onto.dimension)
     # the double-sum map is a bimorphism, place-function level
-    bimorphism_pairs = [(a, b) for a, b in pairs[:2]]
-    fincofs = [x for x in cfg.algebras if x.kind == FINITE_COFINITE]
-    for fc in fincofs:
+    bimorphism_pairs = pairs[:2]
+    for fc in cfg.fincofs:
         bimorphism_pairs.append((fc, fc))
     for a, b in bimorphism_pairs:
         fp = FreeProduct(a, b)
@@ -641,7 +635,7 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
 
 def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    powersets = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial]
+    powersets = cfg.powersets
     sources = [a for a in powersets if a.atom_count <= 3] or [powerset(2)]
     targets = powersets or [powerset(2)]
     hom_pairs = min(cfg.trials, 100)
@@ -733,8 +727,7 @@ def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
-    dims = sorted({a.atom_count for a in cfg.algebras
-                   if a.kind == POWERSET and not a.is_trivial} | {4})
+    dims = sorted({a.atom_count for a in cfg.powersets} | {4})
     for dim in dims:
         space = tuple(range(1, dim + 1))
         for _ in range(max(1, cfg.trials // 2)):
@@ -806,10 +799,8 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                 return s
     # finite-dimensional contrast: the two band products are isomorphic
     pairs = sorted({(a.atom_count, b.atom_count)
-                    for a in cfg.algebras for b in cfg.algebras
-                    if a.kind == POWERSET and b.kind == POWERSET
-                    and not a.is_trivial and not b.is_trivial
-                    and a.atom_count * b.atom_count <= 16} | {(2, 3)})
+                    for a in cfg.powersets for b in cfg.powersets
+                    if a.atom_count * b.atom_count <= 16} | {(2, 3)})
     for n, m in pairs:
         verdict = band_model.compare_band_products(n, m, pair_samples=cfg.trials, rng=rng)
         s.check(verdict.ok, f"band product contrast at ({n}, {m})",
@@ -833,8 +824,7 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     payload: dict = {"exhaustive": [], "model_bounded_sups": [],
                      "certificates": {}, "dichotomy": []}
-    small = [a for a in cfg.algebras if a.kind == POWERSET and not a.is_trivial
-             and a.atom_count <= cfg.caps.max_subset_enum]
+    small = cfg.small_powersets
     for alg in small:
         cert = certs.check_finite_completeness(alg)
         expected = (1 << (1 << alg.atom_count)) - 1
@@ -866,9 +856,8 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
         payload["model_bounded_sups"].append(verdict)
         s.check(verdict["ok"], f"product model bounded suprema at ({n}, {m})")
     # the incompleteness certificates
-    fincofs = [a for a in cfg.algebras if a.kind == FINITE_COFINITE]
-    if fincofs:
-        fc = fincofs[0]
+    if cfg.fincofs:
+        fc = cfg.fincofs[0]
         cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, fc.one, steps=3)
         s.check(isinstance(cert, certs.Certificate), "even-singleton refuter runs")
         if isinstance(cert, certs.Certificate):

@@ -178,7 +178,7 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     """
     f_terms = [(Fraction(c), x) for c, x in f_terms if c != 0 and not x.is_zero()]
     g_terms = [(Fraction(c), u) for c, u in g_terms if c != 0 and not u.is_zero()]
-    if fp.is_trivial or not f_terms or not g_terms:
+    if not f_terms or not g_terms:
         return places.zero(fp)
     lcells, lmasks, nl = fp.left.joint_cells([x for _, x in f_terms])
     rcells, rmasks, nr = fp.right.joint_cells([u for _, u in g_terms])

@@ -1,10 +1,13 @@
 import random
+import runpy
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg import algebra, free_product, tensor
+from balg import algebra, free_product, suites, tensor
 from balg.algebra import (POWERSET, Algebra, AlgebraError, Elem, Hom, check_homomorphism,
                           powerset, refine_partition, trivial_algebra)
 from balg.free_product import FreeProduct
@@ -318,10 +321,23 @@ def test_fincof_agrees_with_powerset_on_a_window(x, y, xs):
 
 
 def test_refine_partition_bound_where_the_tracer_patches_it():
-    """perfbench/tracing.py patches ``refine_partition`` by name in
-    free_product and tensor, which no longer call it themselves."""
+    """perfbench/tracing.py patches names in ``balg`` by string: every one in
+    its tables must resolve, or a traced run fails.  ``refine_partition`` is
+    patched by name in free_product and tensor, which no longer call it
+    themselves."""
     assert free_product.refine_partition is algebra.refine_partition
     assert tensor.refine_partition is algebra.refine_partition
+    # run_path compiles the source without importing it or writing bytecode
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench"
+                                 / "tracing.py"))
+    for mod, attr, _ in tracing["FUNCTIONS"]:
+        assert callable(getattr(import_module(f"balg.{mod}"), attr, None)), (mod, attr)
+    for mod, cls, methods, _ in tracing["METHODS"]:
+        owner = getattr(import_module(f"balg.{mod}"), cls)
+        for attr in methods:
+            assert callable(getattr(owner, attr, None)), (cls, attr)
+    assert all(callable(getattr(Elem, attr, None)) for attr in tracing["ELEM_OPS"])
+    assert set(tracing["SUITE_NAMES"]) <= set(suites.SUITES)
 
 
 class TestHomomorphisms:

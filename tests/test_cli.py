@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from balg import cli
 from balg.cli import main, parse_algebra_spec
 from balg.config import default_config_dict
 
@@ -167,6 +168,25 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--config", str(tmp_path / "none.json")],
                              capsys)
         assert code == 2
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"algebras": "\xff"}')
+        code, out, err = run_cli(["verify", "--config", str(path)], capsys)
+        assert code == 2 and out == "" and err.startswith("config error")
+
+    def test_unwritable_report_exit_2_before_any_suite(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "run_suites", no_run)
+        cfg = light_config(tmp_path, suites=["core_axioms"])
+        report = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(["verify", "--config", str(cfg),
+                                  "--report", str(report)], capsys)
+        assert code == 2 and out == "" and err.startswith("report error")
+        assert not report.parent.exists()
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = light_config(tmp_path, suites=["core_axioms"])

@@ -32,6 +32,19 @@ class TestParse:
         assert cfg.algebras[2].is_trivial
         assert cfg.caps.max_atoms == 8
 
+    def test_suite_algebra_selections(self):
+        cfg = parse_config(cfg_text(
+            algebras=[{"name": "T", "kind": "powerset", "trivial": True},
+                      {"name": "B", "kind": "powerset", "atoms": 4},
+                      {"name": "N", "kind": "finite_cofinite"},
+                      {"name": "A", "kind": "powerset", "atoms": 2}],
+            caps={"max_subset_enum": 3}))
+        names = lambda algs: [a.name for a in algs]  # noqa: E731
+        assert names(cfg.nontrivial) == ["B", "N", "A"]
+        assert names(cfg.powersets) == ["B", "A"]
+        assert names(cfg.fincofs) == ["N"]
+        assert names(cfg.small_powersets) == ["A"]
+
     def test_default_config_valid(self):
         cfg = default_config()
         assert set(cfg.suites) == set(SUITE_NAMES)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg import free_product
+from balg import free_product, places, tensor
 from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
-from balg.expr import grid_dict
-from balg.free_product import FreeProduct, Rectangle, _overlay, induced_hom
+from balg.expr import grid_dict, rectform_from_grid
+from balg.free_product import FreeProduct, Rectangle, RectForm, _overlay, induced_hom
 from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
                       powerset_elems, split_refine)
 
@@ -292,6 +292,73 @@ class TestTriviality:
             FreeProduct(FC, FC).atoms()
         with pytest.raises(AlgebraError):
             FreeProduct(trivial_algebra(), powerset(2)).atom_count
+
+
+T = trivial_algebra()
+TRIVIAL_PRODUCTS = {"TxFC": FreeProduct(T, FC), "FCxT": FreeProduct(FC, T),
+                    "TxP2": FreeProduct(T, P2), "P3xT": FreeProduct(P3, T),
+                    "TxT": FreeProduct(T, T)}
+
+
+@pytest.mark.parametrize("name", TRIVIAL_PRODUCTS)
+class TestTrivialProduct:
+    """A product with a trivial factor has one element, the empty grid, and
+    every operation lands on it."""
+
+    def operands(self, fp):
+        rng = random.Random(3)
+        return [fp.zero, fp.one] + [fp.random_elem(rng) for _ in range(3)]
+
+    def test_grid_operations_give_the_empty_grid(self, name):
+        fp = TRIVIAL_PRODUCTS[name]
+        empty = RectForm(fp, (), (), ())
+        assert fp.zero == fp.one == empty
+        xs = self.operands(fp)
+        for x in xs:
+            assert x == empty and ~x == empty
+            assert x.leq(fp.zero) and x.decompose_disjoint() == ()
+            for y in xs:
+                assert x & y == x | y == x ^ y == empty
+        assert fp.join(xs) == fp.join([]) == empty
+        assert fp.normalize([]) == fp.normalize([Rectangle(fp.left.one, fp.right.one)]) == empty
+        payload, masks, ncells = fp.joint_cells(xs)
+        assert payload == ((), ()) and masks == [0] * len(xs) and ncells == 0
+        assert fp.join_cells(payload, 0) == empty
+
+    def test_random_elem_draws_nothing(self, name):
+        fp = TRIVIAL_PRODUCTS[name]
+        rng = random.Random(5)
+        state = rng.getstate()
+        fp.random_elem(rng)
+        assert rng.getstate() == state
+
+    def test_place_functions_and_psi_are_zero(self, name):
+        fp = TRIVIAL_PRODUCTS[name]
+        rng = random.Random(4)
+        fs = [places.random_place(fp, rng) for _ in range(3)] + [places.unit(fp)]
+        assert places.canonicalize(fp, [(2, x) for x in self.operands(fp)]) == places.zero(fp)
+        for f in fs:
+            assert f == places.zero(fp)
+            for g in fs:
+                assert places.meet(f, g) == places.join(f, g) == places.zero(fp)
+                assert places.leq(f, g)
+        for _ in range(5):
+            f = places.random_place(fp.left, rng, positive=True)
+            g = places.random_place(fp.right, rng, positive=True)
+            assert tensor.psi_terms(fp, f.terms, g.terms) == places.zero(fp)
+            assert tensor.psi(fp, f, g) == places.zero(fp)
+
+    def test_report_form_round_trips(self, name):
+        fp = TRIVIAL_PRODUCTS[name]
+        for x in self.operands(fp):
+            payload = grid_dict(x)
+            assert payload == {"left_cells": [], "right_cells": [], "matrix": []}
+            assert rectform_from_grid(fp, payload) == x
+
+    def test_foreign_rectangle_rejected(self, name):
+        fp = TRIVIAL_PRODUCTS[name]
+        with pytest.raises(AlgebraError):
+            fp.normalize([Rectangle(P2.one, FC.one)])
 
 
 class TestPointMembership:

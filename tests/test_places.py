@@ -83,6 +83,9 @@ class TestCanonicalize:
     def test_trivial_backend_collapses(self):
         t = trivial_algebra()
         assert places.canonicalize(t, [(1, t.one)]).is_zero()
+        f = places.unit(t)
+        assert places.meet(f, f) == places.join(f, f) == places.zero(t)
+        assert places.leq(f, places.zero(t))
 
     def test_cells_join_without_pairwise_or(self, monkeypatch):
         """Work guard: over fincof, canonicalize and lattice join the cells
