@@ -232,7 +232,7 @@ class Elem:
     data: int | tuple[str, tuple[int, ...]]
 
     def _match(self, other: "Elem") -> None:
-        if not isinstance(other, Elem) or self.alg != other.alg:
+        if not isinstance(other, Elem) or (other.alg is not self.alg and other.alg != self.alg):
             raise AlgebraError("operands belong to different algebras")
 
     def is_zero(self) -> bool:
@@ -348,7 +348,7 @@ def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]
     as bitsets, and only the nonzero meets become elements.
     """
     if alg.kind == POWERSET:
-        bits = [(alg.one.data, ())]
+        bits = [(alg.one.data, ())] if alg.atom_count else []  # P(0) has no nonzero cell
         for part in partitions:
             data = [p.data for p in part]
             bits = [(m, src + (k,)) for c, src in bits for k, p in enumerate(data) if (m := c & p)]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
 from .free_product import RectForm
@@ -130,47 +130,42 @@ def check_model_dedekind_complete(dim: int, rng: random.Random) -> dict:
     Exhausts all nonempty subsets of a base family and samples 100 random
     bounded families: through dimension 3 the base family is every component
     (0/1 vector); above that the components are too many to exhaust, so the
-    base family is the indicators with the unit.  For each family the
-    coordinatewise max is checked to be an upper bound attained
+    base family is the indicators with the unit.  Each family is checked on
+    integer coordinates: its vectors scaled by the lcm of their denominators,
+    which preserves the order exactly (the base family is 0/1 already).  The
+    coordinatewise max of the rows is checked to be an upper bound attained
     coordinatewise by members, which makes it the least upper bound exactly.
     """
-    if dim > 9:
-        raise AlgebraError("model exhaustion capped at dimension 9")
+    if not 0 <= dim <= 9:
+        raise AlgebraError("model exhaustion needs a dimension from 0 to 9")
     space = tuple(range(1, dim + 1))
     if dim <= 3:
-        comps = [AtomVector(space, tuple(Fraction(b >> i & 1) for i in range(dim)))
-                 for b in range(1 << dim)]
+        comps = [tuple(b >> i & 1 for i in range(dim)) for b in range(1 << dim)]
     else:
-        comps = [AtomVector(space, tuple(Fraction(1 if i == k else 0)
-                                         for i in range(dim)))
-                 for k in range(dim)]
-        comps.append(AtomVector(space, tuple(Fraction(1) for _ in range(dim))))
-    families = 0
-
-    def least_upper_bound_ok(family: list[AtomVector]) -> bool:
-        sup = family[0]
-        for v in family[1:]:
-            sup = sup.join(v)
-        if not all(v.leq(sup) for v in family):
-            return False
-        # each coordinate of sup is attained, so every upper bound
-        # dominates sup
-        for i in range(dim):
-            if not any(v.values[i] == sup.values[i] for v in family):
-                return False
-        return True
-
-    for r in range(1, len(comps) + 1):
-        for sub in combinations(range(len(comps)), r):
-            families += 1
-            if not least_upper_bound_ok([comps[i] for i in sub]):
-                return {"ok": False, "dimension": dim, "families_checked": families}
-    for _ in range(100):
-        family = [random_vector(space, rng) for _ in range(rng.randint(1, 5))]
-        families += 1
-        if not least_upper_bound_ok(family):
+        comps = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+        comps.append((1,) * dim)
+    random_families = (_integer_rows([random_vector(space, rng)
+                                      for _ in range(rng.randint(1, 5))])
+                       for _ in range(100))
+    base_families = (sub for r in range(1, len(comps) + 1) for sub in combinations(comps, r))
+    for families, rows in enumerate(chain(base_families, random_families), 1):
+        if not _is_least_upper_bound(rows, tuple(map(max, zip(*rows)))):
             return {"ok": False, "dimension": dim, "families_checked": families}
     return {"ok": True, "dimension": dim, "families_checked": families}
+
+
+def _integer_rows(family: list[AtomVector]) -> list[tuple[int, ...]]:
+    """The family's coordinates scaled by the lcm of their denominators."""
+    scale = lcm(*(a.denominator for v in family for a in v.values))
+    return [tuple(a.numerator * (scale // a.denominator) for a in v.values) for v in family]
+
+
+def _is_least_upper_bound(rows, candidate: tuple[int, ...]) -> bool:
+    """Every row is coordinatewise at most ``candidate``, and each coordinate
+    of ``candidate`` is attained by some row, so every upper bound of the
+    rows dominates it."""
+    return (all(a <= c for row in rows for a, c in zip(row, candidate))
+            and all(any(row[i] == c for row in rows) for i, c in enumerate(candidate)))
 
 
 # -- the even-singleton refuter --------------------------------------------------

@@ -241,7 +241,7 @@ class RectForm:
         return all(r == 0 for r in self.rows)
 
     def _match(self, other: "RectForm") -> None:
-        if not isinstance(other, RectForm) or self.fp != other.fp:
+        if not isinstance(other, RectForm) or (other.fp is not self.fp and other.fp != self.fp):
             raise AlgebraError("operands belong to different free products")
 
     def _binary(self, other: "RectForm", op) -> "RectForm":

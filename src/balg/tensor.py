@@ -366,8 +366,8 @@ class LinearLatticeMap:
     def apply(self, v: AtomVector) -> AtomVector:
         if v.space != self.source:
             raise ValueError("vector space does not match the map's source")
-        vals = tuple(sum((row[j] * v.values[j] for j in range(len(self.source))),
-                         Fraction(0)) for row in self.matrix)
+        vals = tuple(sum((a * x for a, x in zip(row, v.values) if a), Fraction(0))
+                     for row in self.matrix)
         return AtomVector(self.target, vals)
 
     def riesz_shape(self) -> bool:

@@ -32,7 +32,7 @@ def split_refine(one, parts):
     """Reference refinement: the atoms of the subalgebra ``parts`` generate,
     found by splitting the unit by each part in turn and keeping the nonzero
     cells, sorted by ``sort_key``."""
-    cells = [one]
+    cells = [] if one.is_zero() else [one]
     seen = set()
     for x in parts:
         if x in seen:

@@ -189,7 +189,7 @@ def test_criterion_7_completeness_dichotomy():
             cert = certs.check_finite_completeness(powerset(n))
             assert cert.subsets_checked == (1 << (1 << n)) - 1
         rng = random.Random(1007)
-        for n in range(1, 4):
+        for n in range(1, 10):
             assert certs.check_model_dedekind_complete(n, rng)["ok"]
         evens = certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=3)
         assert isinstance(evens, certs.Certificate) and len(evens.steps) >= 3
@@ -202,7 +202,7 @@ def test_criterion_7_completeness_dichotomy():
         assert v.ok and v.steps_checked >= 3
 
     criterion(7, "exhaustive completeness through P(4) and the model through "
-                 "dimension 3; revalidated no-supremum certificates for the "
+                 "dimension 9; revalidated no-supremum certificates for the "
                  "even-singleton and diagonal families", 5, body)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from balg import algebra, free_product, suites, tensor
 from balg.algebra import (POWERSET, Algebra, AlgebraError, Elem, Hom, check_homomorphism,
-                          powerset, refine_partition, trivial_algebra)
+                          finite_cofinite, powerset, refine_partition, trivial_algebra)
 from balg.free_product import FreeProduct
 from conftest import (FC, P3, P4, fincof_elems, grid_elems, powerset_elems,
                       split_refine)
@@ -60,6 +60,10 @@ class TestElem:
     def test_cross_algebra_mix_rejected(self):
         with pytest.raises(AlgebraError):
             P3.subset([1]) & powerset(2).subset([1])
+        with pytest.raises(AlgebraError):
+            P3.one & 1
+        with pytest.raises(AlgebraError):
+            FreeProduct(P3, FC).one & P3.one
 
     def test_contains(self):
         assert FC.cof([1]).contains(0) and not FC.cof([1]).contains(1)
@@ -102,6 +106,10 @@ class TestDescriptor:
     def test_name_does_not_affect_equality(self):
         assert powerset(3, "X") == powerset(3, "Y")
         assert powerset(3) != powerset(4)
+        # so elements of equal algebras that are distinct objects combine
+        assert powerset(3, "X").subset([1]) & powerset(3, "Y").subset([1, 2]) == P3.subset([1])
+        fp, twin = FreeProduct(P3, FC), FreeProduct(powerset(3, "X"), finite_cofinite())
+        assert fp.one & twin.zero == fp.zero
 
 
 class TestSup:
@@ -239,6 +247,17 @@ def test_refine_partition_is_partition():
                     below = c.leq(p)
                     disjoint = (c & p).is_zero()
                     assert below != disjoint or (below and not disjoint)
+
+
+def test_trivial_refinement_has_no_zero_cell():
+    """P(0)'s unit is zero, so no refinement over it has a cell."""
+    t = trivial_algebra()
+    for parts in ([], [t.one], [t.zero, t.one]):
+        assert refine_partition(t.one, parts) == []
+        assert split_refine(t.one, parts) == []
+        assert t.joint_cells(parts) == ([], [0] * len(parts), 0)
+    for partitions in ([], [(t.one,)], [(t.one,), (t.zero, t.one)]):
+        assert algebra._meets(t, partitions) == ([], [])
 
 
 REFINE_AXES = {

@@ -1,10 +1,16 @@
 import random
+from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balg.algebra import AlgebraError, powerset, trivial_algebra
 from balg.free_product import FreeProduct, Rectangle
 from balg import certificates as certs
+from balg.tensor import AtomVector
 from balg.validation import _diagonal_upper_bound, _evens_upper_bound, validate_certificate
 from conftest import FC
 
@@ -20,12 +26,93 @@ class TestFiniteCompleteness:
             certs.check_finite_completeness(powerset(5))
         with pytest.raises(AlgebraError):
             certs.check_finite_completeness(FC)
+        for dim in (-1, -5, 10):
+            with pytest.raises(AlgebraError):
+                certs.check_model_dedekind_complete(dim, random.Random(0))
 
     def test_model_bounded_sups(self):
         rng = random.Random(0)
-        for dim in (1, 2, 3, 4, 9):
-            verdict = certs.check_model_dedekind_complete(dim, rng)
-            assert verdict["ok"]
+        verdicts = [certs.check_model_dedekind_complete(dim, rng) for dim in range(10)]
+        assert all(v["ok"] and v["dimension"] == dim for dim, v in enumerate(verdicts))
+        # every nonempty subset of the base family, then 100 random families
+        assert [v["families_checked"] for v in verdicts] == [
+            101, 103, 115, 355, 131, 163, 227, 355, 611, 1123]
+
+    def test_model_check_does_no_vector_lattice_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an AtomVector lattice operation in the model check")
+        monkeypatch.setattr(AtomVector, "join", refuse)
+        monkeypatch.setattr(AtomVector, "leq", refuse)
+        assert certs.check_model_dedekind_complete(9, random.Random(0)) == {
+            "ok": True, "dimension": 9, "families_checked": 1123}
+
+
+def fraction_least_upper_bound_ok(family, sup=None):
+    """The model check's Fraction body before it moved to integer rows, kept
+    as the oracle: ``sup`` (by default the join of the family) bounds every
+    member and each of its coordinates is attained by one."""
+    if sup is None:
+        sup = family[0]
+        for v in family[1:]:
+            sup = sup.join(v)
+    if not all(v.leq(sup) for v in family):
+        return False
+    for i in range(len(sup.values)):
+        if not any(v.values[i] == sup.values[i] for v in family):
+            return False
+    return True
+
+
+def model_families():
+    """Families of 1-6 vectors at dimensions 0-9, mixed signs, denominators 1-7."""
+    coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    return st.integers(0, 9).flatmap(lambda dim: st.lists(
+        st.lists(coord, min_size=dim, max_size=dim).map(
+            lambda vals: AtomVector(tuple(range(1, dim + 1)), tuple(vals))),
+        min_size=1, max_size=6))
+
+
+class TestIntegerSuprema:
+    @settings(max_examples=300, deadline=None)
+    @given(family=model_families(), data=st.data())
+    def test_matches_fraction_body(self, family, data):
+        space = family[0].space
+        scale = lcm(*(a.denominator for v in family for a in v.values))
+        rows = certs._integer_rows(family)
+        assert rows == [tuple(a * scale for a in v.values) for v in family]
+        assert all(type(a) is int for row in rows for a in row)
+        candidate = tuple(map(max, zip(*rows)))
+        assert AtomVector(space, tuple(Fraction(c, scale) for c in candidate)) == \
+            reduce(AtomVector.join, family)
+        assert certs._is_least_upper_bound(rows, candidate)
+        assert fraction_least_upper_bound_ok(family)
+        # a moved candidate gets the same verdict from both bodies
+        if space:
+            i = data.draw(st.integers(0, len(space) - 1))
+            moved = list(candidate)
+            moved[i] += data.draw(st.integers(-3, 3))
+            sup = AtomVector(space, tuple(Fraction(c, scale) for c in moved))
+            assert certs._is_least_upper_bound(rows, tuple(moved)) == \
+                fraction_least_upper_bound_ok(family, sup)
+
+    def test_rejects_a_candidate_below_a_member(self):
+        rows = [(1, -2, 0), (0, 3, -1)]
+        assert certs._is_least_upper_bound(rows, (1, 3, 0))
+        assert not certs._is_least_upper_bound(rows, (0, 3, 0))
+        assert not certs._is_least_upper_bound(rows, (1, 3, -1))
+
+    def test_rejects_a_raised_upper_bound(self):
+        rows = [(1, -2, 0), (0, 3, -1)]
+        top = (1, 3, 0)
+        for i in range(3):
+            raised = top[:i] + (top[i] + 1,) + top[i + 1:]
+            assert not certs._is_least_upper_bound(rows, raised)
+
+    def test_empty_family(self):
+        # nothing attains a coordinate, so only the zero-dimensional model
+        # has a least upper bound of no rows
+        assert not certs._is_least_upper_bound([], (0,))
+        assert certs._is_least_upper_bound([], ())
 
 
 class TestEvensRefuter:

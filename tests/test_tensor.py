@@ -253,6 +253,19 @@ class TestLinearLatticeMap:
             m = tensor.LinearLatticeMap((1, 2, 3), (1, 2, 3), rows)
             assert m.riesz_shape() == m.preserves_abs(rng)
 
+    def test_apply_matches_dense_sum(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n, m = rng.randint(0, 5), rng.randint(1, 5)
+            rows = tuple(tuple(Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
+                               for _ in range(n)) for _ in range(m))
+            v = tensor.random_vector(range(n), rng)
+            dense = tuple(sum((row[j] * v.values[j] for j in range(n)), Fraction(0))
+                          for row in rows)
+            out = tensor.LinearLatticeMap(tuple(range(n)), tuple(range(m)), rows).apply(v)
+            assert out.space == tuple(range(m)) and out.values == dense
+            assert all(type(a) is Fraction for a in out.values)
+
 
 class TestUniversalProperty:
     def test_pure_tensor_induces_identity(self):
