@@ -2,24 +2,27 @@
 
 Elements are immutable values with a unique representation per mathematical
 element, so structural equality (``==``) decides mathematical equality.
-Powerset elements are bitsets over the atom index range; finite-cofinite
-elements are a (mode, sorted support) pair over the naturals.  The trivial
-algebra is P(0), the powerset of no points: its one bitset, 0, is both zero
-and unit, so the powerset arithmetic covers it.
+That representation, ``Elem.data``, belongs to one kernel per backend kind,
+which ``Algebra`` picks once: ``_PowersetKernel`` keeps the bitset of the
+atoms below an element, ``_FinCofKernel`` a (mode, sorted support) pair over
+the naturals.  The trivial algebra is P(0), whose one bitset, 0, is both zero
+and unit.  No ``Elem`` or ``Algebra`` operation tests the kind, bar the guards
+refusing a call that one kind does not support, such as ``subset``.
 
-Each backend has one n-ary join, ``Algebra.join``; every join of a family
-of elements, ``sup`` and ``join_cells`` among them, goes through it.
-
-The one cell-refinement kernel lives here too: ``_meets`` refines partitions
-of the unit by point signatures, after Paige and Tarjan (SIAM J. Comput.
-1987); ``refine_partition``, ``Algebra.joint_cells`` and the free-product
-grid overlay are built on it.
+Each kernel has one n-ary join, behind ``Algebra.join``, and one refinement
+of partitions of the unit by point signatures, behind ``_meets``, after
+Paige and Tarjan (SIAM J. Comput. 1987); ``refine_partition``,
+``Algebra.joint_cells`` and the free-product grid overlay are built on it.
+A new backend kind takes one kernel with the same operations, one literal
+in the expression grammar and one config kind.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 POWERSET = "powerset"
@@ -30,6 +33,137 @@ MAX_ATOMS = 16
 
 class AlgebraError(ValueError):
     """Malformed descriptor, cross-algebra operand mix, or unsupported call."""
+
+
+class _PowersetKernel:
+    """P(n): an element is the bitmask of its atoms, atom i + 1 at bit i."""
+
+    __slots__ = ("_atoms", "zero", "one")
+
+    def __init__(self, atom_count: int):
+        if not 0 <= atom_count <= MAX_ATOMS:
+            raise AlgebraError(f"powerset atom count must be 0..{MAX_ATOMS}, got {atom_count}")
+        self._atoms = atom_count
+        self.zero = 0
+        self.one = (1 << atom_count) - 1
+
+    def join(self, data):
+        return reduce(or_, data, 0)
+
+    def meet(self, a, b):
+        return a & b
+
+    def complement(self, a):
+        return a ^ self.one
+
+    def leq(self, a, b):
+        return a & b == a
+
+    def contains(self, a, n: int) -> bool:
+        return 1 <= n <= self._atoms and bool(a >> (n - 1) & 1)
+
+    def sort_key(self, a):
+        return ((a & -a).bit_length(), a)
+
+    def random_elem(self, rng: random.Random):
+        return rng.getrandbits(self._atoms)
+
+    def point_index(self, cells):
+        index = {p + 1: k for k, c in enumerate(cells) for p in range(self._atoms) if c >> p & 1}
+        if sum(c.bit_count() for c in cells) != len(index) or len(index) != self._atoms:
+            raise AlgebraError("the cells of an axis do not partition its atoms")
+        return index, None
+
+    def meets(self, partitions):
+        """Cells met pairwise as bitsets, keeping only the nonzero meets."""
+        bits = [(self.one, ())] if self._atoms else []  # P(0) has no nonzero cell
+        for part in partitions:
+            bits = [(m, src + (k,)) for c, src in bits for k, p in enumerate(part) if (m := c & p)]
+        bits.sort(key=lambda t: self.sort_key(t[0]))
+        return [m for m, _ in bits], [src for _, src in bits]
+
+
+class _FinCofKernel:
+    """Finite and cofinite sets of naturals: ("fin", support) is the set
+    support, ("cof", support) all naturals but it; supports are sorted."""
+
+    __slots__ = ()
+    zero = ("fin", ())
+    one = ("cof", ())
+
+    def __init__(self, atom_count: int):
+        if atom_count != 0:
+            raise AlgebraError("finite_cofinite has no atom count")
+
+    def join(self, data):
+        """The union of the fin supports when no member is cofinite, else
+        cof of what every cof member leaves out and no fin member holds."""
+        held = set().union(*(s for mode, s in data if mode == "fin"))
+        cofs = [s for mode, s in data if mode == "cof"]
+        if not cofs:
+            return ("fin", tuple(sorted(held)))
+        left_out = set(cofs[0]).intersection(*cofs[1:]) - held
+        return ("cof", tuple(sorted(left_out)))
+
+    def meet(self, a, b):
+        (ma, sa), (mb, sb) = a, b
+        sa, sb = set(sa), set(sb)
+        if ma == mb:
+            return (ma, tuple(sorted(sa & sb if ma == "fin" else sa | sb)))
+        return ("fin", tuple(sorted(sa - sb if ma == "fin" else sb - sa)))
+
+    def complement(self, a):
+        mode, support = a
+        return ("cof" if mode == "fin" else "fin", support)
+
+    def leq(self, a, b):
+        (ma, sa), (mb, sb) = a, b
+        if ma == "fin":
+            return set(sa) <= set(sb) if mb == "fin" else not set(sa) & set(sb)
+        return mb == "cof" and set(sb) <= set(sa)
+
+    def contains(self, a, n: int) -> bool:
+        mode, support = a
+        return n >= 0 and ((n in support) if mode == "fin" else (n not in support))
+
+    def sort_key(self, a):
+        mode, support = a
+        return (0, support) if mode == "fin" else (1, support)
+
+    def random_elem(self, rng: random.Random):
+        size = rng.randint(0, 4)
+        support = tuple(sorted(rng.sample(range(12), size)))
+        return (rng.choice(("fin", "cof")), support)
+
+    def point_index(self, cells):
+        tails = [k for k, (mode, _) in enumerate(cells) if mode == "cof"]
+        if len(tails) != 1:
+            raise AlgebraError(f"a finite_cofinite axis has {len(tails)} cofinite cells, not one")
+        index = {n: k for k, (mode, support) in enumerate(cells) if mode == "fin" for n in support}
+        if sum(len(support) for mode, support in cells if mode == "fin") != len(index):
+            raise AlgebraError("a point lies in two fin cells of an axis")
+        if index.keys() != set(cells[tails[0]][1]):
+            raise AlgebraError("the fin cells of an axis are not what its cofinite cell leaves out")
+        return index, tails[0]
+
+    def meets(self, partitions):
+        """Named points grouped by their signatures, read off each partition's
+        ``point_index``, so no two cells are ever met; the naturals named
+        nowhere share the signature of the cof cells and make the tail cell."""
+        indexes = [self.point_index(part) for part in partitions]
+        named = sorted(set().union(*(index for index, _ in indexes)))
+        signatures = zip(*([index.get(n, tail) for n in named] for index, tail in indexes))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for n, sig in zip(named, signatures):
+            groups.setdefault(sig, []).append(n)
+        # disjoint supports sort by their least members, and the groups were
+        # opened in increasing order of those, so the fin cells are in key order
+        cells = [("fin", tuple(points)) for points in groups.values()]
+        cells.append(("cof", tuple(named)))
+        return cells, [*groups, tuple(tail for _, tail in indexes)]
+
+
+_KERNELS = {POWERSET: _PowersetKernel, FINITE_COFINITE: _FinCofKernel}
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,42 +180,33 @@ class Algebra:
     kind: str
     atom_count: int = 0
     name: str = field(default="", compare=False)
+    kernel: _PowersetKernel | _FinCofKernel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in (POWERSET, FINITE_COFINITE):
+        if self.kind not in tuple(_KERNELS):
             raise AlgebraError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == POWERSET:
-            if not 0 <= self.atom_count <= MAX_ATOMS:
-                raise AlgebraError(
-                    f"powerset atom count must be 0..{MAX_ATOMS}, got {self.atom_count}"
-                )
-        elif self.atom_count != 0:
-            raise AlgebraError("finite_cofinite has no atom count")
+        object.__setattr__(self, "kernel", _KERNELS[self.kind](self.atom_count))
 
     # -- element constructors ------------------------------------------------
 
     @property
     def zero(self) -> "Elem":
-        if self.kind == POWERSET:
-            return Elem(self, 0)
-        return Elem(self, ("fin", ()))
+        return Elem(self, self.kernel.zero)
 
     @property
     def one(self) -> "Elem":
-        if self.kind == POWERSET:
-            return Elem(self, (1 << self.atom_count) - 1)
-        return Elem(self, ("cof", ()))
+        return Elem(self, self.kernel.one)
 
     @property
     def is_trivial(self) -> bool:
-        return self.kind == POWERSET and self.atom_count == 0
+        return self.kernel.zero == self.kernel.one
 
     def subset(self, atoms: Iterable[int]) -> "Elem":
         """Powerset element from 1-based atom indices."""
         if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("subset literals require a nontrivial powerset algebra")
         bits = 0
-        for a in atoms:
+        for a in _integers(atoms):
             if not 1 <= a <= self.atom_count:
                 raise AlgebraError(f"atom {a} out of range 1..{self.atom_count}")
             bits |= 1 << (a - 1)
@@ -119,7 +244,7 @@ class Algebra:
     def from_atom_mask(self, bits: int) -> "Elem":
         if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("atom masks require a nontrivial powerset algebra")
-        return Elem(self, bits & ((1 << self.atom_count) - 1))
+        return Elem(self, bits & self.kernel.one)
 
     def elements(self) -> Iterator["Elem"]:
         """All elements (finite algebras only)."""
@@ -129,25 +254,11 @@ class Algebra:
             yield Elem(self, bits)
 
     def join(self, xs: Iterable["Elem"]) -> "Elem":
-        """Join of a finite family (zero if empty), members unchecked: the
-        union of the bitsets, or of the fin supports when no member is
-        cofinite, else cof of what every cof member leaves out and no fin
-        member holds."""
+        """Join of a finite family (zero if empty), members unchecked."""
         xs = list(xs)
         if len(xs) == 1:
             return xs[0]
-        if self.kind == POWERSET:
-            bits = 0
-            for x in xs:
-                bits |= x.data
-            return Elem(self, bits)
-        data = [x.data for x in xs]
-        held = set().union(*(s for mode, s in data if mode == "fin"))
-        cofs = [s for mode, s in data if mode == "cof"]
-        if not cofs:
-            return Elem(self, ("fin", tuple(sorted(held))))
-        left_out = set(cofs[0]).intersection(*cofs[1:]) - held
-        return Elem(self, ("cof", tuple(sorted(left_out))))
+        return Elem(self, self.kernel.join([x.data for x in xs]))
 
     def sup(self, xs: Iterable["Elem"]) -> "Elem":
         """Join of a nonempty finite set of elements."""
@@ -157,33 +268,17 @@ class Algebra:
         return self.join(xs)
 
     def random_elem(self, rng: random.Random) -> "Elem":
-        """A uniform powerset element, or a fin or cof set of up to four
-        naturals below 12."""
-        if self.kind == POWERSET:
-            return Elem(self, rng.getrandbits(self.atom_count))
-        size = rng.randint(0, 4)
-        support = _support(rng.sample(range(12), size))
-        return Elem(self, (rng.choice(("fin", "cof")), support))
+        """A uniform powerset element, or a fin or cof set of up to four naturals below 12."""
+        return Elem(self, self.kernel.random_elem(rng))
 
     def sort_key(self, x: "Elem"):
         """Deterministic total order on elements; cells sort fin-before-cof."""
-        if self.kind == POWERSET:
-            bits = x.data
-            low = (bits & -bits).bit_length()
-            return (low, bits)
-        mode, support = x.data
-        return (0, support) if mode == "fin" else (1, support)
+        return self.kernel.sort_key(x.data)
 
     def joint_cells(self, parts: Sequence["Elem"]):
         """Shared cell partition refining every part, plus per-part bitmasks."""
         cells = refine_partition(self.one, parts)
-        masks = []
-        for x in parts:
-            m = 0
-            for i, c in enumerate(cells):
-                if c.leq(x):
-                    m |= 1 << i
-            masks.append(m)
+        masks = [sum(1 << i for i, c in enumerate(cells) if c.leq(x)) for x in parts]
         return cells, masks, len(cells)
 
     def join_cells(self, cells: Sequence["Elem"], mask: int) -> "Elem":
@@ -213,8 +308,16 @@ def trivial_algebra(name: str = "") -> Algebra:
     return Algebra(POWERSET, 0, name or "trivial")
 
 
+def _integers(items: Iterable[int]) -> list[int]:
+    items = list(items)
+    for n in items:
+        if type(n) is not int:
+            raise AlgebraError(f"set members must be ints, not {type(n).__name__}")
+    return items
+
+
 def _support(items: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(items)))
+    out = tuple(sorted(set(_integers(items))))
     if out and out[0] < 0:
         raise AlgebraError("finite_cofinite supports are sets of naturals")
     return out
@@ -222,11 +325,7 @@ def _support(items: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Elem:
-    """An element of a backend algebra.
-
-    ``data`` is an atom bitmask for powerset algebras and a
-    ``(mode, sorted support)`` pair for the finite-cofinite algebra.
-    """
+    """An element of a backend algebra, ``data`` in its kernel's format."""
 
     alg: Algebra
     data: int | tuple[str, tuple[int, ...]]
@@ -236,36 +335,18 @@ class Elem:
             raise AlgebraError("operands belong to different algebras")
 
     def is_zero(self) -> bool:
-        if self.alg.kind == POWERSET:
-            return self.data == 0
-        return self.data == ("fin", ())
+        return self.data == self.alg.kernel.zero
 
     def __and__(self, other: "Elem") -> "Elem":
         self._match(other)
-        if self.alg.kind == POWERSET:
-            return Elem(self.alg, self.data & other.data)
-        ma, sa = self.data
-        mb, sb = other.data
-        a, b = set(sa), set(sb)
-        if ma == "fin" and mb == "fin":
-            return Elem(self.alg, ("fin", _support(a & b)))
-        if ma == "fin":
-            return Elem(self.alg, ("fin", _support(a - b)))
-        if mb == "fin":
-            return Elem(self.alg, ("fin", _support(b - a)))
-        return Elem(self.alg, ("cof", _support(a | b)))
+        return Elem(self.alg, self.alg.kernel.meet(self.data, other.data))
 
     def __invert__(self) -> "Elem":
-        if self.alg.kind == POWERSET:
-            return Elem(self.alg, self.data ^ ((1 << self.alg.atom_count) - 1))
-        mode, support = self.data
-        return Elem(self.alg, ("cof" if mode == "fin" else "fin", support))
+        return Elem(self.alg, self.alg.kernel.complement(self.data))
 
     def __or__(self, other: "Elem") -> "Elem":
         self._match(other)
-        if self.alg.kind == POWERSET:
-            return Elem(self.alg, self.data | other.data)
-        return self.alg.join((self, other))
+        return Elem(self.alg, self.alg.kernel.join((self.data, other.data)))
 
     def __xor__(self, other: "Elem") -> "Elem":
         # disjoint sum (x & ~y) | (~x & y)
@@ -274,33 +355,15 @@ class Elem:
     def leq(self, other: "Elem") -> bool:
         """Boolean order: x <= y iff x & y == x."""
         self._match(other)
-        if self.alg.kind == POWERSET:
-            return self.data & other.data == self.data
-        ma, sa = self.data
-        mb, sb = other.data
-        if ma == "fin":
-            if mb == "fin":
-                return set(sa) <= set(sb)
-            return not set(sa) & set(sb)
-        if mb == "fin":
-            return False
-        return set(sb) <= set(sa)
+        return self.alg.kernel.leq(self.data, other.data)
 
     def rel_complement(self, other: "Elem") -> "Elem":
         """Complement of self & other relative to self: x & ~(x & y)."""
         return self & ~(self & other)
 
     def contains(self, n: int) -> bool:
-        """Pointwise membership; powerset atoms are 1-based, and a finite
-        or cofinite set holds naturals only."""
-        if self.alg.kind == POWERSET:
-            if not 1 <= n <= self.alg.atom_count:
-                return False
-            return bool(self.data >> (n - 1) & 1)
-        if n < 0:
-            return False
-        mode, support = self.data
-        return (n in support) if mode == "fin" else (n not in support)
+        """Pointwise membership: of the 1-based atoms, or of the naturals."""
+        return self.alg.kernel.contains(self.data, n)
 
 
 def point_index(alg: Algebra, cells: Sequence[Elem]) -> tuple[dict[int, int], int | None]:
@@ -313,27 +376,7 @@ def point_index(alg: Algebra, cells: Sequence[Elem]) -> tuple[dict[int, int], in
     in the one cof cell, the tail.  Raises AlgebraError unless the cells
     partition the unit.
     """
-    index: dict[int, int] = {}
-    members = 0
-    if alg.kind == POWERSET:
-        for k, c in enumerate(cells):
-            members += c.data.bit_count()
-            index.update((p + 1, k) for p in range(alg.atom_count) if c.data >> p & 1)
-        if members != len(index) or len(index) != alg.atom_count:
-            raise AlgebraError("the cells of an axis do not partition its atoms")
-        return index, None
-    tails = [k for k, c in enumerate(cells) if c.data[0] == "cof"]
-    if len(tails) != 1:
-        raise AlgebraError(f"a finite_cofinite axis has {len(tails)} cofinite cells, not one")
-    for k, c in enumerate(cells):
-        if k != tails[0]:
-            index.update(dict.fromkeys(c.data[1], k))
-            members += len(c.data[1])
-    if members != len(index):
-        raise AlgebraError("a point lies in two fin cells of an axis")
-    if index.keys() != set(cells[tails[0]].data[1]):
-        raise AlgebraError("the fin cells of an axis are not what its cofinite cell leaves out")
-    return index, tails[0]
+    return alg.kernel.point_index([c.data for c in cells])
 
 
 def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]:
@@ -341,30 +384,10 @@ def _meets(alg: Algebra, partitions) -> tuple[list[Elem], list[tuple[int, ...]]]
 
     Its cells are the nonzero meets taking one cell from each partition;
     beside each cell goes its signature, the index of the cell it came from
-    in each one.  On finite_cofinite the named points are grouped by their
-    signatures read off each partition's ``point_index``, so no two cells
-    are ever met; the naturals named nowhere share the signature of the cof
-    cells and make the tail cell.  On a powerset the cells are met pairwise
-    as bitsets, and only the nonzero meets become elements.
+    in each one.  The kernel's ``meets`` finds them.
     """
-    if alg.kind == POWERSET:
-        bits = [(alg.one.data, ())] if alg.atom_count else []  # P(0) has no nonzero cell
-        for part in partitions:
-            data = [p.data for p in part]
-            bits = [(m, src + (k,)) for c, src in bits for k, p in enumerate(data) if (m := c & p)]
-        cells = sorted(((Elem(alg, m), src) for m, src in bits), key=lambda t: alg.sort_key(t[0]))
-        return [c for c, _ in cells], [src for _, src in cells]
-    indexes = [point_index(alg, part) for part in partitions]
-    named = sorted(set().union(*(index for index, _ in indexes)))
-    signatures = zip(*([index.get(n, tail) for n in named] for index, tail in indexes))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for n, sig in zip(named, signatures):
-        groups.setdefault(sig, []).append(n)
-    # disjoint supports sort by their least members, and the groups were
-    # opened in increasing order of those, so the fin cells are in key order
-    cells = [Elem(alg, ("fin", tuple(points))) for points in groups.values()]
-    cells.append(Elem(alg, ("cof", tuple(named))))
-    return cells, [*groups, tuple(tail for _, tail in indexes)]
+    cells, signatures = alg.kernel.meets([[c.data for c in part] for part in partitions])
+    return [Elem(alg, data) for data in cells], signatures
 
 
 def refine_partition(one: Elem, parts: Sequence[Elem]) -> list[Elem]:
@@ -440,12 +463,8 @@ class Hom:
             source._check(g)
             target._check(img)
         cells, masks, _ = source.joint_cells(gens)
-        images = []
-        for i in range(len(cells)):
-            img = target.one
-            for (_, gi), m in zip(pairs, masks):
-                img = img & (gi if m >> i & 1 else ~gi)
-            images.append(img)
+        images = [reduce(and_, (gi if m >> i & 1 else ~gi for (_, gi), m in zip(pairs, masks)),
+                         target.one) for i in range(len(cells))]
         return cls(source, target, cells=tuple(cells), images=tuple(images), label=label)
 
     @classmethod
@@ -456,11 +475,8 @@ class Hom:
     def __call__(self, x: Elem) -> Elem:
         self.source._check(x)
         if self._atom_map is not None:
-            bits = 0
-            for q, a in enumerate(self._atom_map):
-                if x.data >> (a - 1) & 1:
-                    bits |= 1 << q
-            return Elem(self.target, bits)
+            return Elem(self.target, sum(1 << q for q, a in enumerate(self._atom_map)
+                                         if x.data >> (a - 1) & 1))
         if self._table is not None:
             try:
                 return self._table[x]
@@ -529,16 +545,8 @@ def check_homomorphism(h: Hom, exhaustive: bool = False, trials: int = 200,
     for x, y in pairs:
         checked += 1
         hx, hy = h(x), h(y)
-        got = h(x & y)
-        want = hx & hy
-        if got != want:
-            return HomCheck(False, checked, "meet", (x, y), got, want)
-        got = h(x ^ y)
-        want = hx ^ hy
-        if got != want:
-            return HomCheck(False, checked, "disjoint-sum", (x, y), got, want)
-        got = h(x | y)
-        want = hx | hy
-        if got != want:
-            return HomCheck(False, checked, "join", (x, y), got, want)
+        for axiom, op in (("meet", and_), ("disjoint-sum", xor), ("join", or_)):
+            got, want = h(op(x, y)), op(hx, hy)
+            if got != want:
+                return HomCheck(False, checked, axiom, (x, y), got, want)
     return HomCheck(True, checked)

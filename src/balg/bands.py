@@ -88,8 +88,8 @@ def band_to_elem(alg: Algebra, band: Band) -> Elem:
 
 
 def elem_to_band(space: tuple, x: Elem) -> Band:
-    members = frozenset(i + 1 for i in range(x.alg.atom_count) if x.data >> i & 1)
-    return Band(space, members)
+    mask = x.alg.atom_mask(x)
+    return Band(space, frozenset(i + 1 for i in range(x.alg.atom_count) if mask >> i & 1))
 
 
 @dataclass(frozen=True, slots=True)

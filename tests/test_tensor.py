@@ -308,3 +308,21 @@ class TestUniversalProperty:
         for i in range(4):
             row = check.induced.matrix[perm[i]]
             assert row[i] == 1 and sum(1 for x in row if x != 0) == 1
+
+    def test_collapsed_pure_tensor_fails_the_basis_check(self, monkeypatch):
+        """A pure tensor that sends the indicator pairs (1, 1) and (1, 2) to
+        one coordinate still reproduces itself on every sample, but its
+        indicator pure tensors are rank deficient."""
+        pair = tensor.pair_space(A, B)
+        real = tensor.pure_tensor
+
+        def collapsed(e, f):
+            out = real(e, f)
+            vals = (out.values[0] + out.values[1], Fraction(0)) + out.values[2:]
+            return tensor.AtomVector(out.space, vals)
+
+        monkeypatch.setattr(tensor, "pure_tensor", collapsed)
+        check = tensor.verify_universal_property(A, B, collapsed, pair,
+                                                 trials=60, rng=random.Random(16))
+        assert not check.ok
+        assert check.detail == "indicator pure tensors are not a basis"
