@@ -67,6 +67,9 @@ def _render_text(report: Report) -> str:
     lines = []
     for s in report.suites:
         lines.append(f"{s.verdict.upper():4}  {s.name}  ({s.seconds:.3f}s)")
+        for law, c in s.laws.items():
+            lines.append(f"      {law}: runs {c['runs']}, skipped {c['skipped']}, "
+                         f"failed {c['failed']}")
         for w in s.witnesses:
             lines.append(f"      {json.dumps(w, sort_keys=True)}")
     lines.append("RESULT: " + ("pass" if report.all_pass else "fail"))

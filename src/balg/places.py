@@ -215,20 +215,6 @@ def is_component(f: PlaceFunction) -> bool:
     return meet(f, e - f).is_zero()
 
 
-@dataclass(frozen=True, slots=True)
-class Component:
-    """A place function verified to satisfy the component equation."""
-
-    elem: PlaceFunction
-
-    def __post_init__(self):
-        if not is_component(self.elem):
-            raise ValueError("not a component of the unit")
-
-    def as_element(self):
-        return as_element(self.elem)
-
-
 def as_element(f: PlaceFunction):
     """The backend element x with f = chi(x), or None."""
     if not f.terms:

@@ -3,14 +3,22 @@
 Each suite is a pure function of (config, seed): the per-suite generator is
 seeded from the config seed and the suite name, so identical configurations
 reproduce byte-identical reports apart from the timing fields.
+
+A suite checks laws.  Laws that share a random sample form one row table,
+which ``_Suite.run`` evaluates sample by sample; every law counts its runs,
+the samples its precondition skipped and its failures, and a law that ran
+zero times fails its suite.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
+from math import ceil
+from operator import add, and_, or_, xor
 
 from .algebra import (Algebra, AlgebraError, Elem, Hom, POWERSET,
                       check_homomorphism, powerset, trivial_algebra)
@@ -35,11 +43,7 @@ class SuiteResult:
     witnesses: list
     certificate: dict | None
     seconds: float
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "verdict": self.verdict,
-                "witnesses": self.witnesses, "certificate": self.certificate,
-                "seconds": self.seconds}
+    laws: dict
 
 
 @dataclass
@@ -53,8 +57,7 @@ class Report:
         return all(s.verdict == "pass" for s in self.suites)
 
     def to_dict(self) -> dict:
-        return {"version": self.version, "config_echo": self.config_echo,
-                "suites": [s.to_dict() for s in self.suites]}
+        return asdict(self)
 
 
 def serialize_value(x) -> object:
@@ -79,27 +82,62 @@ def serialize_value(x) -> object:
     raise TypeError(f"no report form for {type(x).__name__}")
 
 
+def _witness(kind: str, label: str, payload: dict) -> dict:
+    return {kind: label, **{k: serialize_value(v) for k, v in payload.items()}}
+
+
 class _Suite:
-    """Collects witnesses and the pass/fail verdict for one suite run."""
+    """Runs one suite's laws and tallies each law by name.
+
+    A law's name carries no backend, pairing or dimension: those go in
+    ``where``, which only a failure's label shows, and the counts are summed
+    over them.  The first failure keeps its witness.
+    """
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.ok = True
         self.witnesses: list = []
         self.certificate: dict | None = None
+        self.laws: dict[str, list[int]] = {}  # law -> [runs, skipped, failed]
 
-    def check(self, condition: bool, label: str, **payload) -> bool:
-        if not condition and self.ok:
+    def fail(self, label: str, **payload) -> None:
+        if self.ok:
             self.ok = False
-            entry = {"failed": label}
-            entry.update({k: serialize_value(v) for k, v in payload.items()})
-            self.witnesses.append(entry)
-        return condition
+            self.witnesses.append(_witness("failed", label, payload))
+
+    def check(self, holds, law: str, where: str = "", met: bool = True, /, **payload):
+        """Count one sample of a law.
+
+        ``met`` False says the sample failed the law's precondition: it
+        counts as skipped, and ``holds`` is then the law on a fallback
+        sample built from the same values so that the precondition holds,
+        or None where there is no fallback and the law does not run.
+        """
+        counts = self.laws.setdefault(law, [0, 0, 0])
+        if not met:
+            counts[1] += 1
+            if holds is None:
+                return holds
+        counts[0] += 1
+        if not holds:
+            counts[2] += 1
+            self.fail(f"{where}: {law}" if where else law, **payload)
+        return holds
+
+    def table(self, where: str, rows, /, **sample) -> None:
+        """Check a table of laws on one sample, which a failure's witness
+        shows.  A row is ``(law, holds)``, or ``(law, holds, met)`` for a law
+        with a precondition, as in ``check``."""
+        for law, holds, *met in rows:
+            self.check(holds, law, where, *met, **sample)
 
     def note(self, label: str, **payload) -> None:
-        entry = {"note": label}
-        entry.update({k: serialize_value(v) for k, v in payload.items()})
-        self.witnesses.append(entry)
+        self.witnesses.append(_witness("note", label, payload))
+
+    def tally(self) -> dict:
+        return {law: {"runs": r, "skipped": k, "failed": f}
+                for law, (r, k, f) in self.laws.items()}
 
 
 # -- core axioms ------------------------------------------------------------------
@@ -120,19 +158,16 @@ def _random_expr_tree(alg: Algebra, rng: random.Random, depth: int):
             _random_expr_tree(alg, rng, depth - 1))
 
 
+_TREE_OPS = {"and": and_, "or": or_, "xor": xor}
+
+
 def _eval_tree_elem(node):
     tag = node[0]
     if tag == "const":
         return node[1]
     if tag == "not":
         return ~_eval_tree_elem(node[1])
-    a = _eval_tree_elem(node[1])
-    b = _eval_tree_elem(node[2])
-    if tag == "and":
-        return a & b
-    if tag == "or":
-        return a | b
-    return a ^ b
+    return _TREE_OPS[tag](_eval_tree_elem(node[1]), _eval_tree_elem(node[2]))
 
 
 def _eval_tree_sets(node, universe: frozenset):
@@ -142,24 +177,25 @@ def _eval_tree_sets(node, universe: frozenset):
         return {i for i in universe if bits >> i & 1}
     if tag == "not":
         return set(universe) - _eval_tree_sets(node[1], universe)
-    a = _eval_tree_sets(node[1], universe)
-    b = _eval_tree_sets(node[2], universe)
-    if tag == "and":
-        return a & b
-    if tag == "or":
-        return a | b
-    return a ^ b
+    return _TREE_OPS[tag](_eval_tree_sets(node[1], universe),
+                          _eval_tree_sets(node[2], universe))
 
 
 def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     for alg in cfg.algebras:
-        label = alg.name or alg.kind
+        where = alg.name or alg.kind
+        exhaustive = alg.kind == POWERSET and not alg.is_trivial
         for _ in range(cfg.trials):
             x = alg.random_elem(rng)
             y = alg.random_elem(rng)
             z = alg.random_elem(rng)
-            laws = (
+            # a draw outside an order law's precondition is replaced by a
+            # pair or chain built from it: x <= x | (x & y) <= x, and
+            # x <= x | y <= x | y | z
+            antisym = x.leq(y) and y.leq(x)
+            trans = x.leq(y) and y.leq(z)
+            s.table(where, (
                 ("meet-assoc", (x & y) & z == x & (y & z)),
                 ("join-assoc", (x | y) | z == x | (y | z)),
                 ("meet-comm", x & y == y & x),
@@ -176,41 +212,32 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                 ("dsum-self", x ^ x == alg.zero),
                 ("zero-bottom", alg.zero.leq(x)),
                 ("leq-by-join", x.leq(y) == ((x | y) == y)),
-                ("leq-antisym", not (x.leq(y) and y.leq(x)) or x == y),
-                ("leq-trans", not (x.leq(y) and y.leq(z)) or x.leq(z)),
+                ("leq-antisym", x == (y if antisym else x | (x & y)), antisym),
+                ("leq-trans", x.leq(z if trans else x | y | z), trans),
                 ("relcompl-zero", x.rel_complement(alg.zero) == x),
                 ("relcompl-self", x.rel_complement(x) == alg.zero),
                 ("relcompl-def", x.rel_complement(y) == (x & ~(x & y))),
-            )
-            for name, holds in laws:
-                if not s.check(holds, f"{label}:{name}", x=x, y=y, z=z):
-                    return s
-        # join of a finite family is its least upper bound
+            ), x=x, y=y, z=z)
+        # join of a finite family is its least upper bound: below every
+        # upper bound, exhaustively on a powerset, else among 20 random
+        # elements, each non-bound raised to a bound by joining the family
         for _ in range(max(1, cfg.trials // 4)):
             xs = [alg.random_elem(rng) for _ in range(rng.randint(1, 4))]
             top = alg.sup(xs)
-            s.check(all(v.leq(top) for v in xs), f"{label}:sup-bounds", xs=xs)
-            if alg.kind == POWERSET and not alg.is_trivial:
-                least = all(top.leq(b) for b in alg.elements()
-                            if all(v.leq(b) for v in xs))
-            else:
-                least = True
-                for _ in range(20):
-                    b = alg.random_elem(rng)
-                    if all(v.leq(b) for v in xs) and not top.leq(b):
-                        least = False
-                        break
-            if not s.check(least, f"{label}:sup-least", xs=xs, join=top):
-                return s
-        if alg.kind == POWERSET and not alg.is_trivial:
+            s.check(all(v.leq(top) for v in xs), "sup-bounds", where, xs=xs)
+            bounds = alg.elements() if exhaustive else [alg.random_elem(rng) for _ in range(20)]
+            for b in bounds:
+                bound = all(v.leq(b) for v in xs)
+                s.check(top.leq(b if bound else reduce(or_, xs, b)), "sup-least", where,
+                        bound, xs=xs, join=top, bound=b)
+        if exhaustive:
             universe = frozenset(range(alg.atom_count))
             for _ in range(cfg.trials):
                 tree = _random_expr_tree(alg, rng, 4)
                 got = _eval_tree_elem(tree)
                 want = _eval_tree_sets(tree, universe)
-                same = _eval_tree_sets(("const", got), universe) == want
-                if not s.check(same, f"{label}:expression-oracle", result=got):
-                    return s
+                s.check(_eval_tree_sets(("const", got), universe) == want,
+                        "expression-oracle", where, result=got)
     return s
 
 
@@ -224,8 +251,7 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
         exhaustive = alg.atom_count <= 3
         verdict = check_homomorphism(Hom.identity(alg), exhaustive=exhaustive,
                                      trials=cfg.trials, rng=rng)
-        if not s.check(verdict.ok, f"identity on {alg.name}", axiom=verdict.axiom):
-            return s
+        s.check(verdict.ok, "identity is a homomorphism", alg.name, axiom=verdict.axiom)
     for src in powersets:
         for dst in powersets:
             for _ in range(3):
@@ -234,25 +260,23 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                 exhaustive = src.atom_count <= 3
                 verdict = check_homomorphism(h, exhaustive=exhaustive,
                                              trials=cfg.trials, rng=rng)
-                if not s.check(verdict.ok, f"atom map {src.name}->{dst.name}",
-                               atom_map=amap, axiom=verdict.axiom,
-                               witness=verdict.witness):
-                    return s
+                s.check(verdict.ok, "atom map is a homomorphism", f"{src.name}->{dst.name}",
+                        atom_map=amap, axiom=verdict.axiom, witness=verdict.witness)
     for alg in cfg.fincofs:
         gens = [alg.fin([0]), alg.fin([1, 2])]
         h = Hom.from_generator_images(alg, alg, [(g, g) for g in gens])
         verdict = check_homomorphism(h, trials=cfg.trials, rng=rng)
-        s.check(verdict.ok, f"generator-image identity on {alg.name}",
+        s.check(verdict.ok, "generator-image identity is a homomorphism", alg.name,
                 axiom=verdict.axiom)
-        target = powersets[0] if powersets else None
-        if target is not None:
+        if powersets:
             # evaluation "at infinity": finite sets collapse to zero
+            target = powersets[0]
             h2 = Hom.from_generator_images(alg, target,
                                            [(alg.fin([0]), target.zero),
                                             (alg.fin([3, 4]), target.zero)])
             verdict = check_homomorphism(h2, trials=cfg.trials, rng=rng)
-            s.check(verdict.ok, f"finite-collapse {alg.name}->{target.name}",
-                    axiom=verdict.axiom)
+            s.check(verdict.ok, "finite collapse is a homomorphism",
+                    f"{alg.name}->{target.name}", axiom=verdict.axiom)
     # negative control: the constant-to-unit table is rejected with a
     # counterexample at the disjoint-sum axiom
     p2 = powerset(2, "fixture")
@@ -260,8 +284,7 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                             label="constant-to-1")
     verdict = check_homomorphism(broken, exhaustive=True)
     rejected = not verdict.ok and verdict.axiom == "disjoint-sum"
-    s.check(rejected, "broken-homomorphism fixture must be rejected")
-    if rejected:
+    if s.check(rejected, "broken-homomorphism fixture must be rejected"):
         s.note("broken-homomorphism fixture rejected",
                axiom=verdict.axiom, pair=list(verdict.witness),
                lhs=verdict.lhs, rhs=verdict.rhs)
@@ -272,114 +295,104 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def _pairings(cfg: SuiteConfig) -> list[FreeProduct]:
-    out = []
-    for a in cfg.nontrivial:
-        for b in cfg.nontrivial:
-            if (a.kind == POWERSET and b.kind == POWERSET
-                    and a.atom_count * b.atom_count > 16):
-                continue
-            out.append(FreeProduct(a, b))
-    return out
+    return [FreeProduct(a, b) for a in cfg.nontrivial for b in cfg.nontrivial
+            if a.kind != POWERSET or b.kind != POWERSET or a.atom_count * b.atom_count <= 16]
 
 
 def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     for fp in _pairings(cfg):
-        a, b = fp.left, fp.right
-        finite = a.kind == POWERSET and b.kind == POWERSET
-        if finite:
+        a, b, where = fp.left, fp.right, fp.name
+        if a.kind == POWERSET and b.kind == POWERSET:
             atoms = fp.atoms()
             n_m = a.atom_count * b.atom_count
-            s.check(len(atoms) == n_m, f"{fp.name}: atom count", expected=n_m)
-            s.check(all(not t.is_zero() for t in atoms), f"{fp.name}: atoms nonzero")
+            s.check(len(atoms) == n_m, "atom count", where, expected=n_m)
+            s.check(all(not t.is_zero() for t in atoms), "atoms nonzero", where)
             s.check(all((atoms[i] & atoms[j]).is_zero()
                         for i in range(len(atoms)) for j in range(i + 1, len(atoms))),
-                    f"{fp.name}: atoms disjoint")
-            s.check(fp.sup(atoms) == fp.one, f"{fp.name}: atoms join to unit")
+                    "atoms disjoint", where)
+            s.check(fp.sup(atoms) == fp.one, "atoms join to unit", where)
             if n_m <= 12:
-                seen = set()
-                for mask in range(1 << n_m):
-                    seen.add(fp.from_atom_mask(mask))
-                s.check(len(seen) == 1 << n_m, f"{fp.name}: element count",
+                seen = {fp.from_atom_mask(mask) for mask in range(1 << n_m)}
+                s.check(len(seen) == 1 << n_m, "element count", where,
                         expected=1 << n_m, got=len(seen))
             if n_m <= 6:
                 for x in fp.elements():
                     for t in atoms:
                         meet = x & t
-                        if not s.check(meet.is_zero() or meet == t,
-                                       f"{fp.name}: atom minimality", x=x, atom=t):
-                            return s
-        # canonical embeddings are homomorphisms and injective
+                        s.check(meet.is_zero() or meet == t, "atom minimality", where,
+                                x=x, atom=t)
+        # canonical embeddings are homomorphisms and injective; a repeated
+        # draw is told apart from its complement instead
         for _ in range(max(1, cfg.trials // 4)):
-            x = a.random_elem(rng)
-            y = a.random_elem(rng)
-            s.check(fp.embed_left(x & y) == (fp.embed_left(x) & fp.embed_left(y)),
-                    f"{fp.name}: embed-left meet", x=x, y=y)
-            s.check(fp.embed_left(x ^ y) == (fp.embed_left(x) ^ fp.embed_left(y)),
-                    f"{fp.name}: embed-left dsum", x=x, y=y)
-            if x != y:
-                s.check(fp.embed_left(x) != fp.embed_left(y),
-                        f"{fp.name}: embed-left injective", x=x, y=y)
-            u = b.random_elem(rng)
-            v = b.random_elem(rng)
-            s.check(fp.embed_right(u & v) == (fp.embed_right(u) & fp.embed_right(v)),
-                    f"{fp.name}: embed-right meet", u=u, v=v)
-            if u != v:
-                s.check(fp.embed_right(u) != fp.embed_right(v),
-                        f"{fp.name}: embed-right injective", u=u, v=v)
-        s.check(fp.embed_left(a.one) == fp.one, f"{fp.name}: embed-left unit")
-        s.check(fp.embed_left(a.zero) == fp.zero, f"{fp.name}: embed-left zero")
-        # nonzero rectangles (both sides nonzero stay nonzero)
+            x, y = a.random_elem(rng), a.random_elem(rng)
+            u, v = b.random_elem(rng), b.random_elem(rng)
+            s.table(where, (
+                ("embed-left meet",
+                 fp.embed_left(x & y) == (fp.embed_left(x) & fp.embed_left(y))),
+                ("embed-left dsum",
+                 fp.embed_left(x ^ y) == (fp.embed_left(x) ^ fp.embed_left(y))),
+                ("embed-left injective",
+                 fp.embed_left(x) != fp.embed_left(y if x != y else ~x), x != y),
+                ("embed-right meet",
+                 fp.embed_right(u & v) == (fp.embed_right(u) & fp.embed_right(v))),
+                ("embed-right injective",
+                 fp.embed_right(u) != fp.embed_right(v if u != v else ~u), u != v),
+            ), x=x, y=y, u=u, v=v)
+        s.check(fp.embed_left(a.one) == fp.one, "embed-left unit", where)
+        s.check(fp.embed_left(a.zero) == fp.zero, "embed-left zero", where)
+        # nonzero rectangles (both sides nonzero stay nonzero); a zero side
+        # is replaced by its complement
         for _ in range(max(1, cfg.trials // 4)):
             x = a.random_elem(rng)
             y = b.random_elem(rng)
-            if x.is_zero() or y.is_zero():
-                continue
-            if not s.check(not fp.rect(x, y).is_zero(),
-                           f"{fp.name}: rectangle nonzero", x=x, y=y):
-                return s
+            s.check(not fp.rect(~x if x.is_zero() else x, ~y if y.is_zero() else y).is_zero(),
+                    "rectangle nonzero", where, not (x.is_zero() or y.is_zero()), x=x, y=y)
         # decomposition rejoins, disjointly
         for _ in range(max(1, cfg.trials // 2)):
             x = fp.random_elem(rng)
             rects = x.decompose_disjoint()
-            s.check(all(not r.is_zero() for r in rects),
-                    f"{fp.name}: decomposition nonzero", x=x)
-            s.check(all((rects[i].left & rects[j].left).is_zero()
-                        for i in range(len(rects)) for j in range(i + 1, len(rects))),
-                    f"{fp.name}: decomposition disjoint", x=x)
-            s.check(all(fp.rect(r.left, r.right).leq(x) for r in rects),
-                    f"{fp.name}: decomposition below", x=x)
-            if not s.check(fp.normalize(rects) == x,
-                           f"{fp.name}: decomposition rejoins", x=x):
-                return s
-            s.check((len(rects) == 0) == x.is_zero(),
-                    f"{fp.name}: empty decomposition iff zero", x=x)
-        # normalization is order- and splitting-invariant
+            s.table(where, (
+                ("decomposition nonzero", all(not r.is_zero() for r in rects)),
+                ("decomposition disjoint",
+                 all((rects[i].left & rects[j].left).is_zero()
+                     for i in range(len(rects)) for j in range(i + 1, len(rects)))),
+                ("decomposition below", all(fp.rect(r.left, r.right).leq(x) for r in rects)),
+                ("decomposition rejoins", fp.normalize(rects) == x),
+                ("empty decomposition iff zero", (len(rects) == 0) == x.is_zero()),
+            ), x=x)
+        # normalization is order- and splitting-invariant; an empty draw is
+        # replaced by the unit rectangle, split by the unit
         for _ in range(max(1, cfg.trials // 4)):
             rects = [Rectangle(a.random_elem(rng), b.random_elem(rng))
                      for _ in range(rng.randint(0, 3))]
             base = fp.normalize(rects)
             shuffled = rects[:]
             rng.shuffle(shuffled)
-            s.check(fp.normalize(shuffled) == base, f"{fp.name}: normalize order-free")
-            if rects:
-                k = rng.randrange(len(rects))
-                cut = a.random_elem(rng)
-                r = rects[k]
-                split = rects[:k] + [Rectangle(r.left & cut, r.right),
-                                     Rectangle(r.left & ~cut, r.right)] + rects[k + 1:]
-                s.check(fp.normalize(split) == base, f"{fp.name}: normalize split-free")
+            whole = rects or [Rectangle(a.one, b.one)]
+            k = rng.randrange(len(rects)) if rects else 0
+            cut = a.random_elem(rng) if rects else a.one
+            r = whole[k]
+            split = whole[:k] + [Rectangle(r.left & cut, r.right),
+                                 Rectangle(r.left & ~cut, r.right)] + whole[k + 1:]
+            s.table(where, (
+                ("normalize order-free", fp.normalize(shuffled) == base),
+                ("normalize split-free",
+                 fp.normalize(split) == (base if rects else fp.one), bool(rects)),
+            ), rects=rects)
         # evaluated identities
         for _ in range(max(1, cfg.trials // 4)):
             x = fp.random_elem(rng)
             y = fp.random_elem(rng)
             z = fp.random_elem(rng)
-            s.check(~(x & y) == (~x | ~y), f"{fp.name}: de morgan", x=x, y=y)
-            s.check((x ^ y) == ((x & ~y) | (~x & y)), f"{fp.name}: dsum expansion")
-            s.check((x & y) & z == x & (y & z), f"{fp.name}: meet assoc")
-            s.check((x & ~x).is_zero(), f"{fp.name}: complement meet")
             sp = fp.embed_left(a.random_elem(rng))
-            s.check(((x & sp) | (x & ~sp)) == x, f"{fp.name}: operand re-split")
+            s.table(where, (
+                ("de morgan", ~(x & y) == (~x | ~y)),
+                ("dsum expansion", (x ^ y) == ((x & ~y) | (~x & y))),
+                ("meet assoc", (x & y) & z == x & (y & z)),
+                ("complement meet", (x & ~x).is_zero()),
+                ("operand re-split", ((x & sp) | (x & ~sp)) == x),
+            ), x=x, y=y)
     # collapse with a trivial factor
     triv = trivial_algebra()
     others = cfg.nontrivial[:2] or [powerset(1)]
@@ -398,87 +411,90 @@ def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 # -- place functions --------------------------------------------------------------
 
 
+def _unit_on_support(f: PlaceFunction) -> PlaceFunction:
+    """The unit's projection onto the band of a positive f, built by the
+    lattice operations alone: n*f meet the unit, for n*f >= 1 on f's support."""
+    n = ceil(1 / min(c for c, _ in f.terms))
+    return places.meet(places.scale(n, f), places.unit(f.backend))
+
+
 def suite_place_addition(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     for alg in cfg.nontrivial:
-        label = alg.name or alg.kind
+        where = alg.name or alg.kind
         for _ in range(cfg.trials):
             f = places.random_place(alg, rng)
             g = places.random_place(alg, rng)
             h = places.random_place(alg, rng)
             lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            via_formula = places.add_formula(f, g)
-            via_refine = places.add_refine(f, g)
-            if not s.check(via_formula == via_refine, f"{label}: addition oracle",
-                           f=f, g=g, formula=via_formula, refine=via_refine):
-                return s
-            s.check(via_refine == places.add_refine(g, f), f"{label}: add comm")
-            s.check(places.add_refine(f, places.zero(alg)) == f, f"{label}: add zero")
-            s.check((f + (-f)).is_zero(), f"{label}: add inverse")
-            s.check((f + g) + h == f + (g + h), f"{label}: add assoc")
-            s.check(places.scale(lam, f + g) == places.scale(lam, f) + places.scale(lam, g),
-                    f"{label}: scale distributes")
-            s.check(places.scale(0, f).is_zero(), f"{label}: scale zero")
-            s.check(places.scale(1, f) == f, f"{label}: scale one")
-            s.check(places.meet(f, g) + places.join(f, g) == f + g,
-                    f"{label}: meet+join identity", f=f, g=g)
-            s.check(places.abs_(places.scale(-1, f)) == places.abs_(f),
-                    f"{label}: abs symmetric")
-            if places.leq(f, g):
-                s.check(places.leq(f + h, g + h), f"{label}: order translation")
-            if lam >= 0:
-                s.check(places.pos_part(places.scale(lam, f))
-                        == places.scale(lam, places.pos_part(f)),
-                        f"{label}: positive scaling of the positive part")
-            # canonical forms identify equivalent representations
-            split = tensor.split_representation(f, rng)
-            s.check(places.canonicalize(alg, split) == f,
-                    f"{label}: representation invariance", f=f)
-            # reconstruction from canonical form (the linear span)
-            rebuilt = places.zero(alg)
-            for c, x in f.terms:
-                rebuilt = rebuilt + places.scale(c, places.chi(x))
-            s.check(rebuilt == f, f"{label}: span reconstruction", f=f)
-        # components are exactly the characteristics
+            fg = places.add_refine(f, g)
+            # a draw outside a precondition is replaced by one built from
+            # it: g by f v g above f, a negative lam by -lam
+            ordered = places.leq(f, g)
+            above = g if ordered else places.join(f, g)
+            mu = abs(lam)
+            s.table(where, (
+                ("addition oracle", places.add_formula(f, g) == fg),
+                ("add comm", fg == places.add_refine(g, f)),
+                ("add zero", places.add_refine(f, places.zero(alg)) == f),
+                ("add inverse", (f + (-f)).is_zero()),
+                ("add assoc", fg + h == f + (g + h)),
+                ("scale distributes",
+                 places.scale(lam, fg) == places.scale(lam, f) + places.scale(lam, g)),
+                ("scale zero", places.scale(0, f).is_zero()),
+                ("scale one", places.scale(1, f) == f),
+                ("meet+join identity", places.meet(f, g) + places.join(f, g) == fg),
+                ("abs symmetric", places.abs_(places.scale(-1, f)) == places.abs_(f)),
+                ("order translation", places.leq(f + h, above + h), ordered),
+                ("positive scaling of the positive part",
+                 places.pos_part(places.scale(mu, f)) == places.scale(mu, places.pos_part(f)),
+                 lam >= 0),
+                # canonical forms identify equivalent representations
+                ("representation invariance",
+                 places.canonicalize(alg, tensor.split_representation(f, rng)) == f),
+                # reconstruction from canonical form (the linear span)
+                ("span reconstruction",
+                 reduce(add, (places.scale(c, places.chi(x)) for c, x in f.terms),
+                        places.zero(alg)) == f),
+            ), f=f, g=g, h=h, lam=lam)
+        # components are exactly the characteristics; a positive f that is
+        # no component is replaced by the unit's projection onto its band
         for _ in range(max(1, cfg.trials // 2)):
             x = alg.random_elem(rng)
-            s.check(places.is_component(places.chi(x)), f"{label}: chi is a component",
-                    x=x)
             f = places.random_place(alg, rng, positive=True)
-            if places.is_component(f):
-                s.check(places.as_element(f) is not None,
-                        f"{label}: components are characteristics", f=f)
-        # no infinitely small elements: an explicit multiple escapes any bound
+            component = places.is_component(f)
+            s.table(where, (
+                ("chi is a component", places.is_component(places.chi(x))),
+                ("components are characteristics",
+                 places.as_element(f if component else _unit_on_support(f)) is not None,
+                 component),
+            ), x=x, f=f)
+        # no infinitely small elements: an explicit multiple escapes any
+        # bound; a zero draw is replaced by the unit, bounded by itself
         if alg.kind == POWERSET:
+            e = places.unit(alg)
             for _ in range(max(1, cfg.trials // 2)):
                 f = places.random_place(alg, rng, positive=True)
-                if f.is_zero():
-                    continue
-                g = f + places.random_place(alg, rng, positive=True)
-                biggest = max(c for c, _ in g.terms)
-                smallest = min(c for c, _ in f.terms)
-                n = biggest // smallest + 1
-                if not s.check(not places.leq(places.scale(n, f), g),
-                               f"{label}: archimedean escape", f=f, g=g, n=n):
-                    return s
+                drawn = not f.is_zero()
+                f, g = (f, f + places.random_place(alg, rng, positive=True)) if drawn else (e, e)
+                n = max(c for c, _ in g.terms) // min(c for c, _ in f.terms) + 1
+                s.check(not places.leq(places.scale(n, f), g), "archimedean escape", where,
+                        drawn, f=f, g=g, n=n)
         if alg.kind == POWERSET and alg.atom_count <= 5:
             _check_chi_isomorphism(s, alg)
-            if not s.ok:
-                return s
     return s
 
 
 def _check_chi_isomorphism(s: _Suite, alg: Algebra) -> None:
     """Exhaustively: chi is a bijection onto the components of the unit and
     preserves meet, disjoint sum, and the unit."""
-    label = alg.name or alg.kind
+    where = alg.name or alg.kind
     e = places.unit(alg)
     elems = list(alg.elements())
     images = [places.chi(x) for x in elems]
-    s.check(len(set(images)) == len(elems), f"{label}: chi injective")
-    s.check(all(places.is_component(f) for f in images),
-            f"{label}: chi lands in components")
-    s.check(places.chi(alg.one) == e, f"{label}: chi preserves the unit")
+    s.check(len(set(images)) == len(elems), "chi injective", where)
+    s.check(all(places.is_component(f) for f in images), "chi lands in components", where)
+    s.check(places.chi(alg.one) == e, "chi preserves the unit", where)
     # every component arises: components of e are exactly the 0/1 vectors
     space = tensor.atom_space(alg)
     image_set = set(images)
@@ -486,20 +502,16 @@ def _check_chi_isomorphism(s: _Suite, alg: Algebra) -> None:
         v = AtomVector(space, tuple(Fraction(bits >> i & 1)
                                     for i in range(alg.atom_count)))
         comp = tensor.from_atom_model(alg, v)
-        s.check(places.is_component(comp), f"{label}: 0/1 vector is a component")
-        if not s.check(comp in image_set, f"{label}: chi onto components", vector=v):
-            return
-    for x in elems:
-        for y in elems:
-            ok = (places.meet(places.chi(x), places.chi(y)) == places.chi(x & y))
-            if not s.check(ok, f"{label}: chi preserves meet", x=x, y=y):
-                return
+        s.check(places.is_component(comp), "0/1 vector is a component", where)
+        s.check(comp in image_set, "chi onto components", where, vector=v)
+    for x, cx in zip(elems, images):
+        for y, cy in zip(elems, images):
             # disjoint sum inside the component algebra
-            cx, cy = places.chi(x), places.chi(y)
             lhs = places.join(places.meet(cx, e - cy), places.meet(e - cx, cy))
-            if not s.check(lhs == places.chi(x ^ y),
-                           f"{label}: chi preserves disjoint sum", x=x, y=y):
-                return
+            s.table(where, (
+                ("chi preserves meet", places.meet(cx, cy) == places.chi(x & y)),
+                ("chi preserves disjoint sum", lhs == places.chi(x ^ y)),
+            ), x=x, y=y)
 
 
 # -- regularity -------------------------------------------------------------------
@@ -508,23 +520,23 @@ def _check_chi_isomorphism(s: _Suite, alg: Algebra) -> None:
 def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite(rng)
     for alg in cfg.nontrivial:
-        label = alg.name or alg.kind
+        where = alg.name or alg.kind
+        # a family of zeros only, or a zero singleton, is replaced by the
+        # complement of its zero: the unit
         for _ in range(max(1, cfg.trials // 8)):
             xs = []
             for _ in range(rng.randint(1, 4)):
                 x = alg.random_elem(rng)
                 if not x.is_zero():
                     xs.append(x)
-            if not xs:
-                continue
-            verdict = places.check_regularity(xs, alg.sup(xs), rng=rng, trials=30)
-            if not s.check(verdict.ok, f"{label}: join survives into place functions",
-                           xs=xs, detail=verdict.detail):
-                return s
+            family = xs or [alg.one]
+            verdict = places.check_regularity(family, alg.sup(family), rng=rng, trials=30)
+            s.check(verdict.ok, "join survives into place functions", where, bool(xs),
+                    xs=family, detail=verdict.detail)
         x = alg.random_elem(rng)
-        if not x.is_zero():
-            verdict = places.check_regularity([x], x, rng=rng, trials=10)
-            s.check(verdict.ok, f"{label}: singleton family", x=x)
+        single = ~x if x.is_zero() else x
+        verdict = places.check_regularity([single], single, rng=rng, trials=10)
+        s.check(verdict.ok, "singleton family", where, not x.is_zero(), x=single)
     return s
 
 
@@ -541,20 +553,18 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
         t = tensor.build_T(a, b)
         fp = t.fp
         space = t.space
-        name = fp.name
+        where = fp.name
         for _ in range(max(1, cfg.trials // 2)):
             v = tensor.random_vector(space, rng)
             w = tensor.random_vector(space, rng)
             lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            s.check(t.apply(v + w) == t.apply(v) + t.apply(w), f"{name}: T additive")
-            s.check(t.apply(v.scale(lam)) == places.scale(lam, t.apply(v)),
-                    f"{name}: T homogeneous")
-            s.check(t.apply(v.abs()) == places.abs_(t.apply(v)),
-                    f"{name}: T preserves absolute value", v=v)
-            s.check(t.apply(v.join(w)) == places.join(t.apply(v), t.apply(w)),
-                    f"{name}: T preserves join")
-            if not s.ok:
-                return s
+            s.table(where, (
+                ("T additive", t.apply(v + w) == t.apply(v) + t.apply(w)),
+                ("T homogeneous", t.apply(v.scale(lam)) == places.scale(lam, t.apply(v))),
+                ("T preserves absolute value", t.apply(v.abs()) == places.abs_(t.apply(v))),
+                ("T preserves join",
+                 t.apply(v.join(w)) == places.join(t.apply(v), t.apply(w))),
+            ), v=v, w=w, lam=lam)
         # T closes the triangle: through the pure tensor equals the
         # double-sum map on place functions
         va_space = tensor.atom_space(a)
@@ -566,21 +576,18 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
                 lhs = t.apply(v)
                 rhs = tensor.psi(fp, places.chi(a.subset([p])),
                                  places.chi(b.subset([q])))
-                if not s.check(lhs == rhs, f"{name}: T o tensor = psi on indicators",
-                               pair=[p, q]):
-                    return s
+                s.check(lhs == rhs, "T o tensor = psi on indicators", where, pair=[p, q])
         for _ in range(max(1, cfg.trials // 2)):
             va = tensor.random_vector(va_space, rng)
             vb = tensor.random_vector(vb_space, rng)
             lhs = t.apply(tensor.pure_tensor(va, vb))
             rhs = tensor.psi(fp, tensor.from_atom_model(a, va),
                              tensor.from_atom_model(b, vb))
-            if not s.check(lhs == rhs, f"{name}: T o tensor = psi", va=va, vb=vb):
-                return s
+            s.check(lhs == rhs, "T o tensor = psi", where, va=va, vb=vb)
         onto = tensor.verify_T_onto_and_injective(a, b, rng=rng)
-        s.check(onto.ok, f"{name}: onto and injective", detail=onto.detail)
-        s.check(onto.rank == len(space), f"{name}: full rank", rank=onto.rank)
-        s.note(f"{name}: rank", rank=onto.rank, dimension=onto.dimension)
+        s.check(onto.ok, "onto and injective", where, detail=onto.detail)
+        s.check(onto.rank == len(space), "full rank", where, rank=onto.rank)
+        s.note(f"{where}: rank", rank=onto.rank, dimension=onto.dimension)
     # the double-sum map is a bimorphism, place-function level
     bimorphism_pairs = pairs[:2]
     for fc in cfg.fincofs:
@@ -591,9 +598,8 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
         m = lambda f, g: tensor.psi(fp, f, g)  # noqa: E731
         verdict = tensor.verify_bimorphism(m, E, F, H,
                                            trials=max(1, cfg.trials // 4), rng=rng)
-        if not s.check(verdict.ok, f"{fp.name}: psi is a bimorphism",
-                       law=verdict.law, witness=verdict.witness):
-            return s
+        s.check(verdict.ok, "psi is a bimorphism", fp.name,
+                law=verdict.law, witness=verdict.witness)
         # representation independence: splitting a support changes nothing
         for _ in range(max(1, cfg.trials // 4)):
             f = places.random_place(a, rng)
@@ -601,7 +607,7 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
             base = tensor.psi(fp, f, g)
             split_f = tensor.split_representation(f, rng)
             s.check(tensor.psi_terms(fp, split_f, g.terms) == base,
-                    f"{fp.name}: psi representation independence", f=f, g=g)
+                    "psi representation independence", fp.name, f=f, g=g)
     # the pointwise-product bimorphism on coordinates
     if pairs:
         a, b = pairs[0]
@@ -618,9 +624,7 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random,
             tensor.psi(fp, f, g), tensor.psi(fp, f, g0))
         verdict = tensor.verify_bimorphism(broken, PlaceSpace(a), PlaceSpace(b),
                                            PlaceSpace(fp), trials=50, rng=rng)
-        rejected = not verdict.ok
-        s.check(rejected, "broken-bimorphism fixture must be rejected")
-        if rejected:
+        if s.check(not verdict.ok, "broken-bimorphism fixture must be rejected"):
             s.note("broken-bimorphism fixture rejected", law=verdict.law,
                    witness=verdict.witness)
         if break_bimorphism:
@@ -650,22 +654,19 @@ def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                                          for _ in range(d.atom_count)])
         ind = induced_hom(phi_a, phi_b, d)
         for x in a.elements():
-            if not s.check(ind(fp.embed_left(x)) == phi_a(x),
-                           "induced map commutes on the left", x=x):
-                return s
+            s.check(ind(fp.embed_left(x)) == phi_a(x), "induced map commutes on the left",
+                    x=x)
         for y in b.elements():
-            if not s.check(ind(fp.embed_right(y)) == phi_b(y),
-                           "induced map commutes on the right", y=y):
-                return s
+            s.check(ind(fp.embed_right(y)) == phi_b(y), "induced map commutes on the right",
+                    y=y)
         s.check(ind(fp.one) == d.one, "induced map preserves the unit")
         s.check(ind(fp.zero) == d.zero, "induced map preserves zero")
         # uniqueness spot-check: a second route through disjoint rectangles
         # agrees everywhere sampled
         for _ in range(5):
             x = fp.random_elem(rng)
-            if not s.check(ind.via_rectangles(x) == ind(x),
-                           "second candidate agrees with the induced map", x=x):
-                return s
+            s.check(ind.via_rectangles(x) == ind(x),
+                    "second candidate agrees with the induced map", x=x)
     # the Riesz-side factorization through the atom-pair model
     if powersets:
         a = sources[0]
@@ -725,6 +726,7 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     dims = sorted({a.atom_count for a in cfg.powersets} | {4})
     for dim in dims:
         space = tuple(range(1, dim + 1))
+        where = f"dim {dim}"
         for _ in range(max(1, cfg.trials // 2)):
             v = tensor.random_vector(space, rng)
             w = tensor.random_vector(space, rng)
@@ -733,13 +735,6 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                                         for i, a in enumerate(v.values)))
             w = AtomVector(space, tuple(Fraction(0) if cut >> i & 1 else a
                                         for i, a in enumerate(w.values)))
-            if not s.check(v.abs().meet(w.abs()).is_zero(),
-                           f"dim {dim}: constructed pair is disjoint"):
-                return s
-            if not s.check(band_model.bands_disjoint(v, w),
-                           f"dim {dim}: disjoint elements span disjoint bands",
-                           v=v, w=w):
-                return s
             # sampled members of the two bands stay lattice-disjoint
             h1 = tensor.random_vector(space, rng)
             h1 = AtomVector(space, tuple(x if space[i] in v.support_labels() else Fraction(0)
@@ -747,13 +742,20 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
             h2 = tensor.random_vector(space, rng)
             h2 = AtomVector(space, tuple(x if space[i] in w.support_labels() else Fraction(0)
                                          for i, x in enumerate(h2.values)))
-            s.check(h1.abs().meet(h2.abs()).is_zero(),
-                    f"dim {dim}: band members stay disjoint")
+            s.table(where, (
+                ("constructed pair is disjoint", v.abs().meet(w.abs()).is_zero()),
+                ("disjoint elements span disjoint bands", band_model.bands_disjoint(v, w)),
+                ("band members stay disjoint", h1.abs().meet(h2.abs()).is_zero()),
+            ), v=v, w=w)
+        # supports that do not overlap are filled out: each zero
+        # coordinate set to 1
         x = tensor.random_vector(space, rng)
         y = tensor.random_vector(space, rng)
-        if x.support_labels() & y.support_labels():
-            s.check(not band_model.bands_disjoint(x, y),
-                    f"dim {dim}: overlapping supports share a band direction")
+        overlap = bool(x.support_labels() & y.support_labels())
+        if not overlap:
+            x, y = (AtomVector(space, tuple(c or Fraction(1) for c in u.values)) for u in (x, y))
+        s.check(not band_model.bands_disjoint(x, y),
+                "overlapping supports share a band direction", where, overlap, x=x, y=y)
     # the band lattice is the powerset algebra, and it is complete
     for n in (1, 2, 3, 4):
         alg = band_model.band_algebra(n)
@@ -763,16 +765,17 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
             b2 = band_model.elem_to_band(space, alg.random_elem(rng))
             e1 = band_model.band_to_elem(alg, b1)
             e2 = band_model.band_to_elem(alg, b2)
-            s.check(band_model.band_to_elem(alg, b1.meet(b2)) == (e1 & e2),
-                    "band meet corresponds")
-            s.check(band_model.band_to_elem(alg, b1.join(b2)) == (e1 | e2),
-                    "band join corresponds")
-            s.check(band_model.band_to_elem(alg, b1.complement()) == ~e1,
-                    "band complement corresponds")
+            s.table(f"dimension {n}", (
+                ("band meet corresponds",
+                 band_model.band_to_elem(alg, b1.meet(b2)) == (e1 & e2)),
+                ("band join corresponds",
+                 band_model.band_to_elem(alg, b1.join(b2)) == (e1 | e2)),
+                ("band complement corresponds",
+                 band_model.band_to_elem(alg, b1.complement()) == ~e1),
+            ), x=e1, y=e2)
         cert = certs.check_finite_completeness(alg)
         s.check(cert.subsets_checked == (1 << (1 << n)) - 1,
-                f"band algebra at dimension {n} is complete",
-                subsets=cert.subsets_checked)
+                "band algebra is complete", f"dimension {n}", subsets=cert.subsets_checked)
     # in finite dimension the ideal and the band of f have the same members
     for n in range(1, 7):
         space = tuple(range(1, n + 1))
@@ -784,28 +787,22 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                                         for i in range(n)))
             in_band = band.contains(g)
             in_ideal = _in_principal_ideal(g, f)
-            if not s.check(in_band == in_ideal,
-                           f"dim {n}: ideal and band members coincide",
-                           support=sorted(support)):
-                return s
+            s.check(in_band == in_ideal, "ideal and band members coincide", f"dim {n}",
+                    support=sorted(support))
     # finite-dimensional contrast: the two band products are isomorphic
     pairs = sorted({(a.atom_count, b.atom_count)
                     for a in cfg.powersets for b in cfg.powersets
                     if a.atom_count * b.atom_count <= 16} | {(2, 3)})
     for n, m in pairs:
         verdict = band_model.compare_band_products(n, m, pair_samples=cfg.trials, rng=rng)
-        s.check(verdict.ok, f"band product contrast at ({n}, {m})",
-                detail=verdict.detail)
-        s.check(verdict.atoms_each == n * m, f"band product atoms at ({n}, {m})")
+        s.check(verdict.ok, "band product contrast", f"({n}, {m})", detail=verdict.detail)
+        s.check(verdict.atoms_each == n * m, "band product atoms", f"({n}, {m})")
     return s
 
 
 def _in_principal_ideal(g: AtomVector, f: AtomVector) -> bool:
     """Whether |g| <= k |f| for some natural k."""
-    for gv, fv in zip(g.values, f.values):
-        if gv != 0 and fv == 0:
-            return False
-    return True
+    return all(gv == 0 or fv != 0 for gv, fv in zip(g.values, f.values))
 
 
 # -- completeness -----------------------------------------------------------------
@@ -819,53 +816,40 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     for alg in small:
         cert = certs.check_finite_completeness(alg)
         expected = (1 << (1 << alg.atom_count)) - 1
-        s.check(cert.subsets_checked == expected,
-                f"{alg.name}: exhaustive completeness", subsets=cert.subsets_checked)
-        entry = cert.to_dict()
-        entry["algebra"] = alg.name
-        payload["exhaustive"].append(entry)
-        ok = validate_certificate(cert.to_dict()).ok
-        s.check(ok, f"{alg.name}: certificate revalidates")
-    trivial_declared = [a for a in cfg.algebras if a.is_trivial]
-    for alg in trivial_declared:
-        cert = certs.check_finite_completeness(alg)
-        entry = cert.to_dict()
-        entry["algebra"] = alg.name
-        payload["exhaustive"].append(entry)
+        s.check(cert.subsets_checked == expected, "exhaustive completeness", alg.name,
+                subsets=cert.subsets_checked)
+        payload["exhaustive"].append({**cert.to_dict(), "algebra": alg.name})
+        v = validate_certificate(cert.to_dict())
+        s.check(v.ok, "certificate revalidates", alg.name, detail=v.detail)
+    for alg in (a for a in cfg.algebras if a.is_trivial):
+        payload["exhaustive"].append({**certs.check_finite_completeness(alg).to_dict(),
+                                      "algebra": alg.name})
     # bounded-set suprema in the place-function model
     for alg in small:
         if alg.atom_count <= 3:
             verdict = certs.check_model_dedekind_complete(alg.atom_count, rng)
             verdict["algebra"] = alg.name
             payload["model_bounded_sups"].append(verdict)
-            s.check(verdict["ok"], f"{alg.name}: model bounded suprema")
+            s.check(verdict["ok"], "model bounded suprema", alg.name)
     pair_dims = sorted({(a.atom_count, b.atom_count) for a in small for b in small
                         if a.atom_count * b.atom_count <= 9})
     for n, m in pair_dims:
         verdict = certs.check_model_dedekind_complete(n * m, rng)
         verdict["product"] = [n, m]
         payload["model_bounded_sups"].append(verdict)
-        s.check(verdict["ok"], f"product model bounded suprema at ({n}, {m})")
+        s.check(verdict["ok"], "product model bounded suprema", f"({n}, {m})")
     # the incompleteness certificates
     if cfg.fincofs:
         fc = cfg.fincofs[0]
-        cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, fc.one, steps=3)
-        s.check(isinstance(cert, certs.Certificate), "even-singleton refuter runs")
-        if isinstance(cert, certs.Certificate):
-            d = cert.to_dict()
-            payload["certificates"]["evens"] = d
-            v = validate_certificate(d)
-            s.check(v.ok and v.steps_checked >= 3,
-                    "even-singleton certificate revalidates", detail=v.detail)
-        fp = FreeProduct(fc, fc)
-        cert = certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, fp.one, steps=3)
-        s.check(isinstance(cert, certs.Certificate), "diagonal refuter runs")
-        if isinstance(cert, certs.Certificate):
-            d = cert.to_dict()
-            payload["certificates"]["diagonal"] = d
-            v = validate_certificate(d)
-            s.check(v.ok and v.steps_checked >= 3,
-                    "diagonal certificate revalidates", detail=v.detail)
+        for key, family, top in (("evens", certs.EVENS_FAMILY, fc.one),
+                                 ("diagonal", certs.DIAGONAL_FAMILY, FreeProduct(fc, fc).one)):
+            cert = certs.no_supremum_certificate(family, top, steps=3)
+            if s.check(isinstance(cert, certs.Certificate), "refuter runs", key):
+                d = cert.to_dict()
+                payload["certificates"][key] = d
+                v = validate_certificate(d)
+                s.check(v.ok and v.steps_checked >= 3, "no-supremum certificate revalidates",
+                        key, detail=v.detail)
     # product completeness at tiny scale: finite times finite stays complete
     finite_pairs = sorted({(a.atom_count, b.atom_count) for a in small for b in small
                            if a.atom_count * b.atom_count <= 4})
@@ -873,7 +857,7 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     for n, m in finite_pairs:
         ok = _product_exhaustively_complete(n, m)
         product_entries.append({"pair": [n, m], "complete": ok})
-        s.check(ok, f"free product of finite algebras complete at ({n}, {m})")
+        s.check(ok, "free product of finite algebras complete", f"({n}, {m})")
     payload["dichotomy"] = [
         {"case": "A = {0}", "status": "complete",
          "how": "the product collapses to one element; its single subset has a supremum"},
@@ -936,7 +920,10 @@ def run_suites(cfg: SuiteConfig) -> Report:
         started = time.perf_counter()
         outcome = SUITES[name](cfg, suite_rng(cfg.seed, name))
         elapsed = time.perf_counter() - started
+        for law, (runs, _, _) in outcome.laws.items():
+            if not runs:
+                outcome.fail("law ran zero times", law=law)
         results.append(SuiteResult(name, "pass" if outcome.ok else "fail",
                                    outcome.witnesses, outcome.certificate,
-                                   round(elapsed, 6)))
+                                   round(elapsed, 6), outcome.tally()))
     return Report(REPORT_VERSION, cfg.echo(), results)

@@ -1,6 +1,11 @@
 """Independent revalidation of emitted certificates.
 
-Reparses the serialized payloads and rechecks every improvement step:
+An exhaustive completeness verdict is redone from its subset count alone:
+the count fixes the powerset P(n), whose elements are built as sets of
+atoms, and every nonempty family of them is walked with its upper bounds
+kept as an explicit set, which must hold exactly one least member.
+
+A no-supremum certificate is reparsed and every improvement step rechecked:
 strict order decrease, chain continuity, and preserved upper-bound status.
 The upper-bound predicates here check membership point by point: at each
 natural that some cell support names, and at one natural past them all,
@@ -13,6 +18,7 @@ is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .algebra import Elem, finite_cofinite
@@ -69,12 +75,47 @@ def _diagonal_upper_bound(u: RectForm) -> bool:
                                _cells_holding(u.right_cells, points)))
 
 
+EXHAUSTIVE_MAX_ATOMS = 4
+
+
+def _below(x: frozenset, y: frozenset) -> bool:
+    """The order of P(n) on elements written as sets of atoms."""
+    return x <= y
+
+
+def _validate_exhaustive(subsets) -> ValidationResult:
+    """Walk every nonempty family of elements of the P(n) whose nonempty
+    families number ``subsets``; each must have exactly one least upper
+    bound."""
+    n = next((n for n in range(EXHAUSTIVE_MAX_ATOMS + 1)
+              if type(subsets) is int and subsets == 2 ** 2 ** n - 1), None)
+    if n is None:
+        return ValidationResult(False, f"subsets_checked {subsets!r} is not 2^(2^n) - 1 "
+                                       f"for any n from 0 to {EXHAUSTIVE_MAX_ATOMS}")
+    elems = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+    above = {x: frozenset(y for y in elems if _below(x, y)) for x in elems}
+    walked = 0
+    # each entry: the index past a family's last member, and the family's
+    # upper bounds; a family grows by members of larger index only
+    stack = [(0, frozenset(elems))]
+    while stack:
+        start, bounds = stack.pop()
+        for i in range(start, len(elems)):
+            ubs = bounds & above[elems[i]]
+            walked += 1
+            if sum(1 for u in ubs if ubs <= above[u]) != 1:
+                return ValidationResult(False, f"a family of P({n}) has no single "
+                                               "least upper bound")
+            stack.append((i + 1, ubs))
+    return ValidationResult(True, f"{walked} families of P({n}) walked")
+
+
 def validate_certificate(payload: dict) -> ValidationResult:
-    """Recheck a serialized certificate step by step."""
+    """Recheck a serialized certificate: an exhaustive verdict by redoing
+    its walk, a no-supremum chain step by step."""
     kind = payload.get("kind")
     if kind == "exhaustive_complete":
-        ok = payload.get("subsets_checked", 0) >= 1
-        return ValidationResult(ok, "exhaustive verdict carries a subset count")
+        return _validate_exhaustive(payload.get("subsets_checked"))
     if kind != "no_supremum":
         return ValidationResult(False, f"unknown certificate kind {kind!r}")
     family = payload.get("family")

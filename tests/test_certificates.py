@@ -321,3 +321,33 @@ class TestValidation:
         assert not validate_certificate(
             {"kind": "no_supremum", "family": "?", "steps": [{}]}).ok
         assert not validate_certificate({"kind": "?"}).ok
+
+
+class TestExhaustiveRevalidation:
+    @pytest.mark.parametrize("alg", [trivial_algebra(), powerset(1), powerset(2), powerset(3)],
+                             ids=["P0", "P1", "P2", "P3"])
+    def test_certificates_pass(self, alg):
+        payload = certs.check_finite_completeness(alg).to_dict()
+        v = validate_certificate(payload)
+        assert v.ok, v.detail
+
+    @pytest.mark.parametrize("count", [5, 0, -1, 16, True, "15", None])
+    def test_count_of_no_powerset_rejected(self, count):
+        v = validate_certificate({"kind": "exhaustive_complete", "subsets_checked": count})
+        assert not v.ok and "2^(2^n) - 1" in v.detail
+
+    def test_count_past_the_cap_rejected(self):
+        v = validate_certificate({"kind": "exhaustive_complete",
+                                  "subsets_checked": 2 ** 2 ** 5 - 1})
+        assert not v.ok and "from 0 to 4" in v.detail
+
+    def test_planted_wrong_order_rejected(self, monkeypatch):
+        from balg import validation
+
+        payload = certs.check_finite_completeness(powerset(2)).to_dict()
+        assert validate_certificate(payload).ok
+        # {1} below {1,2} forgotten: {1} and {2} then have no common bound
+        monkeypatch.setattr(validation, "_below",
+                            lambda x, y: x <= y and (x, y) != ({1}, {1, 2}))
+        v = validate_certificate(payload)
+        assert not v.ok and "least upper bound" in v.detail

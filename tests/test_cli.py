@@ -148,6 +148,25 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "RESULT: pass" in out
 
+    def test_text_format_shows_the_law_counts(self, tmp_path, capsys):
+        cfg = light_config(tmp_path, suites=["core_axioms", "regularity"], trials=5)
+        report_path = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", str(cfg), "--report", str(report_path)],
+                       capsys)[0] == 0
+        code, out, _ = run_cli(["verify", "--config", str(cfg), "--format", "text"], capsys)
+        assert code == 0
+        shown = {}
+        for line in out.splitlines():
+            law, sep, counts = line.strip().rpartition(": runs ")
+            if sep:
+                runs, skipped, failed = counts.replace("skipped ", "").replace(
+                    "failed ", "").split(", ")
+                shown[law] = {"runs": int(runs), "skipped": int(skipped),
+                              "failed": int(failed)}
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        laws = {law: c for s in report["suites"] for law, c in s["laws"].items()}
+        assert shown == laws and len(laws) > 20
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

@@ -272,6 +272,25 @@ class TestInducedHom:
         with pytest.raises(AlgebraError):
             induced_hom(broken, Hom.identity(a), a)
 
+    def test_corrupted_powerset_table_rejected(self):
+        # one wrong entry in the identity table of P(6): 32 sampled pairs
+        # let it through, the exact check over all 64 elements does not
+        p6 = powerset(6)
+        table = {x: x for x in p6.elements()}
+        table[p6.subset([1, 2])] = p6.subset([3, 5, 6])
+        with pytest.raises(AlgebraError):
+            induced_hom(Hom.from_table(p6, p6, table), Hom.identity(p6), p6)
+
+    def test_every_single_entry_corruption_rejected(self):
+        p3 = powerset(3)
+        for x in p3.elements():
+            for y in p3.elements():
+                if y != x:
+                    table = {e: e for e in p3.elements()}
+                    table[x] = y
+                    with pytest.raises(AlgebraError):
+                        induced_hom(Hom.identity(p3), Hom.from_table(p3, p3, table), p3)
+
 
 class TestTriviality:
     def test_trivial_factor_collapses(self):

@@ -128,12 +128,6 @@ class TestChi:
                 x = places.as_element(f)
                 assert x is not None and places.chi(x) == f
 
-    def test_component_wrapper_validates(self):
-        c = places.Component(places.chi(P3.subset([1, 3])))
-        assert c.as_element() == P3.subset([1, 3])
-        with pytest.raises(ValueError):
-            places.Component(places.scale(2, places.chi(P3.subset([1]))))
-
 
 class TestAddition:
     def test_worked_example(self):

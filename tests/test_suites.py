@@ -10,7 +10,7 @@ from balg import certificates as certs
 from balg.algebra import finite_cofinite
 from balg.config import default_config, parse_config
 from balg.free_product import FreeProduct
-from balg.suites import SUITES, Report, run_suites, serialize_value, suite_rng
+from balg.suites import SUITES, Report, _Suite, run_suites, serialize_value, suite_rng
 from balg.validation import validate_certificate
 
 
@@ -38,6 +38,53 @@ def test_default_config_all_pass():
     report = run_suites(default_config())
     assert report.all_pass
     assert [s.name for s in report.suites] == list(default_config().suites)
+
+
+def test_a_law_that_always_fails_counts_every_failure():
+    s = _Suite(random.Random(0))
+    for i in range(5):
+        s.table("here", (("always fails", False), ("holds", i < 5)), x=i)
+    s.check(False, "always fails", "there", x=99)
+    assert not s.ok
+    assert s.tally() == {"always fails": {"runs": 6, "skipped": 0, "failed": 6},
+                         "holds": {"runs": 5, "skipped": 0, "failed": 0}}
+    assert s.witnesses == [{"failed": "here: always fails", "x": 0}]
+
+
+def test_a_skipped_sample_runs_its_fallback():
+    s = _Suite(random.Random(0))
+    for y in (-1, 2, -3):
+        s.table("", (("y positive", (y if y > 0 else -y) > 0, y > 0),), y=y)
+    s.check(False, "y positive", "", False, y=0)
+    assert not s.ok and s.witnesses == [{"failed": "y positive", "y": 0}]
+    assert s.tally() == {"y positive": {"runs": 4, "skipped": 3, "failed": 1}}
+
+
+def test_a_law_that_never_runs_fails_its_suite(monkeypatch):
+    def planted(cfg, rng):
+        s = _Suite(rng)
+        s.check(True, "runs")
+        for i in range(3):
+            s.table("", (("never runs", None, False),), x=i)
+        return s
+
+    monkeypatch.setitem(SUITES, "core_axioms", planted)
+    report = run_suites(light_config(["core_axioms"]))
+    entry = report.suites[0]
+    assert entry.verdict == "fail"
+    assert entry.witnesses == [{"failed": "law ran zero times", "law": "never runs"}]
+    assert entry.laws["never runs"] == {"runs": 0, "skipped": 3, "failed": 0}
+
+
+def test_every_law_runs_at_one_trial():
+    # one trial leaves the fewest samples: each precondition that no random
+    # sample meets must still run its law on a fallback sample
+    for seed in range(12):
+        data = default_config_with(trials=1, seed=seed)
+        report = run_suites(parse_config(json.dumps(data)))
+        for s in report.suites:
+            assert s.verdict == "pass", (seed, s.name, s.witnesses[:1])
+            assert s.laws and all(c["runs"] >= 1 for c in s.laws.values()), (seed, s.name)
 
 
 def test_negative_control_fixture_fails_suite():
@@ -92,12 +139,19 @@ def test_bands_draws_trials_pairs(monkeypatch):
 # configs/default.json at trials 15, of the same config with a trivial
 # algebra added, and of the certify outputs of ``certify_outputs``; a change
 # that alters these bytes on purpose updates the digests and says which
-# fields changed
+# fields changed.  REPORT_DIGESTS and TRIVIAL_REPORT_DIGEST are taken with
+# each suite's "laws" block removed, the *_WITH_LAWS digests of the whole
+# report.
 REPORT_DIGESTS = {
     0: "85d6c05eb2151035ffeec1a7c6a16b11d6da6d7924cd1b533c8b32ebbb2f1852",
     1: "c10e7b123acd85634c51645376636e994306c97ae9cf5bac1322b350dcf1a857",
 }
 TRIVIAL_REPORT_DIGEST = "dc05a16be650bc2557645c410a4a2090b81bd56839d8658791810215b847d22d"
+REPORT_DIGESTS_WITH_LAWS = {
+    0: "6b00ff8f70e6e83f53eb6ecdb238a636f746dd3017e8735266343e9e296384e9",
+    1: "26faa8841999db70df843b42d72fe46d5792a7ff4261fff300e9226255a832d4",
+}
+TRIVIAL_REPORT_DIGEST_WITH_LAWS = "03b20d372e7640bd888e44a5a1d1a0371cd66725077f11c8515386db27402d1b"
 CERTIFICATE_DIGEST = "ef1a48add35204cf501b77df75ff31f788b98756fc166ecb5fba204521762614"
 
 
@@ -110,23 +164,29 @@ def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, indent=2).encode()).hexdigest()
 
 
-def timeless_report_digest(data: dict) -> str:
+def timeless_report_digests(data: dict) -> tuple[str, str]:
+    """Digests of the timeless report without and with its laws blocks."""
     d = run_suites(parse_config(json.dumps(data))).to_dict()
     for s in d["suites"]:
         s["seconds"] = 0
-    return digest(d)
+    full = digest(d)
+    for s in d["suites"]:
+        del s["laws"]
+    return digest(d), full
 
 
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 def test_report_bytes_are_pinned(seed):
     data = default_config_with(trials=15, seed=seed)
-    assert timeless_report_digest(data) == REPORT_DIGESTS[seed]
+    assert timeless_report_digests(data) == (REPORT_DIGESTS[seed],
+                                             REPORT_DIGESTS_WITH_LAWS[seed])
 
 
 def test_trivial_algebra_report_bytes_are_pinned():
     data = default_config_with(trials=15, seed=0)
     data["algebras"] = data["algebras"] + [{"name": "T", "kind": "powerset", "trivial": True}]
-    assert timeless_report_digest(data) == TRIVIAL_REPORT_DIGEST
+    assert timeless_report_digests(data) == (TRIVIAL_REPORT_DIGEST,
+                                             TRIVIAL_REPORT_DIGEST_WITH_LAWS)
 
 
 def certify_outputs() -> list[dict]:
