@@ -278,7 +278,8 @@ class Algebra:
     def joint_cells(self, parts: Sequence["Elem"]):
         """Shared cell partition refining every part, plus per-part bitmasks."""
         cells = refine_partition(self.one, parts)
-        masks = [sum(1 << i for i, c in enumerate(cells) if c.leq(x)) for x in parts]
+        leq = self.kernel.leq
+        masks = [sum(1 << i for i, c in enumerate(cells) if leq(c.data, x.data)) for x in parts]
         return cells, masks, len(cells)
 
     def join_cells(self, cells: Sequence["Elem"], mask: int) -> "Elem":

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations
 from math import lcm
+from operator import or_
+from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
 from .free_product import RectForm
@@ -102,26 +105,51 @@ def subset_without_supremum(count: int) -> int | None:
     Upper-bound sets come straight from pairwise order tests, so the walk
     does not assume the join is the supremum; it proves it.
     """
-    upset = []
-    for x in range(count):
-        mask = 0
-        for b in range(count):
-            if x & b == x:
-                mask |= 1 << b
-        upset.append(mask)
+    upset = [sum(1 << b for b in range(count) if x & b == x) for x in range(count)]
+    return first_subset_without_supremum(upset)
+
+
+def first_subset_without_supremum(upset: Sequence[int]) -> int | None:
+    """The least nonempty subset s of the elements 0..count-1 (count =
+    ``len(upset)``) whose bitwise-OR join j is not its least upper bound under
+    the order ``upset``, where ``upset[x] >> b & 1`` says x <= b; or None.
+
+    s fails when j is no upper bound of s, or some upper bound b of s has
+    j <= b false.  Every subset is checked at once: a family of subsets is
+    one integer with bit s standing for subset s, so each step below is one
+    big-integer operation over all 2^count subsets.
+    """
+    count = len(upset)
     nsets = 1 << count
-    joins = [0] * nsets
-    ubs = [(1 << count) - 1] * nsets
-    for s in range(1, nsets):
-        low = s & -s
-        i = low.bit_length() - 1
-        rest = s ^ low
-        joins[s] = joins[rest] | i
-        ubs[s] = ubs[rest] & upset[i]
-        j = joins[s]
-        if not ubs[s] >> j & 1 or ubs[s] & ~upset[j]:
-            return s
-    return None
+    full = (1 << nsets) - 1  # every subset
+    # holds[x]: the subsets holding x, the bit pattern of period 2^(x+1)
+    # whose upper half is set, widened by doubling shifts
+    holds = []
+    for x in range(count):
+        width = 1 << x
+        pattern, period = ((1 << width) - 1) << width, 2 * width
+        while period < nsets:
+            pattern |= pattern << period
+            period *= 2
+        holds.append(pattern)
+    # bounded[b]: the subsets all of whose members are below b
+    bounded = [full ^ reduce(or_, (holds[x] for x in range(count) if not upset[x] >> b & 1), 0)
+               for b in range(count)]
+    # by_join[j]: the subsets whose join is j, one intersection per atom bit
+    by_join = [full]
+    for t in range((count - 1).bit_length()):
+        has = reduce(or_, (holds[x] for x in range(count) if x >> t & 1), 0)
+        by_join = [f & ~has for f in by_join] + [f & has for f in by_join]
+    bad = 0
+    for j, subsets in enumerate(by_join):
+        if j >= count:  # the join is no element at all
+            bad |= subsets
+            continue
+        wrong = reduce(or_, (bounded[b] for b in range(count) if not upset[j] >> b & 1),
+                       full ^ bounded[j])
+        bad |= subsets & wrong
+    bad &= ~1  # the empty subset is not walked
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def check_model_dedekind_complete(dim: int, rng: random.Random) -> dict:

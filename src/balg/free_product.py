@@ -10,9 +10,13 @@ Each axis of a grid partitions that axis's unit, so the common refinement
 of several grids is the nonzero meets of their cells, one cell from each
 grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets with
 ``algebra._meets``, the one refinement kernel, and copy each grid's rows
-onto them with bit operations.  ``normalize`` builds its grid from the
-factors' ``joint_cells``: the cells refining the rectangle sides, and one
-cell mask per side.
+onto them with bit operations.  An axis on which every grid has the same
+cells is already common, so ``_overlay`` neither refines it nor moves rows
+along it.  ``normalize`` builds its grid from the factors' ``joint_cells``:
+the cells refining the rectangle sides, and one cell mask per side.  One
+nonzero rectangle a x b needs neither: its grid (a, ~a) x (b, ~b), with the
+one cell a x b active, is canonical as it stands.  Either way ``normalize``
+refines each axis once with ``refine_partition``.
 
 The product has one n-ary join, ``FreeProduct.join``.  ``_canonical``
 coarsens a grid one axis at a time with one step, ``_merge``: it merges the
@@ -32,9 +36,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Algebra, AlgebraError, Elem, POWERSET, _meets, point_index
-# bound here by name so that the perfbench tracer can patch it
-from .algebra import refine_partition  # noqa: F401
+from .algebra import Algebra, AlgebraError, Elem, POWERSET, _meets, point_index, refine_partition
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +103,15 @@ class FreeProduct:
         for r in rects:
             self.left._check(r.left)
             self.right._check(r.right)
+        if len(rects) == 1:
+            # the grid (a, ~a) x (b, ~b) with the one cell a x b active has
+            # distinct rows and distinct columns: it is canonical as built
+            (r,) = rects
+            L = refine_partition(self.left.one, [r.left])
+            R = refine_partition(self.right.one, [r.right])
+            col = 1 << R.index(r.right)
+            return RectForm(self, tuple(L), tuple(R),
+                            tuple(col if c == r.left else 0 for c in L))
         L, lmasks, _ = self.left.joint_cells([r.left for r in rects])
         R, rmasks, _ = self.right.joint_cells([r.right for r in rects])
         # row i: the right cells of every rectangle whose left side holds cell i
@@ -289,27 +300,42 @@ def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
     """Common grid of several elements, with each element's rows on it.
 
     Returns the common left and right cells and, per element, its activity
-    rows over them.  Over a trivial product the common grid is empty.
+    rows over them.  Over a trivial product the common grid is empty.  An
+    axis on which every element has the same cells is the common axis as it
+    stands: it is not refined, and rows are not moved along it.
     """
     if fp.is_trivial:
         return (), (), [[] for _ in grids]
-    L, lsrc = _meets(fp.left, [x.left_cells for x in grids])
-    R, rsrc = _meets(fp.right, [x.right_cells for x in grids])
+    L, lsrc = _common_axis(fp.left, [x.left_cells for x in grids])
+    R, rsrc = _common_axis(fp.right, [x.right_cells for x in grids])
     out = []
     for g, x in enumerate(grids):
-        # common columns under each of x's own columns
-        cols = [0] * len(x.right_cells)
-        for j, src in enumerate(rsrc):
-            cols[src[g]] |= 1 << j
-        spread = []
-        for row in x.rows:
-            m = 0
-            for k, col in enumerate(cols):
-                if row >> k & 1:
-                    m |= col
-            spread.append(m)
-        out.append([spread[src[g]] for src in lsrc])
+        if rsrc is None:
+            spread = x.rows
+        else:
+            # common columns under each of x's own columns
+            cols = [0] * len(x.right_cells)
+            for j, src in enumerate(rsrc):
+                cols[src[g]] |= 1 << j
+            spread = []
+            for row in x.rows:
+                m = 0
+                for k, col in enumerate(cols):
+                    if row >> k & 1:
+                        m |= col
+                spread.append(m)
+        out.append(spread if lsrc is None else [spread[src[g]] for src in lsrc])
     return L, R, out
+
+
+def _common_axis(alg: Algebra, axes: Sequence[Sequence[Elem]]):
+    """The common refinement of one axis of several grids and each cell's
+    signature, as ``_meets`` gives them.  When every grid has the same cells
+    on the axis, those cells are the refinement and the signatures are None:
+    common cell k is cell k of every grid."""
+    if axes and all(cells == axes[0] for cells in axes):
+        return list(axes[0]), None
+    return _meets(alg, axes)
 
 
 def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:

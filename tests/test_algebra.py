@@ -361,8 +361,8 @@ def test_fincof_agrees_with_powerset_on_a_window(x, y, xs):
 def test_refine_partition_bound_where_the_tracer_patches_it():
     """perfbench/tracing.py patches names in ``balg`` by string: every one in
     its tables must resolve, or a traced run fails.  ``refine_partition`` is
-    patched by name in free_product and tensor, which no longer call it
-    themselves."""
+    patched by name in free_product, whose single-rectangle ``normalize``
+    calls it, and in tensor, which does not."""
     assert free_product.refine_partition is algebra.refine_partition
     assert tensor.refine_partition is algebra.refine_partition
     # run_path compiles the source without importing it or writing bytecode

@@ -47,6 +47,67 @@ class TestFiniteCompleteness:
             "ok": True, "dimension": 9, "families_checked": 1123}
 
 
+def sequential_subset_without_supremum(upset):
+    """The subset walk before it went bit-parallel, kept as the oracle: each
+    nonempty subset s in increasing order takes its join and its upper-bound
+    set from s minus its lowest member, and the first s whose join is not an
+    upper bound, or is not below every upper bound, is returned."""
+    count = len(upset)
+    nsets = 1 << count
+    joins = [0] * nsets
+    ubs = [(1 << count) - 1] * nsets
+    for s in range(1, nsets):
+        low = s & -s
+        i = low.bit_length() - 1
+        rest = s ^ low
+        joins[s] = joins[rest] | i
+        ubs[s] = ubs[rest] & upset[i]
+        j = joins[s]
+        if j >= count or not ubs[s] >> j & 1 or ubs[s] & ~upset[j]:
+            return s
+    return None
+
+
+def bitmask_order(count):
+    """x <= b iff the bitmask x lies inside the bitmask b."""
+    return [sum(1 << b for b in range(count) if x & b == x) for x in range(count)]
+
+
+class TestSubsetWalk:
+    @pytest.mark.parametrize("count", [1, 2, 4, 8, 16])
+    def test_powersets_are_complete(self, count):
+        assert certs.subset_without_supremum(count) is None
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 6, 8, 9])
+    def test_matches_sequential_walk_on_the_bitmask_order(self, count):
+        # below a power of two some joins are no element, so the walk fails
+        assert (certs.first_subset_without_supremum(bitmask_order(count))
+                == sequential_subset_without_supremum(bitmask_order(count)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_sequential_walk_on_planted_orders(self, data):
+        count = data.draw(st.sampled_from([2, 3, 4, 5, 8]))
+        upset = bitmask_order(count)
+        for _ in range(data.draw(st.integers(1, 3))):
+            x, b = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
+            upset[x] ^= 1 << b
+        assert (certs.first_subset_without_supremum(upset)
+                == sequential_subset_without_supremum(upset))
+
+    def test_planted_orders_at_sixteen_elements(self):
+        rng = random.Random(0)
+        found = 0
+        for _ in range(12):
+            upset = bitmask_order(16)
+            x, b = rng.randrange(16), rng.randrange(16)
+            upset[x] ^= 1 << b
+            bad = certs.first_subset_without_supremum(upset)
+            assert bad == sequential_subset_without_supremum(upset)
+            found += bad is not None
+        assert found > 0
+
+
 def fraction_least_upper_bound_ok(family, sup=None):
     """The model check's Fraction body before it moved to integer rows, kept
     as the oracle: ``sup`` (by default the join of the family) bounds every

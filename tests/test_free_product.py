@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg import free_product, places, tensor
+from balg import algebra, free_product, places, tensor
 from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
 from balg.expr import grid_dict, rectform_from_grid
 from balg.free_product import FreeProduct, Rectangle, RectForm, _overlay, induced_hom
@@ -443,6 +443,23 @@ class TestOverlay:
     def test_matches_refine_partition(self, name, data):
         fp, left, right = OVERLAY_PRODUCTS[name]
         xs = data.draw(st.lists(grid_elems(fp, left, right), min_size=1, max_size=3))
+
+        def grid(left_cells, right_cells):
+            top = (1 << len(right_cells)) - 1
+            return RectForm(fp, left_cells, right_cells,
+                            tuple(data.draw(st.integers(0, top)) for _ in left_cells))
+
+        # draws where every grid has the same cells on one axis or on both
+        x, y = xs[0], xs[-1]
+        shared = data.draw(st.sampled_from(["none", "repeat", "both", "left", "right"]))
+        if shared == "repeat":
+            xs = [x] * len(xs)
+        elif shared == "both":
+            xs = [x, ~x, grid(x.left_cells, x.right_cells)]
+        elif shared == "left":
+            xs = [x, grid(x.left_cells, y.right_cells)]
+        elif shared == "right":
+            xs = [x, grid(y.left_cells, x.right_cells)]
         L, R, rows = _overlay(fp, xs)
         assert L == split_refine(fp.left.one, [c for x in xs for c in x.left_cells])
         assert R == split_refine(fp.right.one, [c for x in xs for c in x.right_cells])
@@ -474,6 +491,56 @@ class TestOverlay:
                     assert fp.contains_point(comp, p, q) == (not a)
                     below = below and (b or not a)
             assert x.leq(y) == below
+
+
+def side_elems(alg):
+    """Rectangle sides: the unit, or any drawn element (P(0) has only zero)."""
+    elems = fincof_elems() if alg.kind != POWERSET else powerset_elems(alg)
+    return st.one_of(st.just(alg.one), elems)
+
+
+SHORTCUT_PRODUCTS = {name: entry[0] for name, entry in OVERLAY_PRODUCTS.items()}
+SHORTCUT_PRODUCTS.update(TRIVIAL_PRODUCTS)
+
+
+class TestSingleRectangle:
+    @pytest.mark.parametrize("name", sorted(SHORTCUT_PRODUCTS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_general_path(self, name, data):
+        fp = SHORTCUT_PRODUCTS[name]
+        r = Rectangle(data.draw(side_elems(fp.left)), data.draw(side_elems(fp.right)))
+        x = fp.normalize([r])
+        assert x == fp.normalize([r, r]) == fp.rect(r.left, r.right)
+        assert x == rectform_from_grid(fp, grid_dict(x))  # canonical as built
+
+    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
+    def test_two_refinements_per_normalize(self, name, monkeypatch):
+        """perfbench's tracer reads two refinement spans under each
+        ``normalize`` span; count the calls through every binding it
+        patches."""
+        fp = OVERLAY_PRODUCTS[name][0]
+        calls = [0]
+        original = algebra.refine_partition
+
+        def counting(one, parts):
+            calls[0] += 1
+            return original(one, parts)
+
+        for mod in (algebra, free_product, tensor):
+            monkeypatch.setattr(mod, "refine_partition", counting)
+        rng = random.Random(4)
+        checked = {1: 0, 2: 0, 3: 0}
+        for k in range(60):
+            rects = [Rectangle(fp.left.random_elem(rng), fp.right.random_elem(rng))
+                     for _ in range(1 + k % 3)]
+            live = sum(not r.is_zero() for r in rects)
+            if live:
+                calls[0] = 0
+                fp.normalize(rects)
+                assert calls[0] == 2, len(rects)
+                checked[live] += 1
+        assert all(checked.values()), checked
 
 
 def naive_meets(alg, partitions):
