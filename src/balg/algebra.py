@@ -15,6 +15,12 @@ Paige and Tarjan (SIAM J. Comput. 1987); ``refine_partition``,
 ``Algebra.joint_cells`` and the free-product grid overlay are built on it.
 A new backend kind takes one kernel with the same operations, one literal
 in the expression grammar and one config kind.
+
+``Elem`` is a frozen, slotted dataclass whose ``__init__`` sets each slot
+once through its member descriptor, skipping the frozen ``__setattr__``
+guard, so building one costs little more than a tuple; it stays immutable,
+and ``==``, ``hash`` and ``repr`` are the generated ones.  An ``Algebra``
+builds its ``zero``, ``one`` and atoms once and hands out the same values.
 """
 
 from __future__ import annotations
@@ -175,27 +181,29 @@ class Algebra:
     finite and cofinite subsets of the naturals.  The trivial algebra, the
     one-element algebra in which 0 = 1, is the powerset of no points, P(0).
     The ``name`` is a display label and does not participate in equality.
+    The algebra holds its ``zero``, ``one`` and atoms, built once with it;
+    like the kernel, they take no part in equality or ``repr``.
     """
 
     kind: str
     atom_count: int = 0
     name: str = field(default="", compare=False)
     kernel: _PowersetKernel | _FinCofKernel = field(init=False, compare=False, repr=False)
+    zero: "Elem" = field(init=False, compare=False, repr=False)
+    one: "Elem" = field(init=False, compare=False, repr=False)
+    _atoms: tuple["Elem", ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in tuple(_KERNELS):
             raise AlgebraError(f"unknown algebra kind {self.kind!r}")
-        object.__setattr__(self, "kernel", _KERNELS[self.kind](self.atom_count))
+        kernel = _KERNELS[self.kind](self.atom_count)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "zero", Elem(self, kernel.zero))
+        object.__setattr__(self, "one", Elem(self, kernel.one))
+        atoms = tuple(Elem(self, 1 << i) for i in range(self.atom_count))
+        object.__setattr__(self, "_atoms", atoms)
 
     # -- element constructors ------------------------------------------------
-
-    @property
-    def zero(self) -> "Elem":
-        return Elem(self, self.kernel.zero)
-
-    @property
-    def one(self) -> "Elem":
-        return Elem(self, self.kernel.one)
 
     @property
     def is_trivial(self) -> bool:
@@ -232,7 +240,7 @@ class Algebra:
             raise AlgebraError("the trivial algebra has no atoms")
         if self.kind != POWERSET:
             raise AlgebraError("atoms are not enumerable for finite_cofinite")
-        return tuple(Elem(self, 1 << i) for i in range(self.atom_count))
+        return self._atoms
 
     def atom_mask(self, x: "Elem") -> int:
         """Bitmask of atoms below x (powerset only)."""
@@ -289,7 +297,7 @@ class Algebra:
     def _check(self, x: "Elem") -> "Elem":
         if not isinstance(x, Elem):
             raise AlgebraError(f"{type(x).__name__} used as an element of {self.name or self.kind}")
-        if x.alg != self:
+        if x.alg is not self and x.alg != self:
             raise AlgebraError(f"element of {x.alg.name or x.alg.kind} used in {self.name or self.kind}")
         return x
 
@@ -324,12 +332,20 @@ def _support(items: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Elem:
-    """An element of a backend algebra, ``data`` in its kernel's format."""
+    """An element of a backend algebra, ``data`` in its kernel's format.
+
+    Frozen: ``__init__`` sets each slot once through its descriptor, and any
+    later assignment raises ``FrozenInstanceError``.
+    """
 
     alg: Algebra
     data: int | tuple[str, tuple[int, ...]]
+
+    def __init__(self, alg: Algebra, data) -> None:
+        _elem_alg(self, alg)
+        _elem_data(self, data)
 
     def _match(self, other: "Elem") -> None:
         if not isinstance(other, Elem) or (other.alg is not self.alg and other.alg != self.alg):
@@ -367,6 +383,10 @@ class Elem:
         return self.alg.kernel.contains(self.data, n)
 
 
+_elem_alg = Elem.alg.__set__
+_elem_data = Elem.data.__set__
+
+
 def point_index(alg: Algebra, cells: Sequence[Elem]) -> tuple[dict[int, int], int | None]:
     """Where the points of one axis lie among its cells.
 
@@ -395,9 +415,13 @@ def refine_partition(one: Elem, parts: Sequence[Elem]) -> list[Elem]:
     """Atoms of the finite subalgebra generated by ``parts``.
 
     The common refinement of the two-cell partitions ``(x, ~x)``: all the
-    nonzero signed meets of the parts, sorted by ``sort_key``.
+    nonzero signed meets of the parts, sorted by ``sort_key``.  The
+    partitions are formed on kernel data, so no ``~x`` is built as an element.
     """
-    return _meets(one.alg, [(x, ~x) for x in parts])[0]
+    alg = one.alg
+    kernel = alg.kernel
+    cells, _ = kernel.meets([(x.data, kernel.complement(x.data)) for x in parts])
+    return [Elem(alg, data) for data in cells]
 
 
 # -- homomorphisms -----------------------------------------------------------

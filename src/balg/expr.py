@@ -6,6 +6,8 @@ numbers in the ASCII digits ``0``-``9`` only;
 operators ``!`` (complement, prefix), ``&`` (meet), ``(+)`` (disjoint sum),
 ``|`` (join), with precedence ``!`` > ``&`` > ``(+)`` > ``|``; parentheses.
 Over a free product the literal ``rect(A_EXPR,B_EXPR)`` denotes a rectangle.
+Parentheses, ``rect(`` and ``!`` nest at most ``MAX_DEPTH`` deep; deeper
+text is an ExprError, not a RecursionError.
 
 Place functions read and print as ``2*chi({1,2}) + 3*chi({2,3})`` with
 exact rational coefficients ``p/q``.
@@ -81,13 +83,24 @@ def _naturals(runs: list[str], pos: int) -> list[int]:
         raise ExprError(f"a number of {max(map(len, runs))} digits is too long", pos) from None
 
 
+MAX_DEPTH = 100
+
+
 class _Parser:
     """Recursive descent over a shared token stream; the backend travels as
-    an argument so rect(...) can switch context for its two sides."""
+    an argument so rect(...) can switch context for its two sides.  ``depth``
+    counts the open parentheses, ``rect(`` and ``!`` around the current
+    token."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"expression nested more than {MAX_DEPTH} deep", pos)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -127,15 +140,19 @@ class _Parser:
 
     def unary(self, backend: Backend):
         if self.peek()[0] == "BANG":
-            self.next()
-            return ~self.unary(backend)
+            self.nest(self.next()[2])
+            x = ~self.unary(backend)
+            self.depth -= 1
+            return x
         return self.primary(backend)
 
     def primary(self, backend: Backend):
         kind, value, pos = self.next()
         if kind == "LPAREN":
+            self.nest(pos)
             x = self.element(backend)
             self.expect("RPAREN")
+            self.depth -= 1
             return x
         if kind == "NUM" and value == "0":
             return backend.zero
@@ -158,10 +175,12 @@ class _Parser:
             if not isinstance(backend, FreeProduct):
                 raise ExprError("rect(...) literal outside a free product", pos)
             self.expect("LPAREN")
+            self.nest(pos)
             left = self.element(backend.left)
             self.expect("COMMA")
             right = self.element(backend.right)
             self.expect("RPAREN")
+            self.depth -= 1
             return backend.rect(left, right)
         raise ExprError(f"unexpected token {value!r}", pos)
 

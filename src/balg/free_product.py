@@ -22,7 +22,7 @@ The product has one n-ary join, ``FreeProduct.join``.  ``_canonical``
 coarsens a grid one axis at a time with one step, ``_merge``: it merges the
 left cells with equal rows, transposes, merges the right cells with equal
 columns and transposes back, each group of cells joined once with the
-factor's ``join``.  The complement of a canonical grid complements its rows
+factor kernel's ``join``.  The complement of a canonical grid complements its rows
 and is canonical as it stands.  A product with a trivial factor has one
 element, the empty grid with no cells: only ``_overlay`` tests for this, and
 ``normalize`` finds every rectangle there zero.
@@ -33,18 +33,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import Algebra, AlgebraError, Elem, POWERSET, _meets, point_index, refine_partition
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rectangle:
     """A coordinate rectangle: the meet of the two factor embeddings."""
 
     left: Elem
     right: Elem
+
+    def __init__(self, left: Elem, right: Elem) -> None:
+        _rect_left(self, left)
+        _rect_right(self, right)
 
     def is_zero(self) -> bool:
         return self.left.is_zero() or self.right.is_zero()
@@ -230,19 +234,29 @@ class FreeProduct:
         return _canonical(self, L, R, rows)
 
     def _check(self, x: "RectForm") -> "RectForm":
-        if not isinstance(x, RectForm) or x.fp != self:
+        if not isinstance(x, RectForm) or (x.fp is not self and x.fp != self):
             raise AlgebraError("element belongs to a different free product")
         return x
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RectForm:
-    """Canonical grid form of a free-product element."""
+    """Canonical grid form of a free-product element.
+
+    Built like ``Elem``: ``__init__`` sets each slot once, and it is frozen.
+    """
 
     fp: FreeProduct
     left_cells: tuple[Elem, ...]
     right_cells: tuple[Elem, ...]
     rows: tuple[int, ...]
+
+    def __init__(self, fp: FreeProduct, left_cells: tuple[Elem, ...],
+                 right_cells: tuple[Elem, ...], rows: tuple[int, ...]) -> None:
+        _grid_fp(self, fp)
+        _grid_left(self, left_cells)
+        _grid_right(self, right_cells)
+        _grid_rows(self, rows)
 
     @property
     def alg(self) -> FreeProduct:
@@ -296,6 +310,14 @@ class RectForm:
                      for lc, row in zip(self.left_cells, self.rows) if row)
 
 
+_rect_left = Rectangle.left.__set__
+_rect_right = Rectangle.right.__set__
+_grid_fp = RectForm.fp.__set__
+_grid_left = RectForm.left_cells.__set__
+_grid_right = RectForm.right_cells.__set__
+_grid_rows = RectForm.rows.__set__
+
+
 def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
     """Common grid of several elements, with each element's rows on it.
 
@@ -320,9 +342,10 @@ def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
             spread = []
             for row in x.rows:
                 m = 0
-                for k, col in enumerate(cols):
-                    if row >> k & 1:
-                        m |= col
+                while row:
+                    low = row & -row
+                    m |= cols[low.bit_length() - 1]
+                    row ^= low
                 spread.append(m)
         out.append(spread if lsrc is None else [spread[src[g]] for src in lsrc])
     return L, R, out
@@ -354,16 +377,21 @@ def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
 
 def _merge(alg: Algebra, cells: Sequence[Elem], masks: Sequence[int]):
     """Join the cells that share a mask, a lone cell kept as it is and each
-    group of several joined once, and sort the merged cells by ``sort_key``.
+    group of several joined once with the kernel's ``join``, and sort the
+    merged cells by the kernel's ``sort_key``, taken once per merged cell.
 
     Returns the merged cells and, beside each, its mask.
     """
+    kernel = alg.kernel
     groups: dict[int, list[Elem]] = {}
     for cell, m in zip(cells, masks):
         groups.setdefault(m, []).append(cell)
-    merged = sorted(((g[0] if len(g) == 1 else alg.join(g), m) for m, g in groups.items()),
-                    key=lambda t: alg.sort_key(t[0]))
-    return tuple(c for c, _ in merged), [m for _, m in merged]
+    merged = []
+    for m, g in groups.items():
+        cell = g[0] if len(g) == 1 else Elem(alg, kernel.join([c.data for c in g]))
+        merged.append((kernel.sort_key(cell.data), cell, m))
+    merged.sort(key=itemgetter(0))
+    return tuple(c for _, c, _ in merged), [m for _, _, m in merged]
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:

@@ -22,12 +22,19 @@ from typing import Iterable, Sequence
 from .algebra import AlgebraError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PlaceFunction:
-    """Canonical disjoint-support rational combination of characteristics."""
+    """Canonical disjoint-support rational combination of characteristics.
+
+    Built like ``Elem``: ``__init__`` sets each slot once, and it is frozen.
+    """
 
     backend: object
     terms: tuple[tuple[Fraction, object], ...]
+
+    def __init__(self, backend, terms: tuple[tuple[Fraction, object], ...]) -> None:
+        _place_backend(self, backend)
+        _place_terms(self, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -48,6 +55,10 @@ class PlaceFunction:
 
     def __neg__(self) -> "PlaceFunction":
         return scale(Fraction(-1), self)
+
+
+_place_backend = PlaceFunction.backend.__set__
+_place_terms = PlaceFunction.terms.__set__
 
 
 def zero(backend) -> PlaceFunction:
@@ -77,7 +88,7 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
     for c, x in raw:
         c = Fraction(c)
         if c != 0 and not x.is_zero():
-            if x.alg != backend:
+            if x.alg is not backend and x.alg != backend:
                 raise AlgebraError("support from a different backend")
             terms.append((c, x))
     if not terms:

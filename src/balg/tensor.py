@@ -23,16 +23,22 @@ from . import places
 from .places import PlaceFunction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AtomVector:
-    """Exact-rational coordinates over an atom index set."""
+    """Exact-rational coordinates over an atom index set.
+
+    Built like ``Elem``: ``__init__`` checks the length and sets each slot
+    once, and it is frozen.
+    """
 
     space: tuple
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.space) != len(self.values):
+    def __init__(self, space: tuple, values: tuple[Fraction, ...]) -> None:
+        if len(space) != len(values):
             raise ValueError("coordinate count must match the atom set")
+        _vector_space(self, space)
+        _vector_values(self, values)
 
     def _match(self, other: "AtomVector") -> None:
         if self.space != other.space:
@@ -76,6 +82,10 @@ class AtomVector:
 
     def support_labels(self) -> frozenset:
         return frozenset(l for l, a in zip(self.space, self.values) if a != 0)
+
+
+_vector_space = AtomVector.space.__set__
+_vector_values = AtomVector.values.__set__
 
 
 def vector(space: Sequence, values) -> AtomVector:

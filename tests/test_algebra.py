@@ -113,6 +113,21 @@ class TestDescriptor:
         assert P3.atoms() == (P3.subset([1]), P3.subset([2]), P3.subset([3]))
         assert powerset(1).atoms() == (powerset(1).subset([1]),)
 
+    def test_zero_one_and_atoms_are_held(self):
+        """Built once with the algebra, handed out as the same objects, and
+        outside its equality, hash and repr."""
+        for alg in (P3, powerset(16), FC, trivial_algebra()):
+            assert alg.zero is alg.zero and alg.one is alg.one
+            assert alg.zero == Elem(alg, alg.kernel.zero) and alg.one == Elem(alg, alg.kernel.one)
+            assert alg.zero.alg is alg and alg.one.alg is alg
+        for alg in (P3, powerset(16)):
+            assert alg.atoms() is alg.atoms() and len(alg.atoms()) == alg.atom_count
+            assert all(a.alg is alg for a in alg.atoms())
+        twin = Algebra(POWERSET, 3)
+        assert twin == P3 and hash(twin) == hash(P3) == hash((POWERSET, 3))
+        assert twin.one is not P3.one and twin.one == P3.one
+        assert repr(P3) == "Algebra(kind='powerset', atom_count=3, name='P(3)')"
+
     def test_atoms_errors(self):
         with pytest.raises(AlgebraError):
             FC.atoms()
@@ -124,7 +139,14 @@ class TestDescriptor:
 
     def test_name_does_not_affect_equality(self):
         assert powerset(3, "X") == powerset(3, "Y")
+        assert hash(powerset(3, "X")) == hash(powerset(3, "Y"))
         assert powerset(3) != powerset(4)
+        # a check that finds another object falls back to equality
+        x, y = powerset(3, "X"), powerset(3, "Y")
+        assert x.sup([y.subset([1]), x.subset([2])]) == P3.subset([1, 2])
+        assert x.atom_mask(y.one) == 0b111
+        with pytest.raises(AlgebraError):
+            x.sup([powerset(4).one])
         # so elements of equal algebras that are distinct objects combine
         assert powerset(3, "X").subset([1]) & powerset(3, "Y").subset([1, 2]) == P3.subset([1])
         fp, twin = FreeProduct(P3, FC), FreeProduct(powerset(3, "X"), finite_cofinite())
@@ -292,12 +314,23 @@ REFINE_AXES = {
 @given(data=st.data())
 def test_refine_partition_matches_split_reference(name, data):
     """The kernel route equals splitting the unit part by part, for 0-5
-    parts with repeats, zero and one among them."""
+    parts with repeats, zero and one among them; it forms each ``(x, ~x)``
+    on kernel data, so it still does with ``Elem.__invert__`` broken, and
+    so does ``joint_cells``."""
     alg, elems = REFINE_AXES[name]
     pool = data.draw(st.lists(st.one_of(elems, st.sampled_from((alg.zero, alg.one))),
                               min_size=1, max_size=5))
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=5))
-    assert refine_partition(alg.one, parts) == split_refine(alg.one, parts)
+    want = split_refine(alg.one, parts)
+    masks = [sum(1 << i for i, c in enumerate(want) if c.leq(x)) for x in parts]
+
+    def no_complement(x):
+        raise AssertionError("an element complement was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Elem, "__invert__", no_complement)
+        assert refine_partition(alg.one, parts) == want
+        assert alg.joint_cells(parts) == (want, masks, len(want))
 
 
 P2 = powerset(2)

@@ -218,6 +218,16 @@ class TestVerify:
         b = json.loads(r2.read_text(encoding="utf-8"))
         assert a["config_echo"]["seed"] == 99 == b["config_echo"]["seed"]
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "--algebra", "P(3)", "--expr", "(" * 200 + "0" + ")" * 200],
+        ["certify", "--target", "diagonal", "--start", "!" * 1000 + "0"],
+    ], ids=["eval_parens", "certify_bangs"])
+    def test_deep_nesting_exits_2_without_traceback(self, args):
+        proc = subprocess.run([sys.executable, "-m", "balg.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "nested more than" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "balg.cli", "eval", "--algebra", "P(2)",

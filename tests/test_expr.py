@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balg.algebra import POWERSET, Elem, trivial_algebra
-from balg.expr import (ExprError, _Parser, elem_text, grid_dict, parse_element,
+from balg.expr import (MAX_DEPTH, ExprError, _Parser, elem_text, grid_dict, parse_element,
                        parse_place, place_text, rect_text, rectform_from_grid)
 from balg.free_product import FreeProduct, RectForm, _canonical
 from balg import free_product, places
@@ -20,6 +20,17 @@ GRIDS = {
     "P3xFC": (FreeProduct(P3, FC), powerset_elems(P3), fincof_elems()),
 }
 ELEMS = {"P3": (P3, powerset_elems(P3)), "FC": (FC, fincof_elems())}
+
+
+def merge_on_elements(alg, cells, masks):
+    """Oracle for ``free_product._merge``: the same merge on elements, each
+    group joined with ``Algebra.join`` and sorted by ``Algebra.sort_key``."""
+    groups = {}
+    for cell, m in zip(cells, masks):
+        groups.setdefault(m, []).append(cell)
+    merged = sorted(((g[0] if len(g) == 1 else alg.join(g), m) for m, g in groups.items()),
+                    key=lambda t: alg.sort_key(t[0]))
+    return tuple(c for c, _ in merged), [m for _, m in merged]
 
 
 class TestElementGrammar:
@@ -161,6 +172,49 @@ class TestDigits:
     def test_place_coefficients_are_ascii(self):
         with pytest.raises(ExprError):
             parse_place(P3, "²*chi({1})")
+
+
+def nested(depth: int, inner: str = "0") -> dict[str, str]:
+    """``inner`` under ``depth`` levels of each nesting form."""
+    return {"parens": "(" * depth + inner + ")" * depth,
+            "bangs": "!" * depth + inner,
+            "mixed": "!(" * (depth // 2) + "!" * (depth % 2) + inner + ")" * (depth // 2)}
+
+
+class TestNestingDepth:
+    """Nesting past MAX_DEPTH is an ExprError at every entry point, however
+    deep, never a RecursionError; nesting up to it parses."""
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1000, 5000])
+    def test_parse_element_rejects_deep_nesting(self, depth):
+        for text in nested(depth).values():
+            with pytest.raises(ExprError, match="nested more than"):
+                parse_element(P3, text)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1000])
+    def test_parse_place_rejects_deep_nesting(self, depth):
+        for text in nested(depth, "{1}").values():
+            with pytest.raises(ExprError, match="nested more than"):
+                parse_place(P3, f"2*chi({text})")
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, 1000])
+    def test_rect_sides_count_toward_the_depth(self, depth):
+        fp = FreeProduct(P3, FC)
+        # rect( is one level, so its sides hold one level fewer
+        for text in nested(depth).values():
+            with pytest.raises(ExprError, match="nested more than"):
+                parse_element(fp, f"rect({text},1)")
+            with pytest.raises(ExprError, match="nested more than"):
+                parse_element(fp, f"rect(1,{text})")
+
+    def test_nesting_up_to_the_limit_parses(self):
+        fp = FreeProduct(P3, FC)
+        for text in nested(MAX_DEPTH).values():
+            want = P3.one if text.count("!") % 2 else P3.zero
+            assert parse_element(P3, text) == want
+            assert parse_place(P3, f"chi({text} | {{1}})") == places.chi(want | P3.subset([1]))
+        inner = nested(MAX_DEPTH - 1)["parens"]
+        assert parse_element(fp, f"rect({inner},1)") == fp.zero
 
 
 # texts the literal fast path is tried on: strings of these pieces, and
@@ -310,13 +364,17 @@ class TestCanonicalGrids:
     def test_canonical_of_any_grid(self, name, data):
         """``_canonical`` of a grid in any cell order, with equal rows and
         equal columns: canonical, and the same set as the raw grid at every
-        named point and at one generic point."""
+        named point and at one generic point.  Each axis merges as the
+        element-level oracle does."""
         fp, left, right = GRIDS[name]
         L = data.draw(partitions(fp.left, left))
         R = data.draw(partitions(fp.right, right))
         # rows drawn from a few patterns, so that rows and columns repeat
         pool = data.draw(st.lists(st.integers(0, (1 << len(R)) - 1), min_size=1, max_size=3))
         rows = [data.draw(st.sampled_from(pool)) for _ in L]
+        for alg, cells, masks in ((fp.left, L, rows),
+                                  (fp.right, R, free_product._transpose(rows, len(R)))):
+            assert free_product._merge(alg, cells, masks) == merge_on_elements(alg, cells, masks)
         x = _canonical(fp, L, R, rows)
         assert len(set(x.rows)) == len(x.rows)
         cols = [tuple(r >> j & 1 for r in x.rows) for j in range(len(x.right_cells))]
