@@ -4,10 +4,10 @@ certificates, with a verification CLI."""
 from .algebra import (Algebra, AlgebraError, Elem, Hom, HomCheck,
                       check_homomorphism, finite_cofinite, powerset,
                       trivial_algebra)
-from .free_product import FreeProduct, Rectangle, RectForm, induced_hom
+from .free_product import FreeProduct, InducedHom, Rectangle, RectForm
 from .places import (PlaceFunction, add_formula, add_refine, canonicalize, chi,
                      check_regularity, is_component, scale)
-from .tensor import (AtomVector, LinearLatticeMap, build_T, psi, pure_tensor,
+from .tensor import (AtomVector, LinearLatticeMap, TensorMap, psi, pure_tensor,
                      verify_bimorphism, verify_T_onto_and_injective,
                      verify_universal_property)
 from .bands import Band, band_algebra, bands_disjoint, compare_band_products, principal_band

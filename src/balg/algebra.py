@@ -181,8 +181,8 @@ class Algebra:
     finite and cofinite subsets of the naturals.  The trivial algebra, the
     one-element algebra in which 0 = 1, is the powerset of no points, P(0).
     The ``name`` is a display label and does not participate in equality.
-    The algebra holds its ``zero``, ``one`` and atoms, built once with it;
-    like the kernel, they take no part in equality or ``repr``.
+    The algebra holds its ``zero``, ``one``, atoms and ``is_trivial``, fixed
+    once with it; like the kernel, they take no part in equality or ``repr``.
     """
 
     kind: str
@@ -191,6 +191,7 @@ class Algebra:
     kernel: _PowersetKernel | _FinCofKernel = field(init=False, compare=False, repr=False)
     zero: "Elem" = field(init=False, compare=False, repr=False)
     one: "Elem" = field(init=False, compare=False, repr=False)
+    is_trivial: bool = field(init=False, compare=False, repr=False)
     _atoms: tuple["Elem", ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -200,14 +201,11 @@ class Algebra:
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "zero", Elem(self, kernel.zero))
         object.__setattr__(self, "one", Elem(self, kernel.one))
+        object.__setattr__(self, "is_trivial", kernel.zero == kernel.one)
         atoms = tuple(Elem(self, 1 << i) for i in range(self.atom_count))
         object.__setattr__(self, "_atoms", atoms)
 
     # -- element constructors ------------------------------------------------
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.kernel.zero == self.kernel.one
 
     def subset(self, atoms: Iterable[int]) -> "Elem":
         """Powerset element from 1-based atom indices."""
@@ -445,21 +443,20 @@ class Hom:
       fixtures that need not be homomorphisms at all.
     """
 
-    __slots__ = ("source", "target", "_atom_map", "_cells", "_images", "_table", "label")
+    __slots__ = ("source", "target", "_atom_map", "_cells", "_images", "_table")
 
     def __init__(self, source: Algebra, target: Algebra, *, atom_map=None,
-                 cells=None, images=None, table=None, label: str = ""):
+                 cells=None, images=None, table=None):
         self.source = source
         self.target = target
         self._atom_map = atom_map
         self._cells = cells
         self._images = images
         self._table = table
-        self.label = label
 
     @classmethod
     def from_atom_map(cls, source: Algebra, target: Algebra,
-                      atom_map: Sequence[int], label: str = "") -> "Hom":
+                      atom_map: Sequence[int]) -> "Hom":
         """atom_map[q] is the 1-based source atom assigned to target atom q+1."""
         if source.kind != POWERSET or target.kind != POWERSET:
             raise AlgebraError("atom maps require powerset backends")
@@ -468,15 +465,15 @@ class Hom:
         for a in atom_map:
             if not 1 <= a <= source.atom_count:
                 raise AlgebraError(f"atom map value {a} outside source atoms")
-        return cls(source, target, atom_map=tuple(atom_map), label=label)
+        return cls(source, target, atom_map=tuple(atom_map))
 
     @classmethod
     def identity(cls, alg: Algebra) -> "Hom":
-        return cls.from_atom_map(alg, alg, range(1, alg.atom_count + 1), label="id")
+        return cls.from_atom_map(alg, alg, range(1, alg.atom_count + 1))
 
     @classmethod
     def from_generator_images(cls, source: Algebra, target: Algebra,
-                              pairs: Sequence[tuple[Elem, Elem]], label: str = "") -> "Hom":
+                              pairs: Sequence[tuple[Elem, Elem]]) -> "Hom":
         """Extend prescribed generator images over the generated subalgebra.
 
         The domain cells are the atoms of the subalgebra generated by the
@@ -490,12 +487,12 @@ class Hom:
         cells, masks, _ = source.joint_cells(gens)
         images = [reduce(and_, (gi if m >> i & 1 else ~gi for (_, gi), m in zip(pairs, masks)),
                          target.one) for i in range(len(cells))]
-        return cls(source, target, cells=tuple(cells), images=tuple(images), label=label)
+        return cls(source, target, cells=tuple(cells), images=tuple(images))
 
     @classmethod
     def from_table(cls, source: Algebra, target: Algebra,
-                   table: dict[Elem, Elem], label: str = "") -> "Hom":
-        return cls(source, target, table=dict(table), label=label)
+                   table: dict[Elem, Elem]) -> "Hom":
+        return cls(source, target, table=dict(table))
 
     def __call__(self, x: Elem) -> Elem:
         self.source._check(x)

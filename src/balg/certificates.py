@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
 from .free_product import RectForm
-from . import expr
+from .expr import serialize_value
 from .tensor import AtomVector, random_vector
 
 EVENS_FAMILY = "singletons of even naturals in finite_cofinite"
@@ -65,16 +65,10 @@ class Certificate:
         return out
 
 
-def _serialize(x) -> object:
-    if isinstance(x, RectForm):
-        return expr.grid_dict(x)
-    return expr.elem_text(x)
-
-
 def _step_dict(s: RefuteStep) -> dict:
-    defect = list(s.defect) if isinstance(s.defect, tuple) else s.defect
-    return {"upper_bound": _serialize(s.upper_bound), "defect": defect,
-            "improved": _serialize(s.improved)}
+    return {"upper_bound": serialize_value(s.upper_bound),
+            "defect": serialize_value(s.defect),
+            "improved": serialize_value(s.improved)}
 
 
 # -- exhaustive completeness of small finite algebras ---------------------------

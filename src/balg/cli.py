@@ -26,7 +26,7 @@ from .algebra import Algebra, AlgebraError, finite_cofinite, powerset, trivial_a
 from .certificates import (Certificate, DIAGONAL_FAMILY, EVENS_FAMILY,
                            NotUpperBound, no_supremum_certificate)
 from .config import ConfigError, parse_config
-from .expr import ExprError, element_text, parse_element
+from .expr import ExprError, element_text, parse_element, serialize_value
 from .free_product import FreeProduct
 from .suites import Report, run_suites
 from .validation import validate_certificate
@@ -132,9 +132,8 @@ def cmd_certify(args) -> int:
     outcome = no_supremum_certificate(family, start, steps=args.steps)
     if isinstance(outcome, NotUpperBound):
         print(json.dumps({"verdict": "not_upper_bound", "family": family,
-                          "witness": list(outcome.witness)
-                          if isinstance(outcome.witness, tuple)
-                          else outcome.witness}, sort_keys=True, indent=2))
+                          "witness": serialize_value(outcome.witness)},
+                         sort_keys=True, indent=2))
         return EXIT_PASS
     assert isinstance(outcome, Certificate)
     payload = outcome.to_dict()

@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import Union
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
-from .free_product import FreeProduct, RectForm
+from .free_product import FreeProduct, Rectangle, RectForm
 from . import places
+from .tensor import AtomVector
 
 Backend = Union[Algebra, FreeProduct]
 
@@ -273,9 +274,9 @@ def parse_place(backend: Backend, text: str) -> "places.PlaceFunction":
 
 def elem_text(x: Elem) -> str:
     alg = x.alg
-    if x == alg.zero:
+    if x.data == alg.kernel.zero:
         return "0"
-    if x == alg.one:
+    if x.data == alg.kernel.one:
         return "1"
     if alg.kind == POWERSET:
         atoms = [str(i + 1) for i in range(alg.atom_count) if x.data >> i & 1]
@@ -364,3 +365,25 @@ def place_text(f: "places.PlaceFunction") -> str:
         else:
             parts.append(("- " if coeff < 0 else "+ ") + body)
     return " ".join(parts)
+
+
+def serialize_value(x) -> object:
+    """JSON-able rendering of library values, in the expression grammar."""
+    if isinstance(x, Elem):
+        return elem_text(x)
+    if isinstance(x, places.PlaceFunction):
+        return place_text(x)
+    if isinstance(x, AtomVector):
+        return {"space": [list(l) if isinstance(l, tuple) else l for l in x.space],
+                "values": [str(v) for v in x.values]}
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, RectForm):
+        return grid_dict(x)
+    if isinstance(x, Rectangle):
+        return [elem_text(x.left), elem_text(x.right)]
+    if isinstance(x, (list, tuple)):
+        return [serialize_value(v) for v in x]
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    raise TypeError(f"no report form for {type(x).__name__}")

@@ -461,7 +461,3 @@ class InducedHom:
         """Same map computed through the disjoint-rectangle decomposition."""
         return self.target.join(self.phi_left(r.left) & self.phi_right(r.right)
                                 for r in x.decompose_disjoint())
-
-
-def induced_hom(phi_left, phi_right, target: Algebra) -> InducedHom:
-    return InducedHom(phi_left, phi_right, target)

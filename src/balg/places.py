@@ -56,6 +56,12 @@ class PlaceFunction:
     def __neg__(self) -> "PlaceFunction":
         return scale(Fraction(-1), self)
 
+    def scale(self, c) -> "PlaceFunction":
+        return scale(c, self)
+
+    def meet(self, other: "PlaceFunction") -> "PlaceFunction":
+        return meet(self, other)
+
 
 _place_backend = PlaceFunction.backend.__set__
 _place_terms = PlaceFunction.terms.__set__

@@ -224,27 +224,14 @@ def split_representation(f: PlaceFunction, rng: random.Random):
     return terms[:k] + [(c, lo), (c, hi)] + terms[k + 1:]
 
 
-# -- Riesz space adapters for bimorphism checking -------------------------------
+# -- samplers for bimorphism checking --------------------------------------------
 
 
 class PlaceSpace:
-    """Riesz-space operations of C over a backend, for generic verifiers."""
+    """Random place functions over a backend, for generic verifiers."""
 
     def __init__(self, backend):
         self.backend = backend
-
-    @property
-    def zero(self):
-        return places.zero(self.backend)
-
-    def add(self, f, g):
-        return places.add_refine(f, g)
-
-    def scale(self, c, f):
-        return places.scale(c, f)
-
-    def meet(self, f, g):
-        return places.meet(f, g)
 
     def random(self, rng):
         return places.random_place(self.backend, rng)
@@ -263,23 +250,10 @@ class PlaceSpace:
 
 
 class VectorSpace:
-    """Coordinate Riesz space over a fixed atom set."""
+    """Random coordinate vectors over a fixed atom set."""
 
     def __init__(self, space: Sequence):
         self.space = tuple(space)
-
-    @property
-    def zero(self):
-        return zeros(self.space)
-
-    def add(self, v, w):
-        return v + w
-
-    def scale(self, c, v):
-        return v.scale(c)
-
-    def meet(self, v, w):
-        return v.meet(w)
 
     def random(self, rng):
         return random_vector(self.space, rng)
@@ -306,10 +280,12 @@ class BimorphismCheck:
     trials: int = 0
 
 
-def verify_bimorphism(m: Callable, E, F, H, trials: int = 200,
+def verify_bimorphism(m: Callable, E, F, trials: int = 200,
                       rng: random.Random | None = None) -> BimorphismCheck:
     """Check bilinearity, scalar interchange, and slot disjointness of m.
 
+    ``E`` and ``F`` draw the arguments of each slot; the values and m's
+    images carry their own ``+``, ``scale``, ``meet`` and ``is_zero``.
     Disjointness: for positive disjoint f1, f2 and positive g, the images
     m(f1, g) and m(f2, g) must have meet zero, and symmetrically.
     """
@@ -320,20 +296,20 @@ def verify_bimorphism(m: Callable, E, F, H, trials: int = 200,
         f1, f2 = E.random(rng), E.random(rng)
         g1, g2 = F.random(rng), F.random(rng)
         lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if m(E.add(f1, f2), g1) != H.add(m(f1, g1), m(f2, g1)):
+        if m(f1 + f2, g1) != m(f1, g1) + m(f2, g1):
             return BimorphismCheck(False, "additive-left", (f1, f2, g1), checked)
-        if m(f1, F.add(g1, g2)) != H.add(m(f1, g1), m(f1, g2)):
+        if m(f1, g1 + g2) != m(f1, g1) + m(f1, g2):
             return BimorphismCheck(False, "additive-right", (f1, g1, g2), checked)
-        scaled = H.scale(lam, m(f1, g1))
-        if m(E.scale(lam, f1), g1) != scaled or m(f1, F.scale(lam, g1)) != scaled:
+        scaled = m(f1, g1).scale(lam)
+        if m(f1.scale(lam), g1) != scaled or m(f1, g1.scale(lam)) != scaled:
             return BimorphismCheck(False, "scalar-interchange", (lam, f1, g1), checked)
         d1, d2 = E.random_disjoint_pair(rng)
         gpos = F.random_positive(rng)
-        if not H.meet(m(d1, gpos), m(d2, gpos)).is_zero():
+        if not m(d1, gpos).meet(m(d2, gpos)).is_zero():
             return BimorphismCheck(False, "disjointness-left", (d1, d2, gpos), checked)
         e1, e2 = F.random_disjoint_pair(rng)
         fpos = E.random_positive(rng)
-        if not H.meet(m(fpos, e1), m(fpos, e2)).is_zero():
+        if not m(fpos, e1).meet(m(fpos, e2)).is_zero():
             return BimorphismCheck(False, "disjointness-right", (fpos, e1, e2), checked)
     return BimorphismCheck(True, trials=checked)
 
@@ -430,9 +406,7 @@ class TensorMap:
     def apply(self, v: AtomVector) -> PlaceFunction:
         if v.space != self.space:
             raise ValueError("vector space does not match the atom-pair model")
-        return from_atom_model(self.fp, AtomVector(self.space, v.values))
-
-    __call__ = apply
+        return from_atom_model(self.fp, v)
 
     def as_matrix(self) -> LinearLatticeMap:
         """Coordinates of the map against the product's own atom model."""
@@ -459,10 +433,6 @@ class TensorMap:
         return out
 
 
-def build_T(a: Algebra, b: Algebra) -> TensorMap:
-    return TensorMap(a, b)
-
-
 @dataclass(frozen=True, slots=True)
 class OntoInjectiveCheck:
     ok: bool
@@ -478,7 +448,7 @@ def verify_T_onto_and_injective(a: Algebra, b: Algebra,
     and five random place functions); injective via exact rational rank of
     the coordinate matrix."""
     rng = rng or random.Random(0)
-    t = build_T(a, b)
+    t = TensorMap(a, b)
     fp = t.fp
     targets = [places.chi(x) for x in fp.atoms()]
     targets.append(places.unit(fp))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import runpy
 from importlib import import_module
@@ -123,10 +124,16 @@ class TestDescriptor:
         for alg in (P3, powerset(16)):
             assert alg.atoms() is alg.atoms() and len(alg.atoms()) == alg.atom_count
             assert all(a.alg is alg for a in alg.atoms())
+        assert trivial_algebra().is_trivial is True
+        assert powerset(1).is_trivial is False and FC.is_trivial is False
+        # a slot set once, not a property computed on every read
+        assert "is_trivial" in Algebra.__slots__
         twin = Algebra(POWERSET, 3)
         assert twin == P3 and hash(twin) == hash(P3) == hash((POWERSET, 3))
         assert twin.one is not P3.one and twin.one == P3.one
         assert repr(P3) == "Algebra(kind='powerset', atom_count=3, name='P(3)')"
+        held = {f.name: f for f in dataclasses.fields(Algebra)}["is_trivial"]
+        assert not held.compare and not held.repr and not held.init
 
     def test_atoms_errors(self):
         with pytest.raises(AlgebraError):

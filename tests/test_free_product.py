@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from balg import algebra, free_product, places, tensor
 from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
 from balg.expr import grid_dict, rectform_from_grid
-from balg.free_product import FreeProduct, Rectangle, RectForm, _overlay, induced_hom
+from balg.free_product import FreeProduct, InducedHom, Rectangle, RectForm, _overlay
 from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
                       powerset_elems, split_refine)
 
@@ -247,7 +247,7 @@ class TestInducedHom:
         fp = FreeProduct(a, b)
         phi_a = Hom.identity(a)
         phi_b = Hom.from_atom_map(b, d, [1, 1])
-        ind = induced_hom(phi_a, phi_b, d)
+        ind = InducedHom(phi_a, phi_b, d)
         for x in a.elements():
             assert ind(fp.embed_left(x)) == phi_a(x)
         for y in b.elements():
@@ -261,7 +261,7 @@ class TestInducedHom:
         fp = FreeProduct(a, b)
         phi_a = Hom.from_atom_map(a, d, [1, 2, 1])
         phi_b = Hom.from_atom_map(b, d, [3, 1, 2])
-        ind = induced_hom(phi_a, phi_b, d)
+        ind = InducedHom(phi_a, phi_b, d)
         for _ in range(200):
             x = fp.random_elem(rng)
             assert ind(x) == ind.via_rectangles(x)
@@ -270,7 +270,7 @@ class TestInducedHom:
         a = powerset(2)
         broken = Hom.from_table(a, a, {x: a.one for x in a.elements()})
         with pytest.raises(AlgebraError):
-            induced_hom(broken, Hom.identity(a), a)
+            InducedHom(broken, Hom.identity(a), a)
 
     def test_corrupted_powerset_table_rejected(self):
         # one wrong entry in the identity table of P(6): 32 sampled pairs
@@ -279,7 +279,7 @@ class TestInducedHom:
         table = {x: x for x in p6.elements()}
         table[p6.subset([1, 2])] = p6.subset([3, 5, 6])
         with pytest.raises(AlgebraError):
-            induced_hom(Hom.from_table(p6, p6, table), Hom.identity(p6), p6)
+            InducedHom(Hom.from_table(p6, p6, table), Hom.identity(p6), p6)
 
     def test_every_single_entry_corruption_rejected(self):
         p3 = powerset(3)
@@ -289,7 +289,7 @@ class TestInducedHom:
                     table = {e: e for e in p3.elements()}
                     table[x] = y
                     with pytest.raises(AlgebraError):
-                        induced_hom(Hom.identity(p3), Hom.from_table(p3, p3, table), p3)
+                        InducedHom(Hom.identity(p3), Hom.from_table(p3, p3, table), p3)
 
 
 class TestTriviality:

@@ -223,6 +223,15 @@ class TestLattice:
         if places.leq(f, g):
             assert places.leq(f + h, g + h)
 
+    @pytest.mark.parametrize("drawn", [places_p3, places_fc], ids=["powerset", "fincof"])
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_value_methods_match_the_functions(self, drawn, data):
+        # generic verifiers read scale and meet off the values
+        f, g, c = data.draw(drawn), data.draw(drawn), data.draw(rationals())
+        assert f.scale(c) == places.scale(c, f)
+        assert f.meet(g) == places.meet(f, g)
+
     def test_archimedean_escape(self):
         rng = random.Random(6)
         for _ in range(200):

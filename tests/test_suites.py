@@ -7,10 +7,12 @@ import pytest
 
 from balg import bands
 from balg import certificates as certs
+from balg import places, tensor
 from balg.algebra import finite_cofinite
 from balg.config import default_config, parse_config
+from balg.expr import serialize_value
 from balg.free_product import FreeProduct
-from balg.suites import SUITES, Report, _Suite, run_suites, serialize_value, suite_rng
+from balg.suites import SUITES, Report, _Suite, run_suites, suite_rng
 from balg.validation import validate_certificate
 
 
@@ -87,14 +89,23 @@ def test_every_law_runs_at_one_trial():
             assert s.laws and all(c["runs"] >= 1 for c in s.laws.values()), (seed, s.name)
 
 
-def test_negative_control_fixture_fails_suite():
-    # wiring the broken bimorphism in as the map under test must flip the
-    # suite to fail, with the counterexample serialized
+def test_negative_control_fixture_fails_suite(monkeypatch):
+    # checking every place-function map as m(f, g) + m(f, unit), which is not
+    # additive in g, must flip the suite to fail, with the counterexample
+    # serialized
     cfg = light_config(["tensor_iso"])
     outcome = SUITES["tensor_iso"](cfg, suite_rng(cfg.seed, "tensor_iso"))
     assert outcome.ok
-    broken = SUITES["tensor_iso"](cfg, suite_rng(cfg.seed, "tensor_iso"),
-                                  break_bimorphism=True)
+    verify = tensor.verify_bimorphism
+
+    def broken_verify(m, E, F, trials=200, rng=None):
+        if isinstance(E, tensor.PlaceSpace):
+            unit = places.unit(F.backend)
+            return verify(lambda f, g: m(f, g) + m(f, unit), E, F, trials, rng)
+        return verify(m, E, F, trials, rng)
+
+    monkeypatch.setattr(tensor, "verify_bimorphism", broken_verify)
+    broken = SUITES["tensor_iso"](cfg, suite_rng(cfg.seed, "tensor_iso"))
     assert not broken.ok
     failure = [w for w in broken.witnesses if "failed" in w]
     assert failure and failure[0]["witness"]
