@@ -78,8 +78,6 @@ def all_bands(space: tuple) -> list[Band]:
 def band_algebra(n: int) -> Algebra:
     """The Boolean algebra of bands of an n-dimensional atom model, realized
     as the powerset algebra on n atoms."""
-    if not 1 <= n <= 16:
-        raise AlgebraError("band algebras are modeled for dimension 1..16")
     return powerset(n, name=f"B({n})")
 
 

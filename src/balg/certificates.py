@@ -4,7 +4,7 @@ Two kinds of machine-checkable witness:
 
 * ``exhaustive_complete`` -- every nonempty subset of a small finite algebra
   has a least upper bound, established by walking all subsets against
-  upper-bound sets computed directly from the order;
+  upper-bound sets computed from the algebra's own ``leq``;
 * ``no_supremum`` -- a family with upper bounds but no least one, refuted
   constructively: every proposed upper bound is strictly improved while
   remaining an upper bound.
@@ -74,33 +74,31 @@ def _step_dict(s: RefuteStep) -> dict:
 # -- exhaustive completeness of small finite algebras ---------------------------
 
 
-def check_finite_completeness(alg: Algebra) -> Certificate:
-    """Walk every nonempty subset of a small powerset algebra and verify a
-    least upper bound exists (``subset_without_supremum``)."""
-    if alg.is_trivial:
-        return Certificate("exhaustive_complete", f"{alg.name}: all subsets", (), 1)
-    if alg.kind != POWERSET:
-        raise AlgebraError("exhaustive completeness requires a finite algebra")
-    if alg.atom_count > 4:
-        raise AlgebraError("exhaustive completeness capped at 4 atoms")
-    count = 1 << alg.atom_count          # elements, as atom bitmasks 0..count-1
-    bad = subset_without_supremum(count)
-    if bad is not None:
-        raise AssertionError(f"subset {bad:#x} has no least upper bound at its join")
-    return Certificate("exhaustive_complete", f"{alg.name}: all nonempty subsets",
-                       (), (1 << count) - 1)
+def check_finite_completeness(backend) -> Certificate:
+    """Walk every nonempty subset of a small finite backend, P(n) or
+    P(n) (x) P(m) of at most 4 atoms, and verify that it has a least upper
+    bound in the backend's own order.
 
-
-def subset_without_supremum(count: int) -> int | None:
-    """Walk every nonempty subset of the elements 0..count-1, ordered as atom
-    bitmasks, and return the first one whose join is not its least upper
-    bound (as a bitmask over the elements), or None.
-
-    Upper-bound sets come straight from pairwise order tests, so the walk
+    ``backend.elements()`` comes in atom-mask order, so a subset's join
+    sits at the OR of its members' indices; the up-set table handed to
+    ``first_subset_without_supremum`` is read off ``leq`` alone, so the walk
     does not assume the join is the supremum; it proves it.
     """
-    upset = [sum(1 << b for b in range(count) if x & b == x) for x in range(count)]
-    return first_subset_without_supremum(upset)
+    if backend.is_trivial:
+        return Certificate("exhaustive_complete", f"{backend.name}: all subsets", (), 1)
+    if isinstance(backend, Algebra) and backend.kind != POWERSET:
+        raise AlgebraError("exhaustive completeness requires a finite algebra")
+    if backend.atom_count > 4:
+        raise AlgebraError("exhaustive completeness capped at 4 atoms")
+    elems = list(backend.elements())
+    if len(set(elems)) != len(elems):
+        raise AssertionError("the element enumeration repeats an element")
+    upset = [sum(1 << b for b, y in enumerate(elems) if x.leq(y)) for x in elems]
+    bad = first_subset_without_supremum(upset)
+    if bad is not None:
+        raise AssertionError(f"subset {bad:#x} has no least upper bound at its join")
+    return Certificate("exhaustive_complete", f"{backend.name}: all nonempty subsets",
+                       (), (1 << len(elems)) - 1)
 
 
 def first_subset_without_supremum(upset: Sequence[int]) -> int | None:

@@ -20,7 +20,7 @@ from functools import reduce
 from math import ceil
 from operator import add, and_, or_, xor
 
-from .algebra import (Algebra, AlgebraError, Hom, POWERSET,
+from .algebra import (Algebra, Hom, POWERSET,
                       check_homomorphism, powerset, trivial_algebra)
 from .free_product import FreeProduct, InducedHom, Rectangle
 from . import bands as band_model
@@ -72,8 +72,7 @@ class _Suite:
     over them.  The first failure keeps its witness.
     """
 
-    def __init__(self, rng: random.Random):
-        self.rng = rng
+    def __init__(self):
         self.ok = True
         self.witnesses: list = []
         self.certificate: dict | None = None
@@ -160,7 +159,7 @@ def _eval_tree_sets(node, universe: frozenset):
 
 
 def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     for alg in cfg.algebras:
         where = alg.name or alg.kind
         exhaustive = alg.kind == POWERSET and not alg.is_trivial
@@ -223,7 +222,7 @@ def suite_core_axioms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     powersets = cfg.powersets
     for alg in powersets:
         exhaustive = alg.atom_count <= 3
@@ -277,7 +276,7 @@ def _pairings(cfg: SuiteConfig) -> list[FreeProduct]:
 
 
 def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     for fp in _pairings(cfg):
         a, b, where = fp.left, fp.right, fp.name
         if a.kind == POWERSET and b.kind == POWERSET:
@@ -396,7 +395,7 @@ def _unit_on_support(f: PlaceFunction) -> PlaceFunction:
 
 
 def suite_place_addition(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     for alg in cfg.nontrivial:
         where = alg.name or alg.kind
         for _ in range(cfg.trials):
@@ -495,7 +494,7 @@ def _check_chi_isomorphism(s: _Suite, alg: Algebra) -> None:
 
 
 def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     for alg in cfg.nontrivial:
         where = alg.name or alg.kind
         # a family of zeros only, or a zero singleton, is replaced by the
@@ -521,7 +520,7 @@ def suite_regularity(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     powersets = cfg.powersets
     pairs = [(a, b) for a in powersets for b in powersets
              if a.atom_count * b.atom_count <= 16]
@@ -608,7 +607,7 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     powersets = cfg.powersets
     sources = [a for a in powersets if a.atom_count <= 3] or [powerset(2)]
     targets = powersets or [powerset(2)]
@@ -692,7 +691,7 @@ def suite_universal_property(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 
 def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     dims = sorted({a.atom_count for a in cfg.powersets} | {4})
     for dim in dims:
         space = tuple(range(1, dim + 1))
@@ -779,7 +778,7 @@ def _in_principal_ideal(g: AtomVector, f: AtomVector) -> bool:
 
 
 def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
-    s = _Suite(rng)
+    s = _Suite()
     payload: dict = {"exhaustive": [], "model_bounded_sups": [],
                      "certificates": {}, "dichotomy": []}
     small = cfg.small_powersets
@@ -825,7 +824,8 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
                            if a.atom_count * b.atom_count <= 4})
     product_entries = []
     for n, m in finite_pairs:
-        ok = _product_exhaustively_complete(n, m)
+        cert = certs.check_finite_completeness(FreeProduct(powerset(n), powerset(m)))
+        ok = cert.subsets_checked == (1 << (1 << (n * m))) - 1
         product_entries.append({"pair": [n, m], "complete": ok})
         s.check(ok, "free product of finite algebras complete", f"({n}, {m})")
     payload["dichotomy"] = [
@@ -847,20 +847,6 @@ def suite_completeness(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     ]
     s.certificate = payload
     return s
-
-
-def _product_exhaustively_complete(n: int, m: int) -> bool:
-    """Every nonempty subset of the free product of two powersets has a least
-    upper bound; atom masks order-embed the product into a powerset."""
-    fp = FreeProduct(powerset(n), powerset(m))
-    count = 1 << fp.atom_count
-    if count > 16:
-        raise AlgebraError(f"exhaustive product check capped at 16 elements, got {count}")
-    elems = [fp.from_atom_mask(mask) for mask in range(count)]
-    masks = {fp.atom_mask(x) for x in elems}
-    if masks != set(range(count)):
-        return False
-    return certs.subset_without_supremum(count) is None
 
 
 # -- orchestration ----------------------------------------------------------------

@@ -48,13 +48,6 @@ class AtomVector:
         self._match(other)
         return AtomVector(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def __sub__(self, other: "AtomVector") -> "AtomVector":
-        self._match(other)
-        return AtomVector(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "AtomVector":
-        return AtomVector(self.space, tuple(-a for a in self.values))
-
     def scale(self, c) -> "AtomVector":
         c = Fraction(c)
         return AtomVector(self.space, tuple(c * a for a in self.values))
@@ -76,9 +69,6 @@ class AtomVector:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.values)
-
-    def is_positive(self) -> bool:
-        return all(a >= 0 for a in self.values)
 
     def support_labels(self) -> frozenset:
         return frozenset(l for l, a in zip(self.space, self.values) if a != 0)
@@ -129,34 +119,29 @@ def random_vector(space: Sequence, rng: random.Random, positive: bool = False) -
 def to_atom_model(f: PlaceFunction) -> AtomVector:
     """Coordinates of a place function over a finite atomic backend."""
     backend = f.backend
-    labels, n = _finite_atoms(backend)
-    vals = [Fraction(0)] * n
-    for c, x in f.terms:
-        mask = backend.atom_mask(x)
-        while mask:
-            low = mask & -mask
-            vals[low.bit_length() - 1] = c
-            mask ^= low
-    return AtomVector(labels, tuple(vals))
+    labels, _ = _finite_atoms(backend)
+    masks = [backend.atom_mask(x) for _, x in f.terms]
+    return AtomVector(labels, tuple(places._cell_sums(f.terms, masks, len(labels))))
 
 
 def from_atom_model(backend, v: AtomVector) -> PlaceFunction:
     """Inverse of ``to_atom_model``."""
-    labels, n = _finite_atoms(backend)
+    labels, atoms = _finite_atoms(backend)
     if labels != v.space:
         raise ValueError("vector space does not match the backend's atoms")
-    atoms = ((backend.left.atoms(), backend.right.atoms())
-             if isinstance(backend, FreeProduct) else backend.atoms())
     return places.from_cell_values(backend, atoms, enumerate(v.values))
 
 
-def _finite_atoms(backend) -> tuple[tuple, int]:
+def _finite_atoms(backend) -> tuple[tuple, object]:
+    """The atom labels of a finite backend, and the cell payload whose cells
+    are its atoms."""
     if isinstance(backend, Algebra):
         if backend.kind != POWERSET:
             raise AlgebraError(f"no finite atom model for {backend.name or backend.kind}")
-        return atom_space(backend), backend.atom_count
+        return atom_space(backend), (() if backend.is_trivial else backend.atoms())
     if isinstance(backend, FreeProduct):
-        return pair_space(backend.left, backend.right), backend.atom_count
+        return (pair_space(backend.left, backend.right),
+                (backend.left.atoms(), backend.right.atoms()))
     raise AlgebraError(f"no finite atom model for {backend!r}")
 
 
@@ -404,8 +389,6 @@ class TensorMap:
         self.space = pair_space(a, b)
 
     def apply(self, v: AtomVector) -> PlaceFunction:
-        if v.space != self.space:
-            raise ValueError("vector space does not match the atom-pair model")
         return from_atom_model(self.fp, v)
 
     def as_matrix(self) -> LinearLatticeMap:

@@ -52,7 +52,7 @@ def test_criterion_1_addition_oracle_equivalence():
 def test_criterion_2_chi_isomorphism_exhaustive():
     def body():
         for n in range(1, 6):
-            s = _Suite(random.Random(1002))
+            s = _Suite()
             _check_chi_isomorphism(s, powerset(n))
             assert s.ok, s.witnesses[:1]
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg.algebra import AlgebraError, powerset, trivial_algebra
-from balg.free_product import FreeProduct, Rectangle
+from balg.algebra import AlgebraError, Elem, powerset, trivial_algebra
+from balg.free_product import FreeProduct, Rectangle, RectForm
 from balg import certificates as certs
 from balg.tensor import AtomVector
 from balg.validation import _diagonal_upper_bound, _evens_upper_bound, validate_certificate
@@ -21,14 +21,50 @@ class TestFiniteCompleteness:
         assert certs.check_finite_completeness(powerset(1)).subsets_checked == 3
         assert certs.check_finite_completeness(trivial_algebra()).subsets_checked == 1
 
+    def test_products(self):
+        for n, m in ((1, 1), (1, 2), (2, 1), (1, 4), (2, 2)):
+            cert = certs.check_finite_completeness(FreeProduct(powerset(n), powerset(m)))
+            assert cert.subsets_checked == 2 ** 2 ** (n * m) - 1
+            assert validate_certificate(cert.to_dict()).ok
+        trivial = FreeProduct(trivial_algebra(), powerset(2))
+        assert certs.check_finite_completeness(trivial).subsets_checked == 1
+
     def test_cap(self):
         with pytest.raises(AlgebraError):
             certs.check_finite_completeness(powerset(5))
         with pytest.raises(AlgebraError):
             certs.check_finite_completeness(FC)
+        for fp in (FreeProduct(powerset(2), powerset(3)), FreeProduct(FC, powerset(1))):
+            with pytest.raises(AlgebraError):
+                certs.check_finite_completeness(fp)
         for dim in (-1, -5, 10):
             with pytest.raises(AlgebraError):
                 certs.check_model_dedekind_complete(dim, random.Random(0))
+
+    # each planted defect below gets past a walk of the bitmask order on
+    # plain ints, which never asks the algebra anything
+
+    def test_planted_wrong_powerset_order_raises(self, monkeypatch):
+        # bitsets compared as integers: {1} and {2} have {2} for supremum,
+        # not their join {1, 2}
+        monkeypatch.setattr(Elem, "leq", lambda x, y: x.data <= y.data)
+        with pytest.raises(AssertionError, match="subset 0x6 "):
+            certs.check_finite_completeness(powerset(2))
+
+    def test_planted_wrong_product_order_raises(self, monkeypatch):
+        monkeypatch.setattr(RectForm, "leq",
+                            lambda x, y: x.fp.atom_mask(x) <= x.fp.atom_mask(y))
+        with pytest.raises(AssertionError, match="no least upper bound"):
+            certs.check_finite_completeness(FreeProduct(powerset(2), powerset(2)))
+
+    def test_non_injective_enumeration_raises(self, monkeypatch):
+        # atom 0 dropped from every mask: each element is listed twice, and
+        # the order among the copies has every least upper bound it needs
+        from_atom_mask = FreeProduct.from_atom_mask
+        monkeypatch.setattr(FreeProduct, "from_atom_mask",
+                            lambda fp, mask: from_atom_mask(fp, mask & ~1))
+        with pytest.raises(AssertionError, match="repeats an element"):
+            certs.check_finite_completeness(FreeProduct(powerset(2), powerset(2)))
 
     def test_model_bounded_sups(self):
         rng = random.Random(0)
@@ -76,7 +112,7 @@ def bitmask_order(count):
 class TestSubsetWalk:
     @pytest.mark.parametrize("count", [1, 2, 4, 8, 16])
     def test_powersets_are_complete(self, count):
-        assert certs.subset_without_supremum(count) is None
+        assert certs.first_subset_without_supremum(bitmask_order(count)) is None
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 6, 8, 9])
     def test_matches_sequential_walk_on_the_bitmask_order(self, count):

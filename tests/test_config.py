@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from balg import suites
 from balg.config import ConfigError, SUITE_NAMES, default_config, parse_config
 
 
@@ -125,3 +127,12 @@ class TestRejection:
     def test_booleans_are_not_counts(self):
         with pytest.raises(ConfigError):
             parse_config(cfg_text(trials=True))
+
+
+class TestDefaults:
+    def test_suite_names_match_the_suite_table(self):
+        assert SUITE_NAMES == tuple(suites.SUITES)
+
+    def test_default_config_file_matches_default_config(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        assert parse_config(path.read_text()).echo() == default_config().echo()

@@ -281,6 +281,13 @@ class TestInducedHom:
         with pytest.raises(AlgebraError):
             InducedHom(Hom.from_table(p6, p6, table), Hom.identity(p6), p6)
 
+    def test_map_out_of_finite_cofinite_refused(self):
+        # the map is defined only on the subalgebra that fin{0} generates,
+        # and no finite check reaches every element of finite_cofinite
+        phi = Hom.from_generator_images(FC, P2, [(FC.fin([0]), P2.subset([1]))])
+        with pytest.raises(AlgebraError, match="out of finite_cofinite"):
+            InducedHom(phi, Hom.identity(P2), P2)
+
     def test_every_single_entry_corruption_rejected(self):
         p3 = powerset(3)
         for x in p3.elements():

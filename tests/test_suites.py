@@ -43,7 +43,7 @@ def test_default_config_all_pass():
 
 
 def test_a_law_that_always_fails_counts_every_failure():
-    s = _Suite(random.Random(0))
+    s = _Suite()
     for i in range(5):
         s.table("here", (("always fails", False), ("holds", i < 5)), x=i)
     s.check(False, "always fails", "there", x=99)
@@ -54,7 +54,7 @@ def test_a_law_that_always_fails_counts_every_failure():
 
 
 def test_a_skipped_sample_runs_its_fallback():
-    s = _Suite(random.Random(0))
+    s = _Suite()
     for y in (-1, 2, -3):
         s.table("", (("y positive", (y if y > 0 else -y) > 0, y > 0),), y=y)
     s.check(False, "y positive", "", False, y=0)
@@ -64,7 +64,7 @@ def test_a_skipped_sample_runs_its_fallback():
 
 def test_a_law_that_never_runs_fails_its_suite(monkeypatch):
     def planted(cfg, rng):
-        s = _Suite(rng)
+        s = _Suite()
         s.check(True, "runs")
         for i in range(3):
             s.table("", (("never runs", None, False),), x=i)
@@ -307,9 +307,9 @@ def test_serialize_value_rejects_unknown_values():
 
 
 def test_product_exhaustive_check_refuses_large_products():
-    from balg.algebra import AlgebraError
-    from balg.suites import _product_exhaustively_complete
+    from balg.algebra import AlgebraError, powerset
 
-    assert _product_exhaustively_complete(1, 2)
+    cert = certs.check_finite_completeness(FreeProduct(powerset(1), powerset(2)))
+    assert cert.subsets_checked == 15
     with pytest.raises(AlgebraError):
-        _product_exhaustively_complete(2, 3)
+        certs.check_finite_completeness(FreeProduct(powerset(2), powerset(3)))

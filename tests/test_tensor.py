@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balg.algebra import powerset
+from balg.algebra import powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places, tensor
 from conftest import FC
@@ -19,6 +19,13 @@ class TestAtomModel:
         assert tensor.to_atom_model(f).values == (Fraction(2), Fraction(2), Fraction(0))
         assert tensor.to_atom_model(places.zero(P3)).values == (0, 0, 0)
         assert tensor.to_atom_model(places.unit(P3)).values == (1, 1, 1)
+
+    def test_trivial_round_trip(self):
+        # P(0) has no atoms: its one place function is the empty vector
+        t = trivial_algebra()
+        empty = tensor.AtomVector((), ())
+        assert tensor.to_atom_model(places.zero(t)) == empty
+        assert tensor.from_atom_model(t, empty) == places.zero(t)
 
     def test_bijective(self):
         rng = random.Random(0)
