@@ -17,6 +17,7 @@ finite-cofinite algebras.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
@@ -61,14 +62,29 @@ class Certificate:
         if self.kind == "exhaustive_complete":
             out["subsets_checked"] = self.subsets_checked
         else:
-            out["steps"] = [_step_dict(s) for s in self.steps]
+            out["steps"] = steps = []
+            previous, written = None, None
+            for s in self.steps:
+                # a chain passes each improved bound on as the next step's
+                # bound, so that bound is written once and copied
+                bound = (_copy_bound(written) if s.upper_bound is previous
+                         else serialize_value(s.upper_bound))
+                written = serialize_value(s.improved)
+                steps.append({"upper_bound": bound, "defect": serialize_value(s.defect),
+                              "improved": written})
+                previous = s.improved
         return out
 
 
-def _step_dict(s: RefuteStep) -> dict:
-    return {"upper_bound": serialize_value(s.upper_bound),
-            "defect": serialize_value(s.defect),
-            "improved": serialize_value(s.improved)}
+def _copy_bound(written):
+    """A second report copy of a written bound, sharing no list or dict with
+    it: a string as it is, and a grid dict, in the form ``grid_dict``
+    writes, with fresh cell lists and rows."""
+    if isinstance(written, str):
+        return written
+    return {"left_cells": written["left_cells"].copy(),
+            "right_cells": written["right_cells"].copy(),
+            "matrix": [row.copy() for row in written["matrix"]]}
 
 
 # -- exhaustive completeness of small finite algebras ---------------------------
@@ -248,8 +264,33 @@ def improve_upper_bound_diagonal(u: RectForm) -> RefuteStep | NotUpperBound:
     m2 = 0
     while m2 in ridx or m2 == m:
         m2 += 1
-    improved = u & ~fp.rect(fp.left.fin([m]), fp.right.fin([m2]))
-    return RefuteStep(u, (m, m2), improved)
+    # (m, m2) lies in the active tail x tail entry; cutting it splits fin{m}
+    # off the left tail and fin{m2} off the right tail.  Each row copies its
+    # tail bit into the new column, and the new row is the tail row without
+    # the new column.  The new row differs from every other row at the new
+    # column or the tail column, and the new column from every other column
+    # likewise, so the grid is canonical as built.
+    L, p = _split_tail(fp.left, u.left_cells, ltail, m)
+    R, q = _split_tail(fp.right, u.right_cells, rtail, m2)
+    low = (1 << q) - 1
+    rows = [row & low | (row >> q) << (q + 1) | (row >> rtail & 1) << q for row in u.rows]
+    rows.insert(p, rows[ltail] & ~(1 << q))
+    return RefuteStep(u, (m, m2), RectForm(fp, L, R, tuple(rows)))
+
+
+def _split_tail(alg: Algebra, cells: tuple[Elem, ...], tail: int, n: int):
+    """The cells of a canonical finite_cofinite axis with the unnamed natural
+    n split off its cof cell, and the index of the new cell fin{n}.
+
+    The fin cells come before the tail, in order of their least members, so
+    fin{n} goes where n falls among those.
+    """
+    _, left_out = cells[tail].data
+    split = list(cells)
+    split[tail] = Elem(alg, ("cof", tuple(sorted((*left_out, n)))))
+    p = bisect_left(cells, n, hi=tail, key=lambda c: c.data[1][0])
+    split.insert(p, Elem(alg, ("fin", (n,))))
+    return tuple(split), p
 
 
 def no_supremum_certificate(family: str, start, steps: int = 3):

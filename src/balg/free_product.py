@@ -324,7 +324,9 @@ def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
     Returns the common left and right cells and, per element, its activity
     rows over them.  Over a trivial product the common grid is empty.  An
     axis on which every element has the same cells is the common axis as it
-    stands: it is not refined, and rows are not moved along it.
+    stands: it is not refined, and rows are not moved along it.  Nor are the
+    rows of an element whose signatures show its own columns to be the
+    common columns, in order, as they are for a grid that refines the rest.
     """
     if fp.is_trivial:
         return (), (), [[] for _ in grids]
@@ -332,7 +334,9 @@ def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
     R, rsrc = _common_axis(fp.right, [x.right_cells for x in grids])
     out = []
     for g, x in enumerate(grids):
-        if rsrc is None:
+        if rsrc is None or (len(rsrc) == len(x.right_cells)
+                            and all(src[g] == j for j, src in enumerate(rsrc))):
+            # x's own columns are the common columns, in order
             spread = x.rows
         else:
             # common columns under each of x's own columns

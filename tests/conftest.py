@@ -14,12 +14,16 @@ def powerset_elems(alg):
     return st.integers(0, (1 << alg.atom_count) - 1).map(lambda bits: Elem(alg, bits))
 
 
+def naturals():
+    """Small naturals that coincide often, and sparse ones reaching 10**6."""
+    return st.one_of(st.integers(0, 9), st.integers(0, 10**6))
+
+
 def fincof_elems():
     """Small supports that overlap often, and sparse ones reaching 10**6."""
-    naturals = st.one_of(st.integers(0, 9), st.integers(0, 10**6))
     return st.tuples(
         st.sampled_from(("fin", "cof")),
-        st.frozensets(naturals, max_size=4),
+        st.frozensets(naturals(), max_size=4),
     ).map(lambda t: Elem(FC, (t[0], tuple(sorted(t[1])))))
 
 

@@ -16,7 +16,7 @@ from balg.free_product import FreeProduct, InducedHom
 from balg import bands, certificates as certs, places, tensor
 from balg.config import parse_config
 from balg.suites import _Suite, _check_chi_isomorphism, run_suites
-from balg.validation import validate_certificate
+from balg.validation import _diagonal_upper_bound, validate_certificate
 
 FC = finite_cofinite()
 
@@ -313,3 +313,17 @@ def test_criterion_11_certificate_revalidation_at_scale():
     criterion(11, "revalidated no-supremum certificates: a 160-step diagonal "
                   "chain from the unit, a diagonal chain whose grids name 10^6, "
                   "and a 1000-step even-singleton chain", 4, body)
+
+
+def test_criterion_12_diagonal_chain_builds_at_scale():
+    fp = FreeProduct(FC, FC)
+
+    def body():
+        cert = certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, fp.one, steps=320)
+        assert len(cert.steps) == 320
+        # each step splits one point off each axis's cofinite cell
+        last = cert.steps[-1].improved
+        assert len(last.left_cells) == len(last.right_cells) == 321
+        assert _diagonal_upper_bound(last)
+
+    criterion(12, "a 320-step diagonal chain from the unit builds", 1, body)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from functools import reduce
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balg import algebra, free_product
 from balg.algebra import AlgebraError, Elem, powerset, trivial_algebra
+from balg.expr import ExprError, grid_dict, parse_element, rectform_from_grid, serialize_value
 from balg.free_product import FreeProduct, Rectangle, RectForm
 from balg import certificates as certs
 from balg.tensor import AtomVector
-from balg.validation import _diagonal_upper_bound, _evens_upper_bound, validate_certificate
-from conftest import FC
+from balg.validation import (ValidationResult, _diagonal_upper_bound, _evens_upper_bound,
+                             validate_certificate)
+from conftest import FC, naturals
 
 
 class TestFiniteCompleteness:
@@ -294,6 +298,49 @@ class TestDiagonalRefuter:
             u = step.improved
 
 
+def unit_minus(fp, holes):
+    """The unit with the points ``holes`` cut out."""
+    return reduce(lambda u, h: u & ~fp.rect(FC.fin([h[0]]), FC.fin([h[1]])), holes, fp.one)
+
+
+off_diagonal_holes = st.lists(st.tuples(naturals(), naturals()).filter(lambda h: h[0] != h[1]),
+                              max_size=5)
+
+
+class TestDiagonalCut:
+    """Each step cuts its point straight out of the tail x tail entry; the
+    generic ``u & ~rect`` is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(holes=off_diagonal_holes, steps=st.integers(1, 4))
+    def test_matches_the_generic_difference(self, holes, steps):
+        fp = FreeProduct(FC, FC)
+        u = unit_minus(fp, holes)
+        for _ in range(steps):
+            step = certs.improve_upper_bound_diagonal(u)
+            assert isinstance(step, certs.RefuteStep)
+            m, m2 = step.defect
+            assert step.improved == u & ~fp.rect(FC.fin([m]), FC.fin([m2]))
+            # only a canonical grid reads back
+            assert rectform_from_grid(fp, grid_dict(step.improved)) == step.improved
+            u = step.improved
+
+    def test_builds_without_refining(self, monkeypatch):
+        fp = FreeProduct(FC, FC)
+        start = unit_minus(fp, [(0, 5), (5, 0), (3, 10**6), (2, 3)])
+
+        def refuse(*args):
+            raise AssertionError("the cut refined or recanonicalised a grid")
+
+        for module, name in [(free_product, "_overlay"), (free_product, "_canonical"),
+                             (free_product, "_meets"), (free_product, "refine_partition"),
+                             (algebra, "_meets"), (algebra, "refine_partition")]:
+            monkeypatch.setattr(module, name, refuse)
+        cert = certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, start, steps=20)
+        assert len(cert.steps) == 20
+        assert all(_diagonal_upper_bound(s.improved) for s in cert.steps)
+
+
 def sweep_diagonal_step(u):
     """Reference refuter step: test (n, n) with ``contains_point`` for every
     n up to one past the largest natural the cof cells leave out."""
@@ -391,33 +438,193 @@ class TestValidation:
         cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=3)
         payload = cert.to_dict()
         payload["steps"][1]["improved"] = "cof{0,1,3}"  # excludes the even 0
-        assert not validate_certificate(payload).ok
+        assert validate_certificate(payload) == ValidationResult(
+            False, "step 1: improvement loses the bound", 1)
 
     def test_non_decreasing_step_rejected(self):
         cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=3)
         payload = cert.to_dict()
         payload["steps"][0]["improved"] = payload["steps"][0]["upper_bound"]
-        assert not validate_certificate(payload).ok
+        assert validate_certificate(payload) == ValidationResult(
+            False, "step 0: no strict decrease", 0)
 
     def test_broken_chain_rejected(self):
         cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=3)
         payload = cert.to_dict()
         payload["steps"][2]["upper_bound"] = "cof{7}"
-        assert not validate_certificate(payload).ok
+        assert validate_certificate(payload) == ValidationResult(
+            False, "step 2: chain broken", 2)
 
     def test_tampered_diagonal_rejected(self):
         fp = FreeProduct(FC, FC)
         cert = certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, fp.one, steps=3)
         payload = cert.to_dict()
         # claim the zero grid as an improvement: no longer an upper bound
-        from balg.expr import grid_dict
         payload["steps"][2]["improved"] = grid_dict(fp.zero)
-        assert not validate_certificate(payload).ok
+        assert validate_certificate(payload) == ValidationResult(
+            False, "step 2: improvement loses the bound", 2)
 
     def test_unknown_family_rejected(self):
-        assert not validate_certificate(
-            {"kind": "no_supremum", "family": "?", "steps": [{}]}).ok
-        assert not validate_certificate({"kind": "?"}).ok
+        assert validate_certificate(
+            {"kind": "no_supremum", "family": "?", "steps": [{}]}
+        ) == ValidationResult(False, "unknown witness family '?'")
+        assert validate_certificate({"kind": "?"}) == ValidationResult(
+            False, "unknown certificate kind '?'")
+
+    @pytest.mark.parametrize("family", [certs.EVENS_FAMILY, certs.DIAGONAL_FAMILY])
+    def test_earlier_bound_breaks_the_chain(self, family):
+        payload = chain_payload(family, 5)
+        payload["steps"][3]["upper_bound"] = copy.deepcopy(payload["steps"][1]["upper_bound"])
+        assert validate_certificate(payload) == ValidationResult(
+            False, "step 3: chain broken", 3)
+
+    def test_first_bound_missing_a_diagonal_point(self):
+        fp = FreeProduct(FC, FC)
+        payload = chain_payload(certs.DIAGONAL_FAMILY, 3)
+        payload["steps"][0]["upper_bound"] = grid_dict(~fp.rect(FC.fin([3]), FC.fin([3])))
+        assert validate_certificate(payload) == ValidationResult(
+            False, "step 0: start is not an upper bound", 0)
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda g: g["matrix"][0].pop(), "grid matrix does not match its cells"),
+        (lambda g: g["matrix"].__setitem__(1, list(g["matrix"][0])),
+         "grid has two equal rows or two equal columns"),
+        (lambda g: g["left_cells"].__setitem__(0, "fin{x}"), "expected RBRACE"),
+        (lambda g: g["matrix"][0].__setitem__(0, "yes"),
+         "grid matrix entries must be true or false"),
+    ])
+    def test_malformed_improvement_after_a_reused_bound_raises(self, tamper, message):
+        payload = chain_payload(certs.DIAGONAL_FAMILY, 4)
+        # step 2's bound is step 1's improvement, read once already
+        assert payload["steps"][2]["upper_bound"] == payload["steps"][1]["improved"]
+        tamper(payload["steps"][2]["improved"])
+        with pytest.raises(ExprError, match=message):
+            validate_certificate(payload)
+
+    @pytest.mark.parametrize("family, length", [(certs.EVENS_FAMILY, 8),
+                                                (certs.DIAGONAL_FAMILY, 6)])
+    def test_verdicts_match_reparsing_every_bound(self, family, length):
+        """Planted mutations get the verdict, or the exception, of a validator
+        that parses and checks every bound afresh."""
+        rng = random.Random(12)
+        clean = chain_payload(family, length)
+        outcomes = set()
+        for _ in range(150):
+            payload = copy.deepcopy(clean)
+            mutate_chain(payload["steps"], rng)
+            got, want = outcome(validate_certificate, payload), outcome(reparse_validate, payload)
+            assert got == want
+            outcomes.add(want[0])
+        assert {ValidationResult, ExprError} <= outcomes
+
+
+class TestChainPayload:
+    @pytest.mark.parametrize("family, start", [
+        (certs.EVENS_FAMILY, FC.cof([1, 5])),
+        (certs.DIAGONAL_FAMILY, unit_minus(FreeProduct(FC, FC), [(3, 7), (0, 10**6)])),
+    ])
+    def test_matches_serialising_every_field(self, family, start):
+        cert = certs.no_supremum_certificate(family, start, steps=6)
+        chained = cert.steps
+        # two chains spliced together: step 3's bound is not step 2's improvement
+        other = certs.no_supremum_certificate(family, chained[1].improved, steps=2).steps
+        for steps in (chained, chained[:3] + other):
+            cert = certs.Certificate("no_supremum", family, steps)
+            assert cert.to_dict()["steps"] == [
+                {"upper_bound": serialize_value(s.upper_bound),
+                 "defect": serialize_value(s.defect),
+                 "improved": serialize_value(s.improved)} for s in steps]
+
+    def test_steps_share_no_list_or_dict(self):
+        payload = chain_payload(certs.DIAGONAL_FAMILY, 5)
+        owners = {}
+        for k, step in enumerate(payload["steps"]):
+            for box in containers(step):
+                assert owners.setdefault(id(box), k) == k
+        bound = copy.deepcopy(payload["steps"][2]["upper_bound"])
+        payload["steps"][1]["improved"]["matrix"][0][0] ^= True
+        payload["steps"][1]["improved"]["matrix"].append([])
+        payload["steps"][1]["improved"]["left_cells"].pop()
+        assert payload["steps"][2]["upper_bound"] == bound
+
+
+def chain_payload(family, steps):
+    start = FC.one if family == certs.EVENS_FAMILY else FreeProduct(FC, FC).one
+    return certs.no_supremum_certificate(family, start, steps=steps).to_dict()
+
+
+def containers(value):
+    """Every list and dict inside a payload value, itself included."""
+    if isinstance(value, dict):
+        yield value
+        for v in value.values():
+            yield from containers(v)
+    elif isinstance(value, list):
+        yield value
+        for v in value:
+            yield from containers(v)
+
+
+def reparse_validate(payload):
+    """Reference chain validator: both bounds of every step parsed and
+    checked, in the order ``validate_certificate`` checks them."""
+    family, steps = payload["family"], payload["steps"]
+    if family == certs.EVENS_FAMILY:
+        parse, is_upper = (lambda s: parse_element(FC, s)), _evens_upper_bound
+    else:
+        fp = FreeProduct(FC, FC)
+        parse, is_upper = (lambda s: rectform_from_grid(fp, s)), _diagonal_upper_bound
+    previous = None
+    for k, step in enumerate(steps):
+        u = parse(step["upper_bound"])
+        improved = parse(step["improved"])
+        if previous is not None and u != previous:
+            return ValidationResult(False, f"step {k}: chain broken", k)
+        if not is_upper(u):
+            return ValidationResult(False, f"step {k}: start is not an upper bound", k)
+        if not improved.leq(u) or improved == u:
+            return ValidationResult(False, f"step {k}: no strict decrease", k)
+        if not is_upper(improved):
+            return ValidationResult(False, f"step {k}: improvement loses the bound", k)
+        previous = improved
+    return ValidationResult(True, "all steps revalidated", len(steps))
+
+
+def outcome(validate, payload):
+    try:
+        return ValidationResult, validate(payload)
+    except Exception as exc:  # the exception's type and text are the verdict
+        return type(exc), str(exc)
+
+
+def mutate_chain(steps, rng):
+    """One planted change to a serialised chain: a bound or an improvement
+    taken from another step, a grid entry flipped, or a grid, cell or row
+    spoiled."""
+    k = rng.randrange(len(steps))
+    key = rng.choice(["upper_bound", "improved"])
+    kind = rng.randrange(6)
+    if kind == 0:
+        other = steps[rng.randrange(len(steps))]
+        steps[k][key] = copy.deepcopy(other[rng.choice(["upper_bound", "improved"])])
+    elif kind == 1:
+        del steps[k][key]
+    elif isinstance(steps[k][key], str):
+        steps[k][key] = rng.choice(["cof{" + str(rng.randrange(12)) + "}", "fin{0}", "cof{x}",
+                                    steps[k][key] + "&1", "1", "0"])
+    else:
+        grid = steps[k][key]
+        i = rng.randrange(len(grid["matrix"]))
+        j = rng.randrange(len(grid["right_cells"]))
+        if kind == 2:
+            grid["matrix"][i][j] = not grid["matrix"][i][j]
+        elif kind == 3:
+            grid["matrix"][i][j] = rng.choice([1, 0, "yes", None])
+        elif kind == 4:
+            grid["matrix"][i] = list(grid["matrix"][rng.randrange(len(grid["matrix"]))])
+        else:
+            grid["left_cells"][i] = rng.choice(["fin{" + str(rng.randrange(12)) + "}",
+                                                "cof{}", "fin{"])
 
 
 class TestExhaustiveRevalidation:

@@ -477,6 +477,37 @@ class TestOverlay:
                     b = next(k for k, c in enumerate(x.right_cells) if rc.leq(c))
                     assert (xrows[i] >> j & 1) == (x.rows[a] >> b & 1)
 
+    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS) + ["TxFC"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_spread_through_signatures(self, name, data):
+        """Each grid's rows on the common cells, bit by bit through the
+        signatures, among them a grid whose own cells are the common cells,
+        in their order or shuffled."""
+        if name == "TxFC":
+            fp = TRIVIAL_PRODUCTS[name]
+            left, right = powerset_elems(fp.left), fincof_elems()
+        else:
+            fp, left, right = OVERLAY_PRODUCTS[name]
+        xs = data.draw(st.lists(grid_elems(fp, left, right), min_size=1, max_size=3))
+
+        def common(alg, axes):
+            return ([], []) if fp.is_trivial else _meets(alg, axes)
+
+        L, _ = common(fp.left, [x.left_cells for x in xs])
+        R, _ = common(fp.right, [x.right_cells for x in xs])
+        fine = RectForm(fp, tuple(data.draw(st.permutations(L))),
+                        tuple(data.draw(st.permutations(R))),
+                        tuple(data.draw(st.integers(0, (1 << len(R)) - 1)) for _ in L))
+        xs.insert(data.draw(st.integers(0, len(xs))), fine)
+        L, lsig = common(fp.left, [x.left_cells for x in xs])
+        R, rsig = common(fp.right, [x.right_cells for x in xs])
+        got_L, got_R, got = _overlay(fp, xs)
+        assert list(got_L) == L and list(got_R) == R
+        for g, x in enumerate(xs):
+            assert list(got[g]) == [sum((x.rows[ls[g]] >> rs[g] & 1) << j
+                                        for j, rs in enumerate(rsig)) for ls in lsig]
+
     @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
     def test_operations_agree_pointwise(self, name):
         fp = OVERLAY_PRODUCTS[name][0]
