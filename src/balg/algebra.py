@@ -250,7 +250,9 @@ class Algebra:
     def from_atom_mask(self, bits: int) -> "Elem":
         if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("atom masks require a nontrivial powerset algebra")
-        return Elem(self, bits & self.kernel.one)
+        if not 0 <= bits <= self.kernel.one:
+            raise AlgebraError(f"atom mask {bits} is outside [0, 2^{self.atom_count})")
+        return Elem(self, bits)
 
     def elements(self) -> Iterator["Elem"]:
         """All elements (finite algebras only)."""

@@ -26,17 +26,32 @@ factor kernel's ``join``.  The complement of a canonical grid complements its ro
 and is canonical as it stands.  A product with a trivial factor has one
 element, the empty grid with no cells: only ``_overlay`` tests for this, and
 ``normalize`` finds every rectangle there zero.
+
+P(n) (x) P(m) is P(nm): an element is fixed by its atom mask, the set of atom
+pairs (p, q) under it at bit p * m + q.  A product of two powersets with
+0 < n * m <= MAX_ATOMS holds ``_forms``, a table from atom mask to canonical
+form, so at most 2^16 forms, filled as masks are met and freed with the
+product; every other product has None there.  On a product with a table,
+``_canonical`` reads the grid's mask with ``_grid_mask`` and coarsens only a
+mask it has not seen, and ``&``, ``|``, ``^``, ``leq``, ``join`` and
+``from_atom_mask`` combine the operands' masks with one integer operation
+and look the result up, with no overlay.  ``normalize`` and ``~`` keep the
+grid route, so laws still set a grid-built side against a mask-built one.
+``atom_mask`` reads a form through ``point_index`` instead, a second route
+kept apart from ``_grid_mask`` as the independent reading that the bands
+isomorphism check and the tests use.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Algebra, AlgebraError, Elem, POWERSET, _meets, point_index, refine_partition
+from .algebra import (Algebra, AlgebraError, Elem, MAX_ATOMS, POWERSET, _meets, point_index,
+                      refine_partition)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -56,15 +71,24 @@ class Rectangle:
 
 @dataclass(frozen=True, slots=True)
 class FreeProduct:
-    """The free product of two backend algebras."""
+    """The free product of two backend algebras.
+
+    It holds ``is_trivial`` (the product collapses to one element iff either
+    factor is trivial) and the table ``_forms``, both set once with it;
+    neither takes part in equality or ``repr``.
+    """
 
     left: Algebra
     right: Algebra
+    is_trivial: bool = field(init=False, compare=False, repr=False)
+    _forms: dict[int, "RectForm"] | None = field(init=False, compare=False, repr=False)
 
-    @property
-    def is_trivial(self) -> bool:
-        # the product collapses to one element iff either factor is trivial
-        return self.left.is_trivial or self.right.is_trivial
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        object.__setattr__(self, "is_trivial", left.is_trivial or right.is_trivial)
+        finite = (left.kind == right.kind == POWERSET
+                  and 0 < left.atom_count * right.atom_count <= MAX_ATOMS)
+        object.__setattr__(self, "_forms", {} if finite else None)
 
     @property
     def name(self) -> str:
@@ -144,7 +168,10 @@ class FreeProduct:
 
     def from_atom_mask(self, mask: int) -> "RectForm":
         """Join of the atom rectangles, pair (p, q) at bit p * m + q."""
-        self._require_finite()
+        if not 0 <= mask < 1 << self.atom_count:
+            raise AlgebraError(f"atom mask {mask} is outside [0, 2^{self.atom_count})")
+        if self._forms is not None:
+            return _form(self, mask)
         return self.join_cells((self.left.atoms(), self.right.atoms()), mask)
 
     def atom_mask(self, x: "RectForm") -> int:
@@ -184,8 +211,11 @@ class FreeProduct:
         return bool(x.rows[i] >> j & 1)
 
     def join(self, xs: Iterable["RectForm"]) -> "RectForm":
-        """Join of a finite family (zero if empty), members unchecked: one
-        overlay of the family, its rows ORed, one canonicalisation."""
+        """Join of a finite family (zero if empty), members unchecked: the
+        members' atom masks ORed on a product with a table, else one overlay
+        of the family, its rows ORed, one canonicalisation."""
+        if self._forms is not None:
+            return _form(self, reduce(or_, _masks(self, xs), 0))
         xs = list(xs)
         if not xs:
             return self.zero
@@ -271,8 +301,11 @@ class RectForm:
 
     def _binary(self, other: "RectForm", op) -> "RectForm":
         self._match(other)
-        L, R, (a, b) = _overlay(self.fp, (self, other))
-        return _canonical(self.fp, L, R, [op(x, y) for x, y in zip(a, b)])
+        fp = self.fp
+        if fp._forms is not None:
+            return _form(fp, op(*_masks(fp, (self, other))))
+        L, R, (a, b) = _overlay(fp, (self, other))
+        return _canonical(fp, L, R, [op(x, y) for x, y in zip(a, b)])
 
     def __and__(self, other: "RectForm") -> "RectForm":
         return self._binary(other, lambda x, y: x & y)
@@ -292,7 +325,11 @@ class RectForm:
 
     def leq(self, other: "RectForm") -> bool:
         self._match(other)
-        _, _, (a, b) = _overlay(self.fp, (self, other))
+        fp = self.fp
+        if fp._forms is not None:
+            a, b = _masks(fp, (self, other))
+            return a & ~b == 0
+        _, _, (a, b) = _overlay(fp, (self, other))
         return all(x & ~y == 0 for x, y in zip(a, b))
 
     def rel_complement(self, other: "RectForm") -> "RectForm":
@@ -372,11 +409,61 @@ def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
 
 def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
                rows: list[int]) -> RectForm:
+    """The canonical form of a grid: the table's form of its atom mask on a
+    product with a table, else the grid coarsened by ``_coarsen``."""
+    if fp._forms is None:
+        return _coarsen(fp, L, R, rows)
+    return _form(fp, _grid_mask(fp, L, R, rows), (L, R, rows))
+
+
+def _coarsen(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
+             rows: list[int]) -> RectForm:
     """Coarsen a grid one axis at a time: merge the left cells with equal
     rows, then the right cells with equal columns."""
     L, rows = _merge(fp.left, L, rows)
     R, cols = _merge(fp.right, R, _transpose(rows, len(R)))
     return RectForm(fp, L, R, tuple(_transpose(cols, len(L))))
+
+
+def _form(fp: FreeProduct, mask: int, grid=None) -> RectForm:
+    """The table's form of an atom mask in range.  A mask met for the first
+    time is coarsened from ``grid``, by default the grid of atom pairs, and
+    stored."""
+    forms = fp._forms
+    form = forms.get(mask)
+    if form is None:
+        if grid is None:
+            m, full = fp.right.atom_count, (1 << fp.right.atom_count) - 1
+            grid = (fp.left.atoms(), fp.right.atoms(),
+                    [mask >> (p * m) & full for p in range(fp.left.atom_count)])
+        form = forms[mask] = _coarsen(fp, *grid)
+    return form
+
+
+def _grid_mask(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
+               rows: Sequence[int]) -> int:
+    """Atom mask of a grid over a product with a table: each row's right
+    cells ORed into one bitset, shifted under each atom p of its left cell
+    to bit p * m.  The cells may come in any order."""
+    m = fp.right.atom_count
+    mask = 0
+    for cell, row in zip(L, rows):
+        right = 0
+        for c in R:
+            if row & 1:
+                right |= c.data
+            row >>= 1
+        left = cell.data
+        while left:
+            low = left & -left
+            mask |= right << (low.bit_length() - 1) * m
+            left ^= low
+    return mask
+
+
+def _masks(fp: FreeProduct, xs: Iterable[RectForm]) -> Iterator[int]:
+    """The atom mask of each form, read by ``_grid_mask``."""
+    return (_grid_mask(fp, x.left_cells, x.right_cells, x.rows) for x in xs)
 
 
 def _merge(alg: Algebra, cells: Sequence[Elem], masks: Sequence[int]):

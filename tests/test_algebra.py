@@ -144,6 +144,14 @@ class TestDescriptor:
             with pytest.raises(AlgebraError):
                 call()
 
+    def test_from_atom_mask_range(self):
+        """A mask outside [0, 2^n) is refused, not cut down to the unit."""
+        assert P3.from_atom_mask(0b101) == P3.subset([1, 3])
+        assert P3.from_atom_mask(0b111) == P3.one
+        for bits in (-1, 0b1000, 1 << 40):
+            with pytest.raises(AlgebraError, match="outside"):
+                P3.from_atom_mask(bits)
+
     def test_name_does_not_affect_equality(self):
         assert powerset(3, "X") == powerset(3, "Y")
         assert hash(powerset(3, "X")) == hash(powerset(3, "Y"))

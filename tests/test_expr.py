@@ -404,7 +404,8 @@ class TestCanonicalGrids:
         """Work guard: ``~`` complements the rows of the canonical grid it
         is given and calls ``_canonical`` not at all."""
         xs = [~FCxFC.rect(FC.fin([n]), FC.fin([n + 1])) for n in range(5)]
-        xs += [FCxFC.zero, FCxFC.one, P3xP4.rect(P3.subset([1]), P4.subset([2, 3]))]
+        xs += [FCxFC.zero, FCxFC.one,
+               FreeProduct(P3, P4).rect(P3.subset([1]), P4.subset([2, 3]))]
         calls = [0]
         canonical = free_product._canonical
 

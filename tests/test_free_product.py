@@ -1,4 +1,7 @@
+import dataclasses
 import random
+from functools import reduce
+from operator import and_, or_, xor
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
                       powerset_elems, split_refine)
 
 P2 = powerset(2)
+P5 = powerset(5)
 A = powerset(2, "A")
 B = powerset(2, "B")
 
@@ -176,6 +180,15 @@ class TestStructure:
             seen = {fp.from_atom_mask(mask) for mask in range(1 << (n * m))}
             assert len(seen) == 1 << (n * m)
 
+    def test_from_atom_mask_range(self):
+        """A mask outside [0, 2^(n*m)) is refused, with a table or without."""
+        for fp in (FreeProduct(P2, powerset(3)), FreeProduct(P5, P4)):
+            top = (1 << fp.atom_count) - 1
+            assert fp.from_atom_mask(top) == fp.one and fp.from_atom_mask(0) == fp.zero
+            for mask in (-1, top + 1, 1 << 40):
+                with pytest.raises(AlgebraError, match="outside"):
+                    fp.from_atom_mask(mask)
+
     def test_atoms_are_minimal(self):
         fp = FreeProduct(P2, P2)
         for x in fp.elements():
@@ -313,6 +326,16 @@ class TestTriviality:
             assert not fp.is_trivial
             assert fp.zero != fp.one
 
+    def test_is_trivial_and_table_are_held(self):
+        """Slots set once with the product, outside its equality and repr."""
+        assert {"is_trivial", "_forms"} <= set(FreeProduct.__slots__)
+        held = {f.name: f for f in dataclasses.fields(FreeProduct)}
+        for name in ("is_trivial", "_forms"):
+            assert not held[name].compare and not held[name].repr and not held[name].init
+        fp = FreeProduct(A, B)
+        assert repr(fp) == f"FreeProduct(left={A!r}, right={B!r})"
+        assert fp == FreeProduct(A, B) and hash(fp) == hash(FreeProduct(P2, P2))
+
     def test_finite_structure_needs_powersets(self):
         with pytest.raises(AlgebraError):
             FreeProduct(FC, FC).atoms()
@@ -429,6 +452,113 @@ def axis_points(alg, cells):
     return list(range(horizon + 1)) + [horizon + 1000]
 
 
+# products that hold no table of forms: n * m past MAX_ATOMS, a
+# finite_cofinite factor, a trivial factor
+NO_TABLE_PRODUCTS = {"P5xP4": FreeProduct(P5, P4), "P2xFC": FreeProduct(P2, FC),
+                     "TxP3": FreeProduct(trivial_algebra(), P3)}
+POINTWISE_PRODUCTS = {**{name: entry[0] for name, entry in OVERLAY_PRODUCTS.items()},
+                      **NO_TABLE_PRODUCTS}
+TABLE_PRODUCTS = {"P1xP1": FreeProduct(powerset(1), powerset(1)),
+                  "P2xP3": FreeProduct(P2, powerset(3)),
+                  "P3xP4": FreeProduct(P3, P4),
+                  "P4xP4": FreeProduct(P4, P4)}  # n * m = 16 = MAX_ATOMS
+
+
+def grid_route(fp, xs, op):
+    """Oracle for the table route: ``op`` folded over the operands' rows on
+    their overlay, coarsened by ``_merge`` one axis at a time."""
+    L, R, grids = _overlay(fp, xs)
+    return free_product._coarsen(fp, L, R, [reduce(op, row) for row in zip(*grids)])
+
+
+class TestTable:
+    def test_which_products_hold_one(self):
+        for fp in TABLE_PRODUCTS.values():
+            assert isinstance(fp._forms, dict)
+        for fp in [*NO_TABLE_PRODUCTS.values(), FreeProduct(FC, FC), FreeProduct(FC, P2)]:
+            assert fp._forms is None
+        # nothing is filled at construction
+        assert FreeProduct(P4, P4)._forms == {}
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_operations_match_the_grid_route(self, name, data):
+        fp = TABLE_PRODUCTS[name]
+        n, m = fp.left.atom_count, fp.right.atom_count
+        elems = grid_elems(fp, powerset_elems(fp.left), powerset_elems(fp.right))
+        x, y, z = (data.draw(elems) for _ in range(3))
+        meet, join, dsum = x & y, x | y, x ^ y
+        assert meet == grid_route(fp, [x, y], and_)
+        assert join == grid_route(fp, [x, y], or_)
+        assert dsum == grid_route(fp, [x, y], xor)
+        assert fp.join([x, y, z]) == grid_route(fp, [x, y, z], or_)
+        assert fp.join([]) == fp.zero and fp.join([x]) == x
+        _, _, (a, b) = _overlay(fp, [x, y])
+        assert x.leq(y) == all(r & ~s == 0 for r, s in zip(a, b))
+        mask = data.draw(st.integers(0, (1 << (n * m)) - 1))
+        full = (1 << m) - 1
+        from_mask = fp.from_atom_mask(mask)
+        assert from_mask == free_product._coarsen(
+            fp, fp.left.atoms(), fp.right.atoms(),
+            [mask >> (p * m) & full for p in range(n)])
+        below = True
+        for p in range(1, n + 1):
+            for q in range(1, m + 1):
+                u, v = fp.contains_point(x, p, q), fp.contains_point(y, p, q)
+                assert fp.contains_point(meet, p, q) == (u and v)
+                assert fp.contains_point(join, p, q) == (u or v)
+                assert fp.contains_point(dsum, p, q) == (u != v)
+                assert fp.contains_point(from_mask, p, q) == bool(
+                    mask >> ((p - 1) * m + q - 1) & 1)
+                below = below and (v or not u)
+        assert x.leq(y) == below
+        # equal results are the same object
+        assert meet is y & x and join is y | x and dsum is y ^ x
+        assert fp.join([y, x]) is join and fp.from_atom_mask(fp.atom_mask(meet)) is meet
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_grid_mask_reads_any_grid(self, name, data):
+        """``_grid_mask`` of a grid with shuffled cells and repeated rows is
+        the ``atom_mask`` of its canonical form."""
+        fp = TABLE_PRODUCTS[name]
+        L = data.draw(partitions(fp.left, powerset_elems(fp.left)))
+        R = data.draw(partitions(fp.right, powerset_elems(fp.right)))
+        pool = data.draw(st.lists(st.integers(0, (1 << len(R)) - 1), min_size=1, max_size=3))
+        rows = [data.draw(st.sampled_from(pool)) for _ in L]
+        canonical = free_product._coarsen(fp, L, R, rows)
+        assert free_product._grid_mask(fp, L, R, rows) == fp.atom_mask(canonical)
+        assert free_product._canonical(fp, L, R, rows) == canonical
+
+    def test_no_overlay_and_no_second_merge(self, monkeypatch):
+        """Work guard: on a fresh P(3) (x) P(4), ``&``, ``|``, ``^``, ``leq``
+        and ``join`` overlay nothing, and repeating them coarsens nothing."""
+        fp = FreeProduct(P3, P4)
+        x = fp.rect(P3.subset([1, 2]), P4.subset([2]))
+        y = ~fp.rect(P3.subset([2]), P4.subset([1, 3]))
+        calls = {"_overlay": 0, "_merge": 0}
+
+        def counting(name):
+            original = getattr(free_product, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(free_product, name, counting(name))
+        ops = [lambda: x & y, lambda: x | y, lambda: x ^ y, lambda: x.leq(y),
+               lambda: fp.join([x, y, ~x])]
+        first = [op() for op in ops]
+        assert calls["_overlay"] == 0 and calls["_merge"] > 0
+        calls["_merge"] = 0
+        assert [op() for op in ops] == first
+        assert calls == {"_overlay": 0, "_merge": 0}
+
+
 class TestJoin:
     def test_one_overlay(self, monkeypatch):
         """Work guard: the join of k grids overlays them once."""
@@ -508,9 +638,9 @@ class TestOverlay:
             assert list(got[g]) == [sum((x.rows[ls[g]] >> rs[g] & 1) << j
                                         for j, rs in enumerate(rsig)) for ls in lsig]
 
-    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
+    @pytest.mark.parametrize("name", sorted(POINTWISE_PRODUCTS))
     def test_operations_agree_pointwise(self, name):
-        fp = OVERLAY_PRODUCTS[name][0]
+        fp = POINTWISE_PRODUCTS[name]
         rng = random.Random(8)
         for k in range(60):
             x, y = fp.random_elem(rng), fp.random_elem(rng)
