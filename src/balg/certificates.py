@@ -9,6 +9,9 @@ Two kinds of machine-checkable witness:
   constructively: every proposed upper bound is strictly improved while
   remaining an upper bound.
 
+On the Riesz side, ``check_model_dedekind_complete`` samples bounded
+suprema in the place-function spaces of P(n) and P(n) (x) P(m).
+
 The two built-in witness families are the even singletons in the
 finite-cofinite algebra and the diagonal rectangles in the product of two
 finite-cofinite algebras.
@@ -20,15 +23,13 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations
-from math import lcm
 from operator import or_
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
 from .free_product import RectForm
 from .expr import serialize_value
-from .tensor import AtomVector, random_vector
+from . import places, tensor
 
 EVENS_FAMILY = "singletons of even naturals in finite_cofinite"
 DIAGONAL_FAMILY = "diagonal rectangles fin{n} x fin{n} in finite_cofinite (x) finite_cofinite"
@@ -160,48 +161,27 @@ def first_subset_without_supremum(upset: Sequence[int]) -> int | None:
     return (bad & -bad).bit_length() - 1 if bad else None
 
 
-def check_model_dedekind_complete(dim: int, rng: random.Random) -> dict:
-    """Bounded-set suprema in the atom-coordinate model of dimension dim.
+def check_model_dedekind_complete(backend, rng: random.Random, trials: int) -> dict:
+    """Bounded suprema in the place-function space of P(n) or P(n) (x) P(m),
+    on ``trials`` random families of 1-4 place functions.
 
-    Exhausts all nonempty subsets of a base family and samples 100 random
-    bounded families: through dimension 3 the base family is every component
-    (0/1 vector); above that the components are too many to exhaust, so the
-    base family is the indicators with the unit.  Each family is checked on
-    integer coordinates: its vectors scaled by the lcm of their denominators,
-    which preserves the order exactly (the base family is 0/1 already).  The
-    coordinatewise max of the rows is checked to be an upper bound attained
-    coordinatewise by members, which makes it the least upper bound exactly.
+    The supremum ``places.join`` gives must bound every member in
+    ``places.leq``, and each of its atom coordinates (``tensor.to_atom_model``)
+    must be some member's coordinate there, so every upper bound of the family
+    dominates it.  A backend with no finite atom model raises AlgebraError.
     """
-    if not 0 <= dim <= 9:
-        raise AlgebraError("model exhaustion needs a dimension from 0 to 9")
-    space = tuple(range(1, dim + 1))
-    if dim <= 3:
-        comps = [tuple(b >> i & 1 for i in range(dim)) for b in range(1 << dim)]
-    else:
-        comps = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
-        comps.append((1,) * dim)
-    random_families = (_integer_rows([random_vector(space, rng)
-                                      for _ in range(rng.randint(1, 5))])
-                       for _ in range(100))
-    base_families = (sub for r in range(1, len(comps) + 1) for sub in combinations(comps, r))
-    for families, rows in enumerate(chain(base_families, random_families), 1):
-        if not _is_least_upper_bound(rows, tuple(map(max, zip(*rows)))):
-            return {"ok": False, "dimension": dim, "families_checked": families}
-    return {"ok": True, "dimension": dim, "families_checked": families}
-
-
-def _integer_rows(family: list[AtomVector]) -> list[tuple[int, ...]]:
-    """The family's coordinates scaled by the lcm of their denominators."""
-    scale = lcm(*(a.denominator for v in family for a in v.values))
-    return [tuple(a.numerator * (scale // a.denominator) for a in v.values) for v in family]
-
-
-def _is_least_upper_bound(rows, candidate: tuple[int, ...]) -> bool:
-    """Every row is coordinatewise at most ``candidate``, and each coordinate
-    of ``candidate`` is attained by some row, so every upper bound of the
-    rows dominates it."""
-    return (all(a <= c for row in rows for a, c in zip(row, candidate))
-            and all(any(row[i] == c for row in rows) for i, c in enumerate(candidate)))
+    if trials < 1:
+        raise ValueError("the model check needs at least one family")
+    for families in range(1, trials + 1):
+        family = [places.random_place(backend, rng) for _ in range(rng.randint(1, 4))]
+        # the first member joins itself too, so one-member families use join
+        sup = reduce(places.join, family, family[0])
+        columns = zip(*(tensor.to_atom_model(f).values for f in family))
+        if not (all(places.leq(f, sup) for f in family)
+                and all(c in column
+                        for c, column in zip(tensor.to_atom_model(sup).values, columns))):
+            return {"ok": False, "families_checked": families}
+    return {"ok": True, "families_checked": trials}
 
 
 # -- the even-singleton refuter --------------------------------------------------

@@ -51,9 +51,11 @@ def parse_algebra_spec(spec: str) -> Algebra:
         raise AlgebraError(f"unknown algebra spec {spec!r}; "
                            "use P(n), powerset:n, finite_cofinite, or trivial")
     try:
-        return powerset(int(body))
-    except ValueError:
-        raise AlgebraError(f"bad atom count in {spec!r}") from None
+        if body.isascii() and body.isdigit():  # int() also takes "+3", "1_6", non-ASCII
+            return powerset(int(body))
+    except ValueError:  # past the interpreter's limit on digit strings
+        pass
+    raise AlgebraError(f"bad atom count in {spec!r}")
 
 
 def positive_int(text: str) -> int:

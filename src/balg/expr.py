@@ -247,6 +247,8 @@ def parse_element(backend: Backend, text: str):
     A lone literal of the backend's own kind is read directly; any other
     text goes through the full parser.
     """
+    if not isinstance(text, str):
+        raise ExprError(f"an element is written as a string, not {type(text).__name__}", 0)
     m = _LITERAL.fullmatch(text)
     if m is not None:
         if text == "0":
@@ -322,10 +324,14 @@ def rectform_from_grid(fp: FreeProduct, payload: dict) -> RectForm:
     coincide, and its entries are booleans.  Anything else, a matrix of the
     wrong shape included, raises ExprError.
     """
+    if not (isinstance(payload, dict) and all(isinstance(payload.get(key), list)
+                                              for key in ("left_cells", "right_cells", "matrix"))):
+        raise ExprError("a grid is an object whose cells and matrix are lists", 0)
     left = [parse_element(fp.left, c) for c in payload["left_cells"]]
     right = [parse_element(fp.right, c) for c in payload["right_cells"]]
     matrix = payload["matrix"]
-    if len(matrix) != len(left) or any(len(row) != len(right) for row in matrix):
+    if len(matrix) != len(left) or any(not isinstance(row, list) or len(row) != len(right)
+                                       for row in matrix):
         raise ExprError("grid matrix does not match its cells", 0)
     if fp.is_trivial:
         if left or right:

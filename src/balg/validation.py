@@ -112,7 +112,10 @@ def _validate_exhaustive(subsets) -> ValidationResult:
 
 def validate_certificate(payload: dict) -> ValidationResult:
     """Recheck a serialized certificate: an exhaustive verdict by redoing
-    its walk, a no-supremum chain step by step."""
+    its walk, a no-supremum chain step by step.  A payload, step list or step
+    of the wrong shape fails; a malformed grid or element raises ExprError."""
+    if not isinstance(payload, dict):
+        return ValidationResult(False, "a certificate is a JSON object")
     kind = payload.get("kind")
     if kind == "exhaustive_complete":
         return _validate_exhaustive(payload.get("subsets_checked"))
@@ -122,6 +125,8 @@ def validate_certificate(payload: dict) -> ValidationResult:
     steps = payload.get("steps", [])
     if not steps:
         return ValidationResult(False, "no_supremum certificate without steps")
+    if not isinstance(steps, list):
+        return ValidationResult(False, "no_supremum steps are not a list")
     if family == EVENS_FAMILY:
         alg = finite_cofinite()
         parse = lambda s: parse_element(alg, s)  # noqa: E731
@@ -134,6 +139,8 @@ def validate_certificate(payload: dict) -> ValidationResult:
         return ValidationResult(False, f"unknown witness family {family!r}")
     previous_written, previous_improved = None, None
     for k, step in enumerate(steps):
+        if not (isinstance(step, dict) and "upper_bound" in step and "improved" in step):
+            return ValidationResult(False, f"step {k}: not an object with both bounds", k)
         bound = step["upper_bound"]
         # a bound written as the previous improvement was parsed, and found
         # an upper bound, one step ago: reading it again gives the same value

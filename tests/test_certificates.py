@@ -1,14 +1,12 @@
 import copy
 import random
-from fractions import Fraction
 from functools import reduce
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg import algebra, free_product
+from balg import algebra, free_product, places
 from balg.algebra import AlgebraError, Elem, powerset, trivial_algebra
 from balg.expr import ExprError, grid_dict, parse_element, rectform_from_grid, serialize_value
 from balg.free_product import FreeProduct, Rectangle, RectForm
@@ -41,9 +39,6 @@ class TestFiniteCompleteness:
         for fp in (FreeProduct(powerset(2), powerset(3)), FreeProduct(FC, powerset(1))):
             with pytest.raises(AlgebraError):
                 certs.check_finite_completeness(fp)
-        for dim in (-1, -5, 10):
-            with pytest.raises(AlgebraError):
-                certs.check_model_dedekind_complete(dim, random.Random(0))
 
     # each planted defect below gets past a walk of the bitmask order on
     # plain ints, which never asks the algebra anything
@@ -70,21 +65,48 @@ class TestFiniteCompleteness:
         with pytest.raises(AssertionError, match="repeats an element"):
             certs.check_finite_completeness(FreeProduct(powerset(2), powerset(2)))
 
+    # the model check on the place-function spaces C(P(n)) and C(P(n) (x) P(m))
+
     def test_model_bounded_sups(self):
         rng = random.Random(0)
-        verdicts = [certs.check_model_dedekind_complete(dim, rng) for dim in range(10)]
-        assert all(v["ok"] and v["dimension"] == dim for dim, v in enumerate(verdicts))
-        # every nonempty subset of the base family, then 100 random families
-        assert [v["families_checked"] for v in verdicts] == [
-            101, 103, 115, 355, 131, 163, 227, 355, 611, 1123]
+        backends = [powerset(n) for n in (1, 2, 3)] + [
+            FreeProduct(powerset(n), powerset(m)) for n, m in ((1, 3), (2, 2), (3, 3))]
+        for backend in backends:
+            assert certs.check_model_dedekind_complete(backend, rng, 12) == {
+                "ok": True, "families_checked": 12}
 
     def test_model_check_does_no_vector_lattice_work(self, monkeypatch):
+        # the supremum comes from the place-function lattice; the atom
+        # coordinates are only read, never joined or compared as vectors
         def refuse(*args):
             raise AssertionError("an AtomVector lattice operation in the model check")
         monkeypatch.setattr(AtomVector, "join", refuse)
         monkeypatch.setattr(AtomVector, "leq", refuse)
-        assert certs.check_model_dedekind_complete(9, random.Random(0)) == {
-            "ok": True, "dimension": 9, "families_checked": 1123}
+        fp = FreeProduct(powerset(3), powerset(3))
+        assert certs.check_model_dedekind_complete(fp, random.Random(0), 20)["ok"]
+
+    @pytest.mark.parametrize("backend", [powerset(3), FreeProduct(powerset(2), powerset(3))],
+                             ids=["P3", "P2xP3"])
+    @pytest.mark.parametrize("planted", [
+        places.add_refine, places.meet,
+        # an upper bound of every member, but not the least: only the
+        # coordinate route can catch it
+        lambda f, g: places.lattice(f, g, "join") + places.unit(f.backend),
+    ], ids=["sum", "meet", "raised"])
+    def test_planted_wrong_join_fails_at_the_first_family(self, monkeypatch, backend, planted):
+        monkeypatch.setattr(places, "join", planted)
+        assert certs.check_model_dedekind_complete(backend, random.Random(0), 20) == {
+            "ok": False, "families_checked": 1}
+
+    @pytest.mark.parametrize("backend", [FC, FreeProduct(FC, powerset(2))],
+                             ids=["fincof", "fincof x P2"])
+    def test_no_finite_atom_model_raises(self, backend):
+        with pytest.raises(AlgebraError):
+            certs.check_model_dedekind_complete(backend, random.Random(0), 3)
+
+    def test_no_families_raises(self):
+        with pytest.raises(ValueError):
+            certs.check_model_dedekind_complete(powerset(2), random.Random(0), 0)
 
 
 def sequential_subset_without_supremum(upset):
@@ -146,74 +168,6 @@ class TestSubsetWalk:
             assert bad == sequential_subset_without_supremum(upset)
             found += bad is not None
         assert found > 0
-
-
-def fraction_least_upper_bound_ok(family, sup=None):
-    """The model check's Fraction body before it moved to integer rows, kept
-    as the oracle: ``sup`` (by default the join of the family) bounds every
-    member and each of its coordinates is attained by one."""
-    if sup is None:
-        sup = family[0]
-        for v in family[1:]:
-            sup = sup.join(v)
-    if not all(v.leq(sup) for v in family):
-        return False
-    for i in range(len(sup.values)):
-        if not any(v.values[i] == sup.values[i] for v in family):
-            return False
-    return True
-
-
-def model_families():
-    """Families of 1-6 vectors at dimensions 0-9, mixed signs, denominators 1-7."""
-    coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
-    return st.integers(0, 9).flatmap(lambda dim: st.lists(
-        st.lists(coord, min_size=dim, max_size=dim).map(
-            lambda vals: AtomVector(tuple(range(1, dim + 1)), tuple(vals))),
-        min_size=1, max_size=6))
-
-
-class TestIntegerSuprema:
-    @settings(max_examples=300, deadline=None)
-    @given(family=model_families(), data=st.data())
-    def test_matches_fraction_body(self, family, data):
-        space = family[0].space
-        scale = lcm(*(a.denominator for v in family for a in v.values))
-        rows = certs._integer_rows(family)
-        assert rows == [tuple(a * scale for a in v.values) for v in family]
-        assert all(type(a) is int for row in rows for a in row)
-        candidate = tuple(map(max, zip(*rows)))
-        assert AtomVector(space, tuple(Fraction(c, scale) for c in candidate)) == \
-            reduce(AtomVector.join, family)
-        assert certs._is_least_upper_bound(rows, candidate)
-        assert fraction_least_upper_bound_ok(family)
-        # a moved candidate gets the same verdict from both bodies
-        if space:
-            i = data.draw(st.integers(0, len(space) - 1))
-            moved = list(candidate)
-            moved[i] += data.draw(st.integers(-3, 3))
-            sup = AtomVector(space, tuple(Fraction(c, scale) for c in moved))
-            assert certs._is_least_upper_bound(rows, tuple(moved)) == \
-                fraction_least_upper_bound_ok(family, sup)
-
-    def test_rejects_a_candidate_below_a_member(self):
-        rows = [(1, -2, 0), (0, 3, -1)]
-        assert certs._is_least_upper_bound(rows, (1, 3, 0))
-        assert not certs._is_least_upper_bound(rows, (0, 3, 0))
-        assert not certs._is_least_upper_bound(rows, (1, 3, -1))
-
-    def test_rejects_a_raised_upper_bound(self):
-        rows = [(1, -2, 0), (0, 3, -1)]
-        top = (1, 3, 0)
-        for i in range(3):
-            raised = top[:i] + (top[i] + 1,) + top[i + 1:]
-            assert not certs._is_least_upper_bound(rows, raised)
-
-    def test_empty_family(self):
-        # nothing attains a coordinate, so only the zero-dimensional model
-        # has a least upper bound of no rows
-        assert not certs._is_least_upper_bound([], (0,))
-        assert certs._is_least_upper_bound([], ())
 
 
 class TestEvensRefuter:
@@ -424,6 +378,18 @@ class TestValidatorPredicates:
         assert 100 <= sum(verdicts) <= 300
 
 
+def chain_payload(family, steps):
+    start = FC.one if family == certs.EVENS_FAMILY else FreeProduct(FC, FC).one
+    return certs.no_supremum_certificate(family, start, steps=steps).to_dict()
+
+
+def tampered(edit, family=certs.DIAGONAL_FAMILY):
+    """A three-step chain payload of ``family`` after ``edit``."""
+    payload = chain_payload(family, 3)
+    edit(payload)
+    return payload
+
+
 class TestValidation:
     def test_valid_certificates_pass(self):
         cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=4)
@@ -501,6 +467,32 @@ class TestValidation:
         with pytest.raises(ExprError, match=message):
             validate_certificate(payload)
 
+    @pytest.mark.parametrize("payload, verdict", [
+        (tampered(lambda p: p["steps"][1].pop("improved")),
+         ValidationResult(False, "step 1: not an object with both bounds", 1)),
+        (tampered(lambda p: p["steps"][0].update(upper_bound="1")), ExprError),
+        (tampered(lambda p: p["steps"][0]["improved"].update(matrix=5)), ExprError),
+        (tampered(lambda p: p["steps"][0]["improved"].pop("left_cells")), ExprError),
+        (tampered(lambda p: p.update(steps="abc")),
+         ValidationResult(False, "no_supremum steps are not a list")),
+        (tampered(lambda p: p["steps"][0]["improved"]["left_cells"].__setitem__(0, 1)),
+         ExprError),
+        (tampered(lambda p: p["steps"][0].update(improved=5), certs.EVENS_FAMILY), ExprError),
+        ([chain_payload(certs.DIAGONAL_FAMILY, 3)],
+         ValidationResult(False, "a certificate is a JSON object")),
+    ], ids=["step without improved", "diagonal bound as text", "matrix as a number",
+            "grid without left_cells", "steps as text", "cell as a number",
+            "evens improvement as a number", "payload as a list"])
+    def test_malformed_structure_fails_or_raises_expr_error(self, payload, verdict):
+        """Never a KeyError or TypeError: a payload, step list or step of the
+        wrong shape fails, naming the step, and a grid or an element text of
+        the wrong shape is an ExprError."""
+        if verdict is ExprError:
+            with pytest.raises(ExprError):
+                validate_certificate(payload)
+        else:
+            assert validate_certificate(payload) == verdict
+
     @pytest.mark.parametrize("family, length", [(certs.EVENS_FAMILY, 8),
                                                 (certs.DIAGONAL_FAMILY, 6)])
     def test_verdicts_match_reparsing_every_bound(self, family, length):
@@ -548,11 +540,6 @@ class TestChainPayload:
         assert payload["steps"][2]["upper_bound"] == bound
 
 
-def chain_payload(family, steps):
-    start = FC.one if family == certs.EVENS_FAMILY else FreeProduct(FC, FC).one
-    return certs.no_supremum_certificate(family, start, steps=steps).to_dict()
-
-
 def containers(value):
     """Every list and dict inside a payload value, itself included."""
     if isinstance(value, dict):
@@ -576,6 +563,8 @@ def reparse_validate(payload):
         parse, is_upper = (lambda s: rectform_from_grid(fp, s)), _diagonal_upper_bound
     previous = None
     for k, step in enumerate(steps):
+        if not ("upper_bound" in step and "improved" in step):
+            return ValidationResult(False, f"step {k}: not an object with both bounds", k)
         u = parse(step["upper_bound"])
         improved = parse(step["improved"])
         if previous is not None and u != previous:

@@ -29,7 +29,10 @@ class TestAlgebraSpec:
 
     def test_bad_specs(self):
         from balg.algebra import AlgebraError
-        for spec in ("Q(3)", "P(x)", "powerset", "P(99)"):
+        # the atom count is a run of ASCII digits: int() alone would read
+        # P(1_6) as P(16) and take other scripts' digits and a sign
+        for spec in ("Q(3)", "P(x)", "powerset", "P(99)", "P(1_6)", "P(\u0663)",
+                     "powerset:+3", f"P({BIG})"):
             with pytest.raises(AlgebraError):
                 parse_algebra_spec(spec)
 

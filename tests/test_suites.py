@@ -131,6 +131,16 @@ def test_completeness_payload_structure():
     assert len(cases) == 5
     assert any("unverifiable" in entry for entry in payload["dichotomy"])
     assert all(e["subsets_checked"] >= 1 for e in payload["exhaustive"])
+    # one entry per small powerset of at most 3 atoms, one per pair of their
+    # atom counts with n m <= 9, each over max(1, trials // 4) families
+    small = [a for a in cfg.small_powersets if a.atom_count <= 3]
+    pairs = sorted({(a.atom_count, b.atom_count) for a in cfg.small_powersets
+                    for b in cfg.small_powersets if a.atom_count * b.atom_count <= 9})
+    sups = payload["model_bounded_sups"]
+    assert [e["algebra"] for e in sups if "algebra" in e] == [a.name for a in small]
+    assert [tuple(e["product"]) for e in sups if "product" in e] == pairs
+    assert len(sups) == len(small) + len(pairs) == 6
+    assert all(e["ok"] and e["families_checked"] == max(1, cfg.trials // 4) for e in sups)
 
 
 def test_bands_draws_trials_pairs(monkeypatch):
@@ -154,15 +164,15 @@ def test_bands_draws_trials_pairs(monkeypatch):
 # each suite's "laws" block removed, the *_WITH_LAWS digests of the whole
 # report.
 REPORT_DIGESTS = {
-    0: "85d6c05eb2151035ffeec1a7c6a16b11d6da6d7924cd1b533c8b32ebbb2f1852",
-    1: "c10e7b123acd85634c51645376636e994306c97ae9cf5bac1322b350dcf1a857",
+    0: "50afd424fddae9313f38d7076aaa80e831c913e585d9e83c27f6ca41de011117",
+    1: "ed6dfecbffbd324cc4bc07723aeb8b8ddf27648b4c2189bb76907318ad3d82a6",
 }
-TRIVIAL_REPORT_DIGEST = "dc05a16be650bc2557645c410a4a2090b81bd56839d8658791810215b847d22d"
+TRIVIAL_REPORT_DIGEST = "00e341e3996f0ac25205c8faf077e0d46433104f21162134a01d98c2bbda94ee"
 REPORT_DIGESTS_WITH_LAWS = {
-    0: "6b00ff8f70e6e83f53eb6ecdb238a636f746dd3017e8735266343e9e296384e9",
-    1: "26faa8841999db70df843b42d72fe46d5792a7ff4261fff300e9226255a832d4",
+    0: "fbe1c388b83d359ddab2ae441f2468f8c484525ddb8b40a2b2b1313bdb105920",
+    1: "2f712d1f01ae64a845093c6f8d7886d09308f6a3cc8185ad20df262484aa93ff",
 }
-TRIVIAL_REPORT_DIGEST_WITH_LAWS = "03b20d372e7640bd888e44a5a1d1a0371cd66725077f11c8515386db27402d1b"
+TRIVIAL_REPORT_DIGEST_WITH_LAWS = "7590db8439bf6cdc90509b2498d5814f6c1ad3a8ea68967283cf796fa0f86439"
 CERTIFICATE_DIGEST = "ef1a48add35204cf501b77df75ff31f788b98756fc166ecb5fba204521762614"
 
 
