@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Algebra, AlgebraError, Elem, powerset
+from .algebra import Algebra, AlgebraError, Elem, MAX_ATOMS, powerset
 from .free_product import FreeProduct
 from .tensor import AtomVector
 
@@ -109,8 +109,8 @@ def compare_band_products(n: int, m: int, pair_samples: int = 200,
     dimensions the two sides differ, which the completeness certificates
     witness; finite dimension is the isomorphic regime.)
     """
-    if n * m > 16:
-        raise AlgebraError("atom budget capped at 16")
+    if n * m > MAX_ATOMS:
+        raise AlgebraError(f"atom budget capped at {MAX_ATOMS}")
     rng = rng or random.Random(0)
     be = band_algebra(n)
     bf = band_algebra(m)

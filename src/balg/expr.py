@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
@@ -312,7 +313,12 @@ def grid_dict(x: RectForm) -> dict:
     }
 
 
-_BIT = {True: "1", False: "0"}
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def booleans_only(matrix: list) -> bool:
+    """Whether every entry is a bool: 1, 0, 1.0 and 0.0 compare equal to one."""
+    return {bool}.issuperset(map(type, chain.from_iterable(matrix)))
 
 
 def rectform_from_grid(fp: FreeProduct, payload: dict) -> RectForm:
@@ -347,12 +353,10 @@ def rectform_from_grid(fp: FreeProduct, payload: dict) -> RectForm:
         keys = [alg.sort_key(c) for c in cells]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ExprError("grid cells are not in canonical order", 0)
-    try:
-        # column j is bit j of its row's mask
-        rows = [int("".join(map(_BIT.__getitem__, reversed(row))), 2)
-                for row in matrix]
-    except (KeyError, TypeError):
-        raise ExprError("grid matrix entries must be true or false", 0) from None
+    if not booleans_only(matrix):
+        raise ExprError("grid matrix entries must be true or false", 0)
+    # column j is bit j of its row's mask: the row's bytes reversed, as digits
+    rows = [int(bytes(row)[::-1].translate(_DIGITS), 2) for row in matrix]
     if len(set(rows)) != len(rows) or len(set(zip(*matrix))) != len(right):
         raise ExprError("grid has two equal rows or two equal columns", 0)
     return RectForm(fp, tuple(left), tuple(right), tuple(rows))

@@ -8,34 +8,32 @@ structural equality decides mathematical equality.
 
 Each axis of a grid partitions that axis's unit, so the common refinement
 of several grids is the nonzero meets of their cells, one cell from each
-grid.  Binary operations, ``leq`` and ``joint_cells`` take those meets with
-``algebra._meets``, the one refinement kernel, and copy each grid's rows
-onto them with bit operations.  An axis on which every grid has the same
-cells is already common, so ``_overlay`` neither refines it nor moves rows
-along it.  ``normalize`` builds its grid from the factors' ``joint_cells``:
-the cells refining the rectangle sides, and one cell mask per side.  One
-nonzero rectangle a x b needs neither: its grid (a, ~a) x (b, ~b), with the
-one cell a x b active, is canonical as it stands.  Either way ``normalize``
-refines each axis once with ``refine_partition``.
+grid.  Every operation except ``~`` and ``normalize`` works cellwise on
+the flat masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R)
+at bit i * len(R) + j), and ``_join_cells`` takes a mask back to a
+canonical form.  Without a table ``_overlay`` takes the meets with
+``algebra._meets``, the one refinement kernel, and copies each grid's rows
+onto them; an axis on which every grid has the same cells is left as is.
+``normalize`` refines each axis once with ``refine_partition``: one
+nonzero rectangle a x b gives the grid (a, ~a) x (b, ~b), canonical as it
+stands, and several give the factors' ``joint_cells`` and a mask per side.
 
-The product has one n-ary join, ``FreeProduct.join``.  ``_canonical``
-coarsens a grid one axis at a time with one step, ``_merge``: it merges the
-left cells with equal rows, transposes, merges the right cells with equal
-columns and transposes back, each group of cells joined once with the
-factor kernel's ``join``.  The complement of a canonical grid complements its rows
-and is canonical as it stands.  A product with a trivial factor has one
-element, the empty grid with no cells: only ``_overlay`` tests for this, and
-``normalize`` finds every rectangle there zero.
+``_canonical`` coarsens a grid one axis at a time with ``_merge``: it
+merges the left cells with equal rows, transposes, merges the right cells
+with equal columns and transposes back, each group of cells joined once
+with the factor kernel's ``join``.  The complement of a canonical grid
+complements its rows and is canonical as it stands.  A product with a
+trivial factor has one element, the empty grid with no cells: only
+``_overlay`` tests for this, and ``normalize`` finds every rectangle zero.
 
 P(n) (x) P(m) is P(nm): an element is fixed by its atom mask, the set of atom
 pairs (p, q) under it at bit p * m + q.  A product of two powersets with
 0 < n * m <= MAX_ATOMS holds ``_forms``, a table from atom mask to canonical
 form, so at most 2^16 forms, filled as masks are met and freed with the
-product; every other product has None there.  On a product with a table,
-``_canonical`` reads the grid's mask with ``_grid_mask`` and coarsens only a
-mask it has not seen, and ``&``, ``|``, ``^``, ``leq``, ``join`` and
-``from_atom_mask`` combine the operands' masks with one integer operation
-and look the result up, with no overlay.  ``normalize`` and ``~`` keep the
+product; every other product has None there.  Its common grid is the atom
+pairs, so a cell mask is an atom mask: ``_joint_cells`` reads it with
+``_grid_mask``, ``_join_cells`` and ``_canonical`` look it up with ``_form``,
+and only these four read the table.  ``normalize`` and ``~`` keep the
 grid route, so laws still set a grid-built side against a mask-built one.
 ``atom_mask`` reads a form through ``point_index`` instead, a second route
 kept apart from ``_grid_mask`` as the independent reading that the bands
@@ -47,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (Algebra, AlgebraError, Elem, MAX_ATOMS, POWERSET, _meets, point_index,
@@ -160,19 +158,13 @@ class FreeProduct:
     def atoms(self) -> tuple["RectForm", ...]:
         """Atom rectangles in (left, right) index order."""
         self._require_finite()
-        out = []
-        for p in self.left.atoms():
-            for q in self.right.atoms():
-                out.append(self.rect(p, q))
-        return tuple(out)
+        return tuple(self.rect(p, q) for p in self.left.atoms() for q in self.right.atoms())
 
     def from_atom_mask(self, mask: int) -> "RectForm":
         """Join of the atom rectangles, pair (p, q) at bit p * m + q."""
         if not 0 <= mask < 1 << self.atom_count:
             raise AlgebraError(f"atom mask {mask} is outside [0, 2^{self.atom_count})")
-        if self._forms is not None:
-            return _form(self, mask)
-        return self.join_cells((self.left.atoms(), self.right.atoms()), mask)
+        return _join_cells(self, (self.left.atoms(), self.right.atoms()), mask)
 
     def atom_mask(self, x: "RectForm") -> int:
         """Bitmask over atom pairs, pair (p, q) at bit p * m + q."""
@@ -212,15 +204,9 @@ class FreeProduct:
 
     def join(self, xs: Iterable["RectForm"]) -> "RectForm":
         """Join of a finite family (zero if empty), members unchecked: the
-        members' atom masks ORed on a product with a table, else one overlay
-        of the family, its rows ORed, one canonicalisation."""
-        if self._forms is not None:
-            return _form(self, reduce(or_, _masks(self, xs), 0))
-        xs = list(xs)
-        if not xs:
-            return self.zero
-        L, R, grids = _overlay(self, xs)
-        return _canonical(self, L, R, [reduce(or_, row) for row in zip(*grids)])
+        members' cell masks on one ``_joint_cells`` grid, ORed."""
+        payload, masks, _ = _joint_cells(self, list(xs))
+        return _join_cells(self, payload, reduce(or_, masks, 0))
 
     # one sup body for every backend: check each member, then join
     sup = Algebra.sup
@@ -242,26 +228,12 @@ class FreeProduct:
         )
 
     def joint_cells(self, parts: Sequence["RectForm"]):
-        """Shared grid refining every part, plus each part's cell bitmask.
-
-        The payload is a (left cells, right cells) pair; flat cell index
-        ``i * len(right cells) + j``.
-        """
-        L, R, grids = _overlay(self, parts)
-        width = len(R)
-        masks = []
-        for rows in grids:
-            m = 0
-            for i, row in enumerate(rows):
-                m |= row << (i * width)
-            masks.append(m)
-        return (L, R), masks, len(L) * width
+        """Shared grid and each part's flat cell mask: ``_joint_cells``."""
+        return _joint_cells(self, parts)
 
     def join_cells(self, payload, mask: int) -> "RectForm":
-        L, R = payload
-        width = len(R)
-        rows = [(mask >> (i * width)) & ((1 << width) - 1) for i in range(len(L))]
-        return _canonical(self, L, R, rows)
+        """The element over the cells at the set bits: ``_join_cells``."""
+        return _join_cells(self, payload, mask)
 
     def _check(self, x: "RectForm") -> "RectForm":
         if not isinstance(x, RectForm) or (x.fp is not self and x.fp != self):
@@ -302,19 +274,17 @@ class RectForm:
     def _binary(self, other: "RectForm", op) -> "RectForm":
         self._match(other)
         fp = self.fp
-        if fp._forms is not None:
-            return _form(fp, op(*_masks(fp, (self, other))))
-        L, R, (a, b) = _overlay(fp, (self, other))
-        return _canonical(fp, L, R, [op(x, y) for x, y in zip(a, b)])
+        payload, (a, b), _ = _joint_cells(fp, (self, other))
+        return _join_cells(fp, payload, op(a, b))
 
     def __and__(self, other: "RectForm") -> "RectForm":
-        return self._binary(other, lambda x, y: x & y)
+        return self._binary(other, and_)
 
     def __or__(self, other: "RectForm") -> "RectForm":
-        return self._binary(other, lambda x, y: x | y)
+        return self._binary(other, or_)
 
     def __xor__(self, other: "RectForm") -> "RectForm":
-        return self._binary(other, lambda x, y: x ^ y)
+        return self._binary(other, xor)
 
     def __invert__(self) -> "RectForm":
         # complementing every row keeps the rows distinct and the columns
@@ -325,12 +295,8 @@ class RectForm:
 
     def leq(self, other: "RectForm") -> bool:
         self._match(other)
-        fp = self.fp
-        if fp._forms is not None:
-            a, b = _masks(fp, (self, other))
-            return a & ~b == 0
-        _, _, (a, b) = _overlay(fp, (self, other))
-        return all(x & ~y == 0 for x, y in zip(a, b))
+        _, (a, b), _ = _joint_cells(self.fp, (self, other))
+        return a & ~b == 0
 
     def rel_complement(self, other: "RectForm") -> "RectForm":
         return self & ~(self & other)
@@ -353,6 +319,37 @@ _grid_fp = RectForm.fp.__set__
 _grid_left = RectForm.left_cells.__set__
 _grid_right = RectForm.right_cells.__set__
 _grid_rows = RectForm.rows.__set__
+
+
+def _joint_cells(fp: FreeProduct, parts: Sequence[RectForm]):
+    """The common grid (L, R) of several elements, each one's flat cell mask
+    on it and the number of cells: on a product with a table, the factors'
+    own ``atoms()`` tuples and the atom masks; else ``_overlay``, each
+    element's rows laid end to end."""
+    if fp._forms is not None:
+        L, R = fp.left.atoms(), fp.right.atoms()
+        masks = [_grid_mask(fp, x.left_cells, x.right_cells, x.rows) for x in parts]
+    else:
+        L, R, grids = _overlay(fp, parts)
+        width, masks = len(R), []
+        for rows in grids:
+            m = 0
+            for row in reversed(rows):
+                m = m << width | row
+            masks.append(m)
+    return (L, R), masks, len(L) * len(R)
+
+
+def _join_cells(fp: FreeProduct, payload, mask: int) -> RectForm:
+    """The canonical form of the cells of ``payload`` at the set bits of
+    ``mask``, bits past the last cell dropped: the table's form when the
+    payload is the factors' own atom tuples, compared by identity, else the
+    grid's rows through ``_canonical``."""
+    L, R = payload
+    if fp._forms is not None and L is fp.left.atoms() and R is fp.right.atoms():
+        return _form(fp, mask & ~(-1 << len(L) * len(R)))
+    width, full = len(R), (1 << len(R)) - 1
+    return _canonical(fp, L, R, [mask >> (i * width) & full for i in range(len(L))])
 
 
 def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
@@ -459,11 +456,6 @@ def _grid_mask(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
             mask |= right << (low.bit_length() - 1) * m
             left ^= low
     return mask
-
-
-def _masks(fp: FreeProduct, xs: Iterable[RectForm]) -> Iterator[int]:
-    """The atom mask of each form, read by ``_grid_mask``."""
-    return (_grid_mask(fp, x.left_cells, x.right_cells, x.rows) for x in xs)
 
 
 def _merge(alg: Algebra, cells: Sequence[Elem], masks: Sequence[int]):

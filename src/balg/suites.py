@@ -20,7 +20,7 @@ from functools import reduce
 from math import ceil
 from operator import add, and_, or_, xor
 
-from .algebra import (Algebra, Hom, POWERSET,
+from .algebra import (Algebra, Hom, MAX_ATOMS, POWERSET,
                       check_homomorphism, powerset, trivial_algebra)
 from .free_product import FreeProduct, InducedHom, Rectangle
 from . import bands as band_model
@@ -272,7 +272,7 @@ def suite_homomorphisms(cfg: SuiteConfig, rng: random.Random) -> _Suite:
 
 def _pairings(cfg: SuiteConfig) -> list[FreeProduct]:
     return [FreeProduct(a, b) for a in cfg.nontrivial for b in cfg.nontrivial
-            if a.kind != POWERSET or b.kind != POWERSET or a.atom_count * b.atom_count <= 16]
+            if {a.kind, b.kind} != {POWERSET} or a.atom_count * b.atom_count <= MAX_ATOMS]
 
 
 def suite_free_product(cfg: SuiteConfig, rng: random.Random) -> _Suite:
@@ -523,7 +523,7 @@ def suite_tensor_iso(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     s = _Suite()
     powersets = cfg.powersets
     pairs = [(a, b) for a in powersets for b in powersets
-             if a.atom_count * b.atom_count <= 16]
+             if a.atom_count * b.atom_count <= MAX_ATOMS]
     for a, b in pairs:
         t = tensor.TensorMap(a, b)
         fp = t.fp
@@ -761,7 +761,7 @@ def suite_bands(cfg: SuiteConfig, rng: random.Random) -> _Suite:
     # finite-dimensional contrast: the two band products are isomorphic
     pairs = sorted({(a.atom_count, b.atom_count)
                     for a in cfg.powersets for b in cfg.powersets
-                    if a.atom_count * b.atom_count <= 16} | {(2, 3)})
+                    if a.atom_count * b.atom_count <= MAX_ATOMS} | {(2, 3)})
     for n, m in pairs:
         verdict = band_model.compare_band_products(n, m, pair_samples=cfg.trials, rng=rng)
         s.check(verdict.ok, "band product contrast", f"({n}, {m})", detail=verdict.detail)

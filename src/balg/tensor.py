@@ -140,8 +140,8 @@ def _finite_atoms(backend) -> tuple[tuple, object]:
             raise AlgebraError(f"no finite atom model for {backend.name or backend.kind}")
         return atom_space(backend), (() if backend.is_trivial else backend.atoms())
     if isinstance(backend, FreeProduct):
-        return (pair_space(backend.left, backend.right),
-                (backend.left.atoms(), backend.right.atoms()))
+        (_, left), (_, right) = _finite_atoms(backend.left), _finite_atoms(backend.right)
+        return pair_space(backend.left, backend.right), (left, right)
     raise AlgebraError(f"no finite atom model for {backend!r}")
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .algebra import Elem, finite_cofinite
 from .certificates import DIAGONAL_FAMILY, EVENS_FAMILY
-from .expr import parse_element, rectform_from_grid
+from .expr import booleans_only, parse_element, rectform_from_grid
 from .free_product import FreeProduct, RectForm
 
 
@@ -142,10 +142,11 @@ def validate_certificate(payload: dict) -> ValidationResult:
         if not (isinstance(step, dict) and "upper_bound" in step and "improved" in step):
             return ValidationResult(False, f"step {k}: not an object with both bounds", k)
         bound = step["upper_bound"]
-        # a bound written as the previous improvement was parsed, and found
-        # an upper bound, one step ago: reading it again gives the same value
-        # and the same verdict
-        reused = previous_improved is not None and bound == previous_written
+        # a bound written as the previous improvement was parsed, and found an
+        # upper bound, one step ago: reading it again gives the same value and
+        # verdict (a grid's entries must still be booleans, as ``==`` takes 1)
+        reused = (previous_improved is not None and bound == previous_written
+                  and (not isinstance(bound, dict) or booleans_only(bound["matrix"])))
         u = previous_improved if reused else parse(bound)
         written = step["improved"]
         improved = parse(written)

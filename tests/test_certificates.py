@@ -467,6 +467,17 @@ class TestValidation:
         with pytest.raises(ExprError, match=message):
             validate_certificate(payload)
 
+    def test_number_in_a_reused_bound_raises(self):
+        """A bound equal to the previous improvement under ``==``, but for a 1
+        in place of a true, is parsed afresh and refused."""
+        payload = chain_payload(certs.DIAGONAL_FAMILY, 3)
+        matrix = payload["steps"][1]["upper_bound"]["matrix"]
+        row = next(row for row in matrix if True in row)
+        row[row.index(True)] = 1
+        assert payload["steps"][1]["upper_bound"] == payload["steps"][0]["improved"]
+        with pytest.raises(ExprError, match="true or false"):
+            validate_certificate(payload)
+
     @pytest.mark.parametrize("payload, verdict", [
         (tampered(lambda p: p["steps"][1].pop("improved")),
          ValidationResult(False, "step 1: not an object with both bounds", 1)),

@@ -427,10 +427,14 @@ class TestCanonicalGrids:
 
     def test_entries_must_be_booleans(self):
         payload = grid_dict(FCxFC.rect(FC.fin([0]), FC.one))
-        for entry in (2, None, "yes", [True]):
+        # 1, 0, 1.0 and 0.0 compare equal to the booleans, and are refused too
+        for entry in (2, None, "yes", [True], 1, 0, 1.0, 0.0):
             bad = dict(payload, matrix=[[entry], [False]])
             with pytest.raises(ExprError, match="true or false"):
                 rectform_from_grid(FCxFC, bad)
+        with pytest.raises(ExprError, match="true or false"):
+            rectform_from_grid(FCxFC, {"left_cells": ["fin{0}", "cof{0}"],
+                                       "right_cells": ["1"], "matrix": [[1], [0.0]]})
 
     def test_trivial_product_grid_has_no_cells(self):
         fp = FreeProduct(trivial_algebra(), FC)

@@ -12,7 +12,7 @@ from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, tr
 from balg.expr import grid_dict, rectform_from_grid
 from balg.free_product import FreeProduct, InducedHom, Rectangle, RectForm, _overlay
 from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
-                      powerset_elems, split_refine)
+                      powerset_elems, rationals, split_refine)
 
 P2 = powerset(2)
 P5 = powerset(5)
@@ -471,6 +471,23 @@ def grid_route(fp, xs, op):
     return free_product._coarsen(fp, L, R, [reduce(op, row) for row in zip(*grids)])
 
 
+def overlay_joint_cells(fp, parts):
+    """Oracle for ``joint_cells`` on a product with a table: the parts'
+    overlay, each part's rows laid end to end."""
+    L, R, grids = _overlay(fp, parts)
+    width = len(R)
+    masks = [sum(row << (i * width) for i, row in enumerate(rows)) for rows in grids]
+    return (L, R), masks, len(L) * width
+
+
+def overlay_join_cells(fp, payload, mask):
+    """Oracle for ``join_cells``: the mask cut into rows, coarsened by
+    ``_merge`` one axis at a time."""
+    L, R = payload
+    full = (1 << len(R)) - 1
+    return free_product._coarsen(fp, L, R, [mask >> (i * len(R)) & full for i in range(len(L))])
+
+
 class TestTable:
     def test_which_products_hold_one(self):
         for fp in TABLE_PRODUCTS.values():
@@ -531,6 +548,67 @@ class TestTable:
         canonical = free_product._coarsen(fp, L, R, rows)
         assert free_product._grid_mask(fp, L, R, rows) == fp.atom_mask(canonical)
         assert free_product._canonical(fp, L, R, rows) == canonical
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_joint_cells_are_the_atom_pairs(self, name, data):
+        """The common grid is the factors' own atom tuples and each part's
+        flat mask its atom mask; a mask on it, or on a copy of it, joins to
+        the element of that atom mask."""
+        fp = TABLE_PRODUCTS[name]
+        elems = grid_elems(fp, powerset_elems(fp.left), powerset_elems(fp.right))
+        parts = data.draw(st.lists(elems, max_size=4))
+        (L, R), masks, ncells = fp.joint_cells(parts)
+        assert L is fp.left.atoms() and R is fp.right.atoms()
+        assert masks == [fp.atom_mask(x) for x in parts] and ncells == fp.atom_count
+        mask = data.draw(st.integers(0, (1 << fp.atom_count) - 1))
+        want = fp.from_atom_mask(mask)
+        assert fp.join_cells((L, R), mask) is want
+        assert fp.join_cells((list(L), list(R)), mask) == want
+        # bits past the last cell fill no table entry of their own
+        assert fp.join_cells((L, R), mask | 1 << fp.atom_count) is want
+        assert all(0 <= k < 1 << fp.atom_count for k in fp._forms)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_place_operations_match_the_overlay_grid(self, name, data):
+        """``canonicalize``, ``add_refine``, ``lattice`` and ``leq`` give what
+        they give with ``joint_cells`` and ``join_cells`` on the overlay."""
+        fp = TABLE_PRODUCTS[name]
+        elems = grid_elems(fp, powerset_elems(fp.left), powerset_elems(fp.right))
+        raw = data.draw(st.lists(st.tuples(rationals(), elems), max_size=5))
+        f, g = places.canonicalize(fp, raw[:2]), places.canonicalize(fp, raw[2:])
+
+        def compute():
+            meet, join = places.lattice(f, g, "meet"), places.lattice(f, g, "join")
+            return (places.canonicalize(fp, raw), places.add_refine(f, g), meet, join,
+                    places.leq(f, g), places.leq(meet, g), places.leq(join, f))
+
+        got = compute()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FreeProduct, "joint_cells", overlay_joint_cells)
+            mp.setattr(FreeProduct, "join_cells", overlay_join_cells)
+            want = compute()
+        assert got == want
+
+    def test_place_operations_overlay_nothing(self, monkeypatch):
+        """Work guard: on a fresh P(3) (x) P(4), place-function sums, meets,
+        joins and order overlay nothing."""
+        fp = FreeProduct(P3, P4)
+        calls = []
+        overlay = free_product._overlay
+        monkeypatch.setattr(free_product, "_overlay",
+                            lambda fp_, grids: calls.append(len(grids)) or overlay(fp_, grids))
+        x = fp.rect(P3.subset([1, 2]), P4.subset([2]))
+        y = ~fp.rect(P3.subset([2]), P4.subset([1, 3]))
+        f = places.canonicalize(fp, [(1, x), (2, y)])
+        g = places.canonicalize(fp, [(-1, x | y), (3, x & y)])
+        total = places.add_refine(f, g)
+        assert places.leq(places.meet(f, g), places.join(f, g))
+        assert total == places.add_formula(f, g)
+        assert calls == []
 
     def test_no_overlay_and_no_second_merge(self, monkeypatch):
         """Work guard: on a fresh P(3) (x) P(4), ``&``, ``|``, ``^``, ``leq``

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balg.algebra import powerset, trivial_algebra
+from balg.algebra import AlgebraError, powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places, tensor
 from conftest import FC
@@ -26,6 +26,22 @@ class TestAtomModel:
         empty = tensor.AtomVector((), ())
         assert tensor.to_atom_model(places.zero(t)) == empty
         assert tensor.from_atom_model(t, empty) == places.zero(t)
+
+    @pytest.mark.parametrize("fp", [FreeProduct(trivial_algebra(), powerset(2)),
+                                    FreeProduct(powerset(2), trivial_algebra())],
+                             ids=["P0 x P2", "P2 x P0"])
+    def test_trivial_factor_round_trip(self, fp):
+        # a product with a trivial factor has one element, so one place function
+        empty = tensor.AtomVector((), ())
+        assert tensor.to_atom_model(places.zero(fp)) == empty
+        assert tensor.from_atom_model(fp, empty) == places.zero(fp)
+
+    @pytest.mark.parametrize("fp", [FreeProduct(FC, powerset(2)), FreeProduct(powerset(2), FC),
+                                    FreeProduct(trivial_algebra(), FC)],
+                             ids=["FC x P2", "P2 x FC", "P0 x FC"])
+    def test_fincof_factor_has_no_model(self, fp):
+        with pytest.raises(AlgebraError):
+            tensor.to_atom_model(places.zero(fp))
 
     def test_bijective(self):
         rng = random.Random(0)
