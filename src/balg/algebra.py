@@ -12,7 +12,7 @@ refusing a call that one kind does not support, such as ``subset``.
 Each kernel has one n-ary join, behind ``Algebra.join``, and one refinement
 of partitions of the unit by point signatures, behind ``_meets``, after
 Paige and Tarjan (SIAM J. Comput. 1987); ``refine_partition``,
-``Algebra.joint_cells`` and the free-product grid overlay are built on it.
+``Algebra.joint_cells`` and ``free_product._joint_cells`` are built on it.
 A new backend kind takes one kernel with the same operations, one literal
 in the expression grammar and one config kind.
 

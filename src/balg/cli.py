@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``balg verify --config PATH [--report PATH] [--format json|text] [--seed N]``
-  runs the configured suites; exit 0 when all pass, 1 on any failure,
-  2 on configuration errors.
+  runs the configured suites; exit 0 when all pass, 1 on any failure
+  (a suite that raises is one), 2 on configuration errors.
 * ``balg eval --algebra SPEC --expr EXPR`` evaluates an element expression
   and prints the canonical form.
 * ``balg certify --target evens|diagonal [--start EXPR] [--steps K]`` builds

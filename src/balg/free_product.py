@@ -11,33 +11,37 @@ of several grids is the nonzero meets of their cells, one cell from each
 grid.  Every operation except ``~`` and ``normalize`` works cellwise on
 the flat masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R)
 at bit i * len(R) + j), and ``_join_cells`` takes a mask back to a
-canonical form.  Without a table ``_overlay`` takes the meets with
-``algebra._meets``, the one refinement kernel, and copies each grid's rows
-onto them; an axis on which every grid has the same cells is left as is.
-``normalize`` refines each axis once with ``refine_partition``: one
-nonzero rectangle a x b gives the grid (a, ~a) x (b, ~b), canonical as it
-stands, and several give the factors' ``joint_cells`` and a mask per side.
+canonical form.  Without a table ``_joint_cells`` takes the meets with
+``algebra._meets``, the one refinement kernel, and spreads each grid's rows
+onto them by ``_runs``; an axis on which every grid has the same cells is
+left as is.  ``normalize`` refines each axis once with
+``refine_partition``: one nonzero rectangle a x b gives the grid
+(a, ~a) x (b, ~b), canonical as it stands, and several give the factors'
+``joint_cells``, ORed into one flat mask.
 
-``_canonical`` coarsens a grid one axis at a time with ``_merge``: it
-merges the left cells with equal rows, transposes, merges the right cells
-with equal columns and transposes back, each group of cells joined once
-with the factor kernel's ``join``.  The complement of a canonical grid
-complements its rows and is canonical as it stands.  A product with a
-trivial factor has one element, the empty grid with no cells: only
-``_overlay`` tests for this, and ``normalize`` finds every rectangle zero.
+``_canonical`` and ``_coarsen`` take a grid's cells and its flat mask.
+``_coarsen`` cuts the mask into rows with ``_rows`` and coarsens one axis at
+a time with ``_merge``: it merges the left cells with equal rows,
+transposes, merges the right cells with equal columns and transposes back,
+each group of cells joined once with the factor kernel's ``join``.  The
+complement of a canonical grid complements its rows and is canonical as it
+stands.  A product with a trivial factor has one element, the empty grid
+with no cells: only ``_joint_cells`` tests for this, and ``normalize``
+finds every rectangle zero.
 
 P(n) (x) P(m) is P(nm): an element is fixed by its atom mask, the set of atom
 pairs (p, q) under it at bit p * m + q.  A product of two powersets with
 0 < n * m <= MAX_ATOMS holds ``_forms``, a table from atom mask to canonical
 form, so at most 2^16 forms, filled as masks are met and freed with the
 product; every other product has None there.  Its common grid is the atom
-pairs, so a cell mask is an atom mask: ``_joint_cells`` reads it with
-``_grid_mask``, ``_join_cells`` and ``_canonical`` look it up with ``_form``,
-and only these four read the table.  ``normalize`` and ``~`` keep the
-grid route, so laws still set a grid-built side against a mask-built one.
-``atom_mask`` reads a form through ``point_index`` instead, a second route
-kept apart from ``_grid_mask`` as the independent reading that the bands
-isomorphism check and the tests use.
+pairs, so a flat cell mask is an atom mask: ``_joint_cells`` reads it
+with ``_grid_mask``, ``_join_cells`` and ``_canonical`` look it up with
+``_form``, and only these four read the table.  ``_canonical`` cuts its
+mask into rows with ``_rows`` for ``_grid_mask``.  ``normalize`` and ``~``
+keep the grid route, so laws still set a grid-built side against a
+mask-built one.  ``atom_mask`` reads a form through ``point_index``
+instead, a second route kept apart from ``_grid_mask`` as the independent
+reading that the bands isomorphism check and the tests use.
 """
 
 from __future__ import annotations
@@ -123,12 +127,12 @@ class FreeProduct:
         rectangle sides, then coarsened; the result is independent of input
         order and of how rectangles were split.
         """
-        rects = [r for r in rects if not r.is_zero()]
-        if not rects:
-            return self.zero
         for r in rects:
             self.left._check(r.left)
             self.right._check(r.right)
+        rects = [r for r in rects if not r.is_zero()]
+        if not rects:
+            return self.zero
         if len(rects) == 1:
             # the grid (a, ~a) x (b, ~b) with the one cell a x b active has
             # distinct rows and distinct columns: it is canonical as built
@@ -141,12 +145,12 @@ class FreeProduct:
         L, lmasks, _ = self.left.joint_cells([r.left for r in rects])
         R, rmasks, _ = self.right.joint_cells([r.right for r in rects])
         # row i: the right cells of every rectangle whose left side holds cell i
-        rows = [0] * len(L)
+        width, mask = len(R), 0
         for lm, rm in zip(lmasks, rmasks):
             for i in range(len(L)):
                 if lm >> i & 1:
-                    rows[i] |= rm
-        return _canonical(self, L, R, rows)
+                    mask |= rm << i * width
+        return _canonical(self, L, R, mask)
 
     # -- finite structure (both factors nontrivial powersets) ----------------
 
@@ -324,18 +328,28 @@ _grid_rows = RectForm.rows.__set__
 def _joint_cells(fp: FreeProduct, parts: Sequence[RectForm]):
     """The common grid (L, R) of several elements, each one's flat cell mask
     on it and the number of cells: on a product with a table, the factors'
-    own ``atoms()`` tuples and the atom masks; else ``_overlay``, each
-    element's rows laid end to end."""
+    own ``atoms()`` tuples and the atom masks; else ``_common_axis`` of each
+    axis, and each element's rows laid end to end on the common rows, then
+    spread onto the common columns by ``_runs``, each run in every row at
+    once.  Over a trivial product the common grid is empty."""
     if fp._forms is not None:
         L, R = fp.left.atoms(), fp.right.atoms()
         masks = [_grid_mask(fp, x.left_cells, x.right_cells, x.rows) for x in parts]
+    elif fp.is_trivial:
+        L, R, masks = (), (), [0] * len(parts)
     else:
-        L, R, grids = _overlay(fp, parts)
+        L, row_sources = _common_axis(fp.left, [x.left_cells for x in parts])
+        R, col_sources = _common_axis(fp.right, [x.right_cells for x in parts])
         width, masks = len(R), []
-        for rows in grids:
+        ones = ((1 << width * len(L)) - 1) // ((1 << width) - 1)  # bit 0 of each row
+        for x, rows_at, cols_at in zip(parts, row_sources, col_sources):
+            # an own row is no wider than a common one, so no run crosses rows
+            own = 0
+            for i in reversed(rows_at):
+                own = own << width | x.rows[i]
             m = 0
-            for row in reversed(rows):
-                m = m << width | row
+            for src, dst, full in _runs(cols_at):
+                m |= (own >> src & full * ones) << dst
             masks.append(m)
     return (L, R), masks, len(L) * len(R)
 
@@ -343,60 +357,33 @@ def _joint_cells(fp: FreeProduct, parts: Sequence[RectForm]):
 def _join_cells(fp: FreeProduct, payload, mask: int) -> RectForm:
     """The canonical form of the cells of ``payload`` at the set bits of
     ``mask``, bits past the last cell dropped: the table's form when the
-    payload is the factors' own atom tuples, compared by identity, else the
-    grid's rows through ``_canonical``."""
+    payload is the factors' own atom tuples, compared by identity, else
+    ``_canonical`` of the mask."""
     L, R = payload
     if fp._forms is not None and L is fp.left.atoms() and R is fp.right.atoms():
         return _form(fp, mask & ~(-1 << len(L) * len(R)))
-    width, full = len(R), (1 << len(R)) - 1
-    return _canonical(fp, L, R, [mask >> (i * width) & full for i in range(len(L))])
-
-
-def _overlay(fp: FreeProduct, grids: Sequence[RectForm]):
-    """Common grid of several elements, with each element's rows on it.
-
-    Returns the common left and right cells and, per element, its activity
-    rows over them.  Over a trivial product the common grid is empty.  An
-    axis on which every element has the same cells is the common axis as it
-    stands: it is not refined, and rows are not moved along it.  Nor are the
-    rows of an element whose signatures show its own columns to be the
-    common columns, in order, as they are for a grid that refines the rest.
-    """
-    if fp.is_trivial:
-        return (), (), [[] for _ in grids]
-    L, lsrc = _common_axis(fp.left, [x.left_cells for x in grids])
-    R, rsrc = _common_axis(fp.right, [x.right_cells for x in grids])
-    out = []
-    for g, x in enumerate(grids):
-        if rsrc is None or (len(rsrc) == len(x.right_cells)
-                            and all(src[g] == j for j, src in enumerate(rsrc))):
-            # x's own columns are the common columns, in order
-            spread = x.rows
-        else:
-            # common columns under each of x's own columns
-            cols = [0] * len(x.right_cells)
-            for j, src in enumerate(rsrc):
-                cols[src[g]] |= 1 << j
-            spread = []
-            for row in x.rows:
-                m = 0
-                while row:
-                    low = row & -row
-                    m |= cols[low.bit_length() - 1]
-                    row ^= low
-                spread.append(m)
-        out.append(spread if lsrc is None else [spread[src[g]] for src in lsrc])
-    return L, R, out
+    return _canonical(fp, L, R, mask)
 
 
 def _common_axis(alg: Algebra, axes: Sequence[Sequence[Elem]]):
-    """The common refinement of one axis of several grids and each cell's
-    signature, as ``_meets`` gives them.  When every grid has the same cells
-    on the axis, those cells are the refinement and the signatures are None:
-    common cell k is cell k of every grid."""
+    """The common refinement of one axis of several grids, as ``_meets``
+    gives it, and per grid the index of its own cell under each common cell.
+    When every grid has the same cells on the axis, those cells are the
+    refinement and common cell k is cell k of every grid."""
     if axes and all(cells == axes[0] for cells in axes):
-        return list(axes[0]), None
-    return _meets(alg, axes)
+        return list(axes[0]), [range(len(axes[0]))] * len(axes)
+    cells, signatures = _meets(alg, axes)
+    return cells, list(zip(*signatures))
+
+
+def _runs(sources: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The runs of a spread: common column j lies under own column
+    ``sources[j]``, and a run is a longest stretch of common columns under
+    consecutive own columns.  Each run is (first own column, first common
+    column, a mask as wide as the run), so it moves in one shift and mask."""
+    starts = [j for j in range(len(sources)) if j == 0 or sources[j] != sources[j - 1] + 1]
+    ends = starts[1:] + [len(sources)]
+    return [(sources[a], a, (1 << (b - a)) - 1) for a, b in zip(starts, ends)]
 
 
 def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
@@ -404,37 +391,40 @@ def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
     return next((k for k, c in enumerate(cells) if c.contains(n)), None)
 
 
-def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
-               rows: list[int]) -> RectForm:
-    """The canonical form of a grid: the table's form of its atom mask on a
-    product with a table, else the grid coarsened by ``_coarsen``."""
+def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem], mask: int) -> RectForm:
+    """The canonical form of the cells of the grid (L, R) at the set bits of
+    the flat mask ``mask``: the table's form of its atom mask on a product
+    with a table, else the grid coarsened by ``_coarsen``."""
     if fp._forms is None:
-        return _coarsen(fp, L, R, rows)
-    return _form(fp, _grid_mask(fp, L, R, rows), (L, R, rows))
+        return _coarsen(fp, L, R, mask)
+    return _form(fp, _grid_mask(fp, L, R, _rows(mask, len(L), len(R))), (L, R, mask))
 
 
-def _coarsen(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],
-             rows: list[int]) -> RectForm:
-    """Coarsen a grid one axis at a time: merge the left cells with equal
-    rows, then the right cells with equal columns."""
-    L, rows = _merge(fp.left, L, rows)
+def _coarsen(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem], mask: int) -> RectForm:
+    """Coarsen a grid given by its flat mask one axis at a time: merge the
+    left cells with equal rows, then the right cells with equal columns."""
+    L, rows = _merge(fp.left, L, _rows(mask, len(L), len(R)))
     R, cols = _merge(fp.right, R, _transpose(rows, len(R)))
     return RectForm(fp, L, R, tuple(_transpose(cols, len(L))))
 
 
 def _form(fp: FreeProduct, mask: int, grid=None) -> RectForm:
     """The table's form of an atom mask in range.  A mask met for the first
-    time is coarsened from ``grid``, by default the grid of atom pairs, and
-    stored."""
+    time is coarsened from ``grid``, by default the atom pairs with the atom
+    mask as their flat mask, and stored."""
     forms = fp._forms
     form = forms.get(mask)
     if form is None:
         if grid is None:
-            m, full = fp.right.atom_count, (1 << fp.right.atom_count) - 1
-            grid = (fp.left.atoms(), fp.right.atoms(),
-                    [mask >> (p * m) & full for p in range(fp.left.atom_count)])
+            grid = (fp.left.atoms(), fp.right.atoms(), mask)
         form = forms[mask] = _coarsen(fp, *grid)
     return form
+
+
+def _rows(mask: int, count: int, width: int) -> list[int]:
+    """The first ``count`` rows of a flat mask, row i at bit i * width."""
+    full = (1 << width) - 1
+    return [mask >> (i * width) & full for i in range(count)]
 
 
 def _grid_mask(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem],

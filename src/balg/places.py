@@ -93,9 +93,8 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
     terms = []
     for c, x in raw:
         c = Fraction(c)
+        backend._check(x)  # every support, zero or under a zero coefficient too
         if c != 0 and not x.is_zero():
-            if x.alg is not backend and x.alg != backend:
-                raise AlgebraError("support from a different backend")
             terms.append((c, x))
     if not terms:
         return PlaceFunction(backend, ())

@@ -872,10 +872,16 @@ def suite_rng(seed: int, name: str) -> random.Random:
 
 
 def run_suites(cfg: SuiteConfig) -> Report:
+    """Run the configured suites.  A suite that raises fails one law,
+    ``suite raised``, its witness naming the exception; the rest still run."""
     results = []
     for name in cfg.suites:
         started = time.perf_counter()
-        outcome = SUITES[name](cfg, suite_rng(cfg.seed, name))
+        try:
+            outcome = SUITES[name](cfg, suite_rng(cfg.seed, name))
+        except Exception as exc:  # config errors were raised before any suite
+            outcome = _Suite()
+            outcome.check(False, "suite raised", error=f"{type(exc).__name__}: {exc}")
         elapsed = time.perf_counter() - started
         for law, (runs, _, _) in outcome.laws.items():
             if not runs:

@@ -171,8 +171,9 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     partitions; evaluating there and canonicalizing equals canonicalizing
     the rectangle terms directly (the slow route kept in the tests).
     """
-    f_terms = [(Fraction(c), x) for c, x in f_terms if c != 0 and not x.is_zero()]
-    g_terms = [(Fraction(c), u) for c, u in g_terms if c != 0 and not u.is_zero()]
+    # every support is checked, zero or under a zero coefficient too
+    f_terms = [(Fraction(c), x) for c, x in f_terms if not fp.left._check(x).is_zero() and c != 0]
+    g_terms = [(Fraction(c), u) for c, u in g_terms if not fp.right._check(u).is_zero() and c != 0]
     if not f_terms or not g_terms:
         return places.zero(fp)
     lcells, lmasks, nl = fp.left.joint_cells([x for _, x in f_terms])

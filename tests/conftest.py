@@ -67,3 +67,8 @@ def partitions(alg, elems):
     subalgebra some drawn elements generate, shuffled."""
     return st.lists(elems, max_size=4).map(
         lambda xs: split_refine(alg.one, xs)).flatmap(st.permutations)
+
+
+def flat(rows, width):
+    """A grid's rows laid end to end, row i at bit i * width."""
+    return sum(row << (i * width) for i, row in enumerate(rows))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from balg import cli
+from balg import cli, suites
 from balg.cli import main, parse_algebra_spec
 from balg.config import default_config_dict
 
@@ -169,6 +169,22 @@ class TestVerify:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         laws = {law: c for s in report["suites"] for law, c in s["laws"].items()}
         assert shown == laws and len(laws) > 20
+
+    def test_suite_that_raises_writes_the_report_and_exits_1(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def raising(cfg, rng):
+            raise KeyError("planted")
+
+        monkeypatch.setitem(suites.SUITES, "core_axioms", raising)
+        cfg = light_config(tmp_path, suites=["core_axioms", "homomorphisms"])
+        report_path = tmp_path / "report.json"
+        code, _, err = run_cli(["verify", "--config", str(cfg),
+                                "--report", str(report_path)], capsys)
+        assert code == 1 and err == ""
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert [s["verdict"] for s in report["suites"]] == ["fail", "pass"]
+        assert report["suites"][0]["witnesses"] == [
+            {"failed": "suite raised", "error": "KeyError: 'planted'"}]
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

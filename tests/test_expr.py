@@ -9,7 +9,7 @@ from balg.expr import (MAX_DEPTH, ExprError, _Parser, elem_text, grid_dict, pars
                        parse_place, place_text, rect_text, rectform_from_grid)
 from balg.free_product import FreeProduct, RectForm, _canonical
 from balg import free_product, places
-from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
+from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
                       powerset_elems, rationals)
 
 FCxFC = FreeProduct(FC, FC)
@@ -352,7 +352,7 @@ class TestCanonicalGrids:
         payload = {"left_cells": [elem_text(c) for c in L],
                    "right_cells": [elem_text(c) for c in R], "matrix": matrix}
         as_given = RectForm(fp, tuple(L), tuple(R), tuple(rows))
-        if _canonical(fp, L, R, rows) == as_given:
+        if _canonical(fp, L, R, flat(rows, len(R))) == as_given:
             assert rectform_from_grid(fp, payload) == as_given
         else:
             with pytest.raises(ExprError):
@@ -375,7 +375,7 @@ class TestCanonicalGrids:
         for alg, cells, masks in ((fp.left, L, rows),
                                   (fp.right, R, free_product._transpose(rows, len(R)))):
             assert free_product._merge(alg, cells, masks) == merge_on_elements(alg, cells, masks)
-        x = _canonical(fp, L, R, rows)
+        x = _canonical(fp, L, R, flat(rows, len(R)))
         assert len(set(x.rows)) == len(x.rows)
         cols = [tuple(r >> j & 1 for r in x.rows) for j in range(len(x.right_cells))]
         assert len(set(cols)) == len(cols)

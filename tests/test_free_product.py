@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balg import algebra, free_product, places, tensor
+from balg import certificates as certs
 from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
 from balg.expr import grid_dict, rectform_from_grid
-from balg.free_product import FreeProduct, InducedHom, Rectangle, RectForm, _overlay
-from conftest import (FC, P3, P4, fincof_elems, grid_elems, partitions,
+from balg.free_product import FreeProduct, InducedHom, Rectangle, RectForm, _joint_cells
+from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
                       powerset_elems, rationals, split_refine)
 
 P2 = powerset(2)
@@ -65,6 +66,17 @@ class TestNormalize:
     def test_full_rectangle_is_unit(self):
         fp = FreeProduct(A, B)
         assert fp.normalize([Rectangle(A.one, B.one)]) == fp.one
+
+    def test_foreign_zero_sides_rejected(self):
+        """A side from another backend raises even when its rectangle is
+        zero, beside a nonzero rectangle or alone."""
+        fp = FreeProduct(P2, P3)
+        with pytest.raises(AlgebraError):
+            fp.rect(P5.zero, P3.one)
+        with pytest.raises(AlgebraError):
+            fp.rect(P2.zero, FC.one)
+        with pytest.raises(AlgebraError):
+            fp.normalize([Rectangle(P2.one, P3.one), Rectangle(P2.one, FC.zero)])
 
     def test_matches_membership_oracle(self):
         rng = random.Random(0)
@@ -464,28 +476,43 @@ TABLE_PRODUCTS = {"P1xP1": FreeProduct(powerset(1), powerset(1)),
                   "P4xP4": FreeProduct(P4, P4)}  # n * m = 16 = MAX_ATOMS
 
 
+def spread_through_signatures(fp, xs):
+    """Oracle for the spread in ``_joint_cells``: the common grid from
+    ``_meets`` and each grid's flat mask copied bit by bit through the
+    signatures, cell (i, j) at bit i * len(R) + j."""
+    if fp.is_trivial:
+        return ((), ()), [0] * len(xs), 0
+    L, lsig = _meets(fp.left, [x.left_cells for x in xs])
+    R, rsig = _meets(fp.right, [x.right_cells for x in xs])
+    masks = [sum((x.rows[ls[g]] >> rs[g] & 1) << (i * len(R) + j)
+                 for i, ls in enumerate(lsig) for j, rs in enumerate(rsig))
+             for g, x in enumerate(xs)]
+    return (L, R), masks, len(L) * len(R)
+
+
 def grid_route(fp, xs, op):
-    """Oracle for the table route: ``op`` folded over the operands' rows on
-    their overlay, coarsened by ``_merge`` one axis at a time."""
-    L, R, grids = _overlay(fp, xs)
-    return free_product._coarsen(fp, L, R, [reduce(op, row) for row in zip(*grids)])
+    """Oracle for the table route: ``op`` folded over the operands' flat
+    masks on the signature spread, coarsened by ``_merge`` one axis at a
+    time."""
+    (L, R), masks, _ = spread_through_signatures(fp, xs)
+    return free_product._coarsen(fp, L, R, reduce(op, masks))
 
 
-def overlay_joint_cells(fp, parts):
-    """Oracle for ``joint_cells`` on a product with a table: the parts'
-    overlay, each part's rows laid end to end."""
-    L, R, grids = _overlay(fp, parts)
-    width = len(R)
-    masks = [sum(row << (i * width) for i, row in enumerate(rows)) for rows in grids]
-    return (L, R), masks, len(L) * width
-
-
-def overlay_join_cells(fp, payload, mask):
-    """Oracle for ``join_cells``: the mask cut into rows, coarsened by
+def coarsen_join_cells(fp, payload, mask):
+    """Oracle for ``join_cells``: the grid of the mask coarsened by
     ``_merge`` one axis at a time."""
     L, R = payload
-    full = (1 << len(R)) - 1
-    return free_product._coarsen(fp, L, R, [mask >> (i * len(R)) & full for i in range(len(L))])
+    return free_product._coarsen(fp, L, R, mask)
+
+
+def counting(calls, name):
+    """``free_product``'s ``name``, counting its calls in ``calls[name]``."""
+    original = getattr(free_product, name)
+
+    def count(*args):
+        calls[name] += 1
+        return original(*args)
+    return count
 
 
 class TestTable:
@@ -511,14 +538,11 @@ class TestTable:
         assert dsum == grid_route(fp, [x, y], xor)
         assert fp.join([x, y, z]) == grid_route(fp, [x, y, z], or_)
         assert fp.join([]) == fp.zero and fp.join([x]) == x
-        _, _, (a, b) = _overlay(fp, [x, y])
-        assert x.leq(y) == all(r & ~s == 0 for r, s in zip(a, b))
+        _, (a, b), _ = spread_through_signatures(fp, [x, y])
+        assert x.leq(y) == (a & ~b == 0)
         mask = data.draw(st.integers(0, (1 << (n * m)) - 1))
-        full = (1 << m) - 1
         from_mask = fp.from_atom_mask(mask)
-        assert from_mask == free_product._coarsen(
-            fp, fp.left.atoms(), fp.right.atoms(),
-            [mask >> (p * m) & full for p in range(n)])
+        assert from_mask == free_product._coarsen(fp, fp.left.atoms(), fp.right.atoms(), mask)
         below = True
         for p in range(1, n + 1):
             for q in range(1, m + 1):
@@ -545,9 +569,9 @@ class TestTable:
         R = data.draw(partitions(fp.right, powerset_elems(fp.right)))
         pool = data.draw(st.lists(st.integers(0, (1 << len(R)) - 1), min_size=1, max_size=3))
         rows = [data.draw(st.sampled_from(pool)) for _ in L]
-        canonical = free_product._coarsen(fp, L, R, rows)
+        canonical = free_product._coarsen(fp, L, R, flat(rows, len(R)))
         assert free_product._grid_mask(fp, L, R, rows) == fp.atom_mask(canonical)
-        assert free_product._canonical(fp, L, R, rows) == canonical
+        assert free_product._canonical(fp, L, R, flat(rows, len(R))) == canonical
 
     @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
     @settings(max_examples=40, deadline=None)
@@ -575,7 +599,8 @@ class TestTable:
     @given(data=st.data())
     def test_place_operations_match_the_overlay_grid(self, name, data):
         """``canonicalize``, ``add_refine``, ``lattice`` and ``leq`` give what
-        they give with ``joint_cells`` and ``join_cells`` on the overlay."""
+        they give with ``joint_cells`` on the signature spread and
+        ``join_cells`` by ``_coarsen``."""
         fp = TABLE_PRODUCTS[name]
         elems = grid_elems(fp, powerset_elems(fp.left), powerset_elems(fp.right))
         raw = data.draw(st.lists(st.tuples(rationals(), elems), max_size=5))
@@ -588,19 +613,17 @@ class TestTable:
 
         got = compute()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(FreeProduct, "joint_cells", overlay_joint_cells)
-            mp.setattr(FreeProduct, "join_cells", overlay_join_cells)
+            mp.setattr(FreeProduct, "joint_cells", spread_through_signatures)
+            mp.setattr(FreeProduct, "join_cells", coarsen_join_cells)
             want = compute()
         assert got == want
 
     def test_place_operations_overlay_nothing(self, monkeypatch):
         """Work guard: on a fresh P(3) (x) P(4), place-function sums, meets,
-        joins and order overlay nothing."""
+        joins and order refine no common axis."""
         fp = FreeProduct(P3, P4)
-        calls = []
-        overlay = free_product._overlay
-        monkeypatch.setattr(free_product, "_overlay",
-                            lambda fp_, grids: calls.append(len(grids)) or overlay(fp_, grids))
+        calls = {"_common_axis": 0}
+        monkeypatch.setattr(free_product, "_common_axis", counting(calls, "_common_axis"))
         x = fp.rect(P3.subset([1, 2]), P4.subset([2]))
         y = ~fp.rect(P3.subset([2]), P4.subset([1, 3]))
         f = places.canonicalize(fp, [(1, x), (2, y)])
@@ -608,47 +631,39 @@ class TestTable:
         total = places.add_refine(f, g)
         assert places.leq(places.meet(f, g), places.join(f, g))
         assert total == places.add_formula(f, g)
-        assert calls == []
+        assert calls == {"_common_axis": 0}
 
     def test_no_overlay_and_no_second_merge(self, monkeypatch):
         """Work guard: on a fresh P(3) (x) P(4), ``&``, ``|``, ``^``, ``leq``
-        and ``join`` overlay nothing, and repeating them coarsens nothing."""
+        and ``join`` refine no common axis, and repeating them coarsens
+        nothing."""
         fp = FreeProduct(P3, P4)
         x = fp.rect(P3.subset([1, 2]), P4.subset([2]))
         y = ~fp.rect(P3.subset([2]), P4.subset([1, 3]))
-        calls = {"_overlay": 0, "_merge": 0}
-
-        def counting(name):
-            original = getattr(free_product, name)
-
-            def count(*args):
-                calls[name] += 1
-                return original(*args)
-            return count
-
+        calls = {"_common_axis": 0, "_merge": 0}
         for name in calls:
-            monkeypatch.setattr(free_product, name, counting(name))
+            monkeypatch.setattr(free_product, name, counting(calls, name))
         ops = [lambda: x & y, lambda: x | y, lambda: x ^ y, lambda: x.leq(y),
                lambda: fp.join([x, y, ~x])]
         first = [op() for op in ops]
-        assert calls["_overlay"] == 0 and calls["_merge"] > 0
+        assert calls["_common_axis"] == 0 and calls["_merge"] > 0
         calls["_merge"] = 0
         assert [op() for op in ops] == first
-        assert calls == {"_overlay": 0, "_merge": 0}
+        assert calls == {"_common_axis": 0, "_merge": 0}
 
 
 class TestJoin:
     def test_one_overlay(self, monkeypatch):
-        """Work guard: the join of k grids overlays them once."""
+        """Work guard: the join of k grids refines each axis of all k once."""
         fp = FreeProduct(FC, FC)
         xs = [fp.rect(FC.fin([n]), FC.cof([n])) for n in range(5)]
         want = xs[0] | xs[1] | xs[2] | xs[3] | xs[4]
         calls = []
-        overlay = free_product._overlay
-        monkeypatch.setattr(free_product, "_overlay",
-                            lambda fp_, grids: calls.append(len(grids)) or overlay(fp_, grids))
+        common_axis = free_product._common_axis
+        monkeypatch.setattr(free_product, "_common_axis",
+                            lambda alg, axes: calls.append(len(axes)) or common_axis(alg, axes))
         assert fp.join(xs) == want
-        assert calls == [5]
+        assert calls == [5, 5]
 
 
 class TestOverlay:
@@ -675,46 +690,81 @@ class TestOverlay:
             xs = [x, grid(x.left_cells, y.right_cells)]
         elif shared == "right":
             xs = [x, grid(y.left_cells, x.right_cells)]
-        L, R, rows = _overlay(fp, xs)
-        assert L == split_refine(fp.left.one, [c for x in xs for c in x.left_cells])
-        assert R == split_refine(fp.right.one, [c for x in xs for c in x.right_cells])
-        for x, xrows in zip(xs, rows):
+        (L, R), masks, ncells = _joint_cells(fp, xs)
+        if fp._forms is None:
+            assert L == split_refine(fp.left.one, [c for x in xs for c in x.left_cells])
+            assert R == split_refine(fp.right.one, [c for x in xs for c in x.right_cells])
+        else:
+            assert L is fp.left.atoms() and R is fp.right.atoms()
+        assert ncells == len(L) * len(R)
+        for x, mask in zip(xs, masks):
+            assert mask >> ncells == 0
             for i, lc in enumerate(L):
                 a = next(k for k, c in enumerate(x.left_cells) if lc.leq(c))
                 for j, rc in enumerate(R):
                     b = next(k for k, c in enumerate(x.right_cells) if rc.leq(c))
-                    assert (xrows[i] >> j & 1) == (x.rows[a] >> b & 1)
+                    assert (mask >> (i * len(R) + j) & 1) == (x.rows[a] >> b & 1)
 
-    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS) + ["TxFC"])
+    @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS) + ["P5xP4", "TxFC"])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_rows_are_the_spread_through_signatures(self, name, data):
-        """Each grid's rows on the common cells, bit by bit through the
+        """Each grid's flat mask on the common cells, bit by bit through the
         signatures, among them a grid whose own cells are the common cells,
-        in their order or shuffled."""
+        in their order or shuffled, a grid whose own cells each join a drawn
+        group of common cells, so that an own column lies over several
+        common columns, and a grid that comes twice.  On a product with a
+        table the atom masks and the spread name the same elements."""
         if name == "TxFC":
             fp = TRIVIAL_PRODUCTS[name]
             left, right = powerset_elems(fp.left), fincof_elems()
+        elif name == "P5xP4":
+            fp, left, right = NO_TABLE_PRODUCTS[name], powerset_elems(P5), powerset_elems(P4)
         else:
             fp, left, right = OVERLAY_PRODUCTS[name]
         xs = data.draw(st.lists(grid_elems(fp, left, right), min_size=1, max_size=3))
+        (L, R), _, _ = spread_through_signatures(fp, xs)
 
-        def common(alg, axes):
-            return ([], []) if fp.is_trivial else _meets(alg, axes)
+        def grouped(alg, cells):
+            # the cells shuffled and cut into runs, each run joined to one cell
+            cells = data.draw(st.permutations(cells))
+            cuts = sorted(data.draw(st.sets(st.integers(1, max(len(cells) - 1, 1)))))
+            bounds = [0, *[c for c in cuts if c < len(cells)], len(cells)]
+            return tuple(alg.join(cells[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b)
 
-        L, _ = common(fp.left, [x.left_cells for x in xs])
-        R, _ = common(fp.right, [x.right_cells for x in xs])
-        fine = RectForm(fp, tuple(data.draw(st.permutations(L))),
-                        tuple(data.draw(st.permutations(R))),
-                        tuple(data.draw(st.integers(0, (1 << len(R)) - 1)) for _ in L))
-        xs.insert(data.draw(st.integers(0, len(xs))), fine)
-        L, lsig = common(fp.left, [x.left_cells for x in xs])
-        R, rsig = common(fp.right, [x.right_cells for x in xs])
-        got_L, got_R, got = _overlay(fp, xs)
-        assert list(got_L) == L and list(got_R) == R
-        for g, x in enumerate(xs):
-            assert list(got[g]) == [sum((x.rows[ls[g]] >> rs[g] & 1) << j
-                                        for j, rs in enumerate(rsig)) for ls in lsig]
+        def grid(left_cells, right_cells):
+            top = (1 << len(right_cells)) - 1
+            return RectForm(fp, tuple(left_cells), tuple(right_cells),
+                            tuple(data.draw(st.integers(0, top)) for _ in left_cells))
+
+        fine = grid(data.draw(st.permutations(L)), data.draw(st.permutations(R)))
+        coarse = grid(grouped(fp.left, L), grouped(fp.right, R))
+        for extra in (fine, coarse, data.draw(st.sampled_from(xs))):
+            xs.insert(data.draw(st.integers(0, len(xs))), extra)
+        grid, got, ncells = _joint_cells(fp, xs)
+        (L, R), want, _ = spread_through_signatures(fp, xs)
+        if fp._forms is None:
+            assert [list(cells) for cells in grid] == [list(L), list(R)]
+            assert got == want and ncells == len(L) * len(R)
+        else:
+            assert ([free_product._coarsen(fp, *grid, m) for m in got]
+                    == [free_product._coarsen(fp, L, R, m) for m in want])
+
+    def test_diagonal_chain_spreads_in_three_runs(self, monkeypatch):
+        """Work guard: along a 64-step diagonal chain from the unit, each
+        ``improved.leq(u)`` spreads ``improved`` in one run and ``u`` in at
+        most three: ``u``'s columns land on the common ones in order, one
+        each but the tail, which lands on two."""
+        fp = FreeProduct(FC, FC)
+        cert = certs.no_supremum_certificate(certs.DIAGONAL_FAMILY, fp.one, steps=64)
+        runs = []
+        original = free_product._runs
+        monkeypatch.setattr(free_product, "_runs",
+                            lambda sources: runs.append(original(sources)) or runs[-1])
+        for step in cert.steps:
+            runs.clear()
+            assert step.improved.leq(step.upper_bound)
+            assert len(runs) == 2 and len(runs[0]) == 1 and len(runs[1]) <= 3
 
     @pytest.mark.parametrize("name", sorted(POINTWISE_PRODUCTS))
     def test_operations_agree_pointwise(self, name):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg.algebra import Elem, powerset, trivial_algebra
+from balg.algebra import AlgebraError, Elem, powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places
 from conftest import FC, P3, fincof_elems, powerset_elems, rationals
@@ -86,6 +86,18 @@ class TestCanonicalize:
         f = places.unit(t)
         assert places.meet(f, f) == places.join(f, f) == places.zero(t)
         assert places.leq(f, places.zero(t))
+
+    def test_foreign_supports_rejected(self):
+        """A support from another backend raises even when it is zero or
+        under a zero coefficient."""
+        P2, P5 = powerset(2), powerset(5)
+        for raw in ([(1, P5.zero)], [(0, P5.subset([1]))], [(1, P2.one), (0, FC.one)],
+                    [(1, P2.one), (2, FreeProduct(P2, P2).zero)]):
+            with pytest.raises(AlgebraError):
+                places.canonicalize(P2, raw)
+        fp = FreeProduct(P2, P3)
+        with pytest.raises(AlgebraError):
+            places.canonicalize(fp, [(1, fp.one), (0, FreeProduct(P2, P2).one)])
 
     def test_cells_join_without_pairwise_or(self, monkeypatch):
         """Work guard: over fincof, canonicalize and lattice join the cells

@@ -78,6 +78,20 @@ def test_a_law_that_never_runs_fails_its_suite(monkeypatch):
     assert entry.laws["never runs"] == {"runs": 0, "skipped": 3, "failed": 0}
 
 
+def test_a_suite_that_raises_fails_and_the_rest_still_run(monkeypatch):
+    def raising(cfg, rng):
+        raise RuntimeError("planted defect")
+
+    monkeypatch.setitem(SUITES, "core_axioms", raising)
+    report = run_suites(light_config(["core_axioms", "homomorphisms"]))
+    raised, after = report.suites
+    assert not report.all_pass and raised.verdict == "fail"
+    assert raised.witnesses == [{"failed": "suite raised",
+                                 "error": "RuntimeError: planted defect"}]
+    assert raised.laws == {"suite raised": {"runs": 1, "skipped": 0, "failed": 1}}
+    assert after.verdict == "pass" and after.laws
+
+
 def test_every_law_runs_at_one_trial():
     # one trial leaves the fewest samples: each precondition that no random
     # sample meets must still run its law on a fallback sample

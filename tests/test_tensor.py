@@ -107,6 +107,19 @@ class TestPsi:
                          places.scale(3, places.chi(B.subset([1]))))
         assert got.terms == ((Fraction(6), fp.rect(A.subset([1]), B.subset([1]))),)
 
+    def test_foreign_terms_rejected(self):
+        """psi_terms raises on a term from a backend other than its factor,
+        zero supports and zero coefficients included."""
+        fp = FreeProduct(powerset(2), P3)
+        P5 = powerset(5)
+        for f_terms, g_terms in [([(1, P5.subset([1]))], [(1, P3.one)]),
+                                 ([(1, FC.fin([0]))], [(1, P3.one)]),
+                                 ([(1, powerset(2).one)], [(1, FC.cof([]))]),
+                                 ([(1, P5.zero)], [(1, P3.one)]),
+                                 ([(1, powerset(2).one)], [(0, P5.one)])]:
+            with pytest.raises(AlgebraError):
+                tensor.psi_terms(fp, f_terms, g_terms)
+
     def test_routes_agree(self):
         rng = random.Random(3)
         for fp in (FreeProduct(P3, B), FreeProduct(FC, FC)):
