@@ -10,7 +10,7 @@ from .places import (PlaceFunction, add_formula, add_refine, canonicalize, chi,
 from .tensor import (AtomVector, LinearLatticeMap, TensorMap, psi, pure_tensor,
                      verify_bimorphism, verify_T_onto_and_injective,
                      verify_universal_property)
-from .bands import Band, band_algebra, bands_disjoint, compare_band_products, principal_band
+from .bands import band_algebra, bands_disjoint, compare_band_products, principal_band
 from .certificates import (Certificate, check_finite_completeness,
                            improve_upper_bound_diagonal, improve_upper_bound_evens,
                            no_supremum_certificate)

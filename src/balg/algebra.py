@@ -250,6 +250,8 @@ class Algebra:
     def from_atom_mask(self, bits: int) -> "Elem":
         if self.kind != POWERSET or self.is_trivial:
             raise AlgebraError("atom masks require a nontrivial powerset algebra")
+        if type(bits) is not int:
+            raise AlgebraError(f"atom masks are ints, not {type(bits).__name__}")
         if not 0 <= bits <= self.kernel.one:
             raise AlgebraError(f"atom mask {bits} is outside [0, 2^{self.atom_count})")
         return Elem(self, bits)

@@ -1,93 +1,45 @@
 """Bands of atom-model Riesz spaces and their Boolean algebra.
 
 In an atom-coordinate space every band is the set of vectors supported
-inside a fixed atom subset, so the band lattice is the powerset lattice of
-the atom set.  That identification is itself verified by enumeration at
-small dimension in the test suites; here it is structural.
+inside a fixed atom subset, so the bands of an n-dimensional atom model
+are the elements of P(n), ``band_algebra(n)``.  A band is held as that
+element, and the band lattice operations are the algebra's own: v lies in
+band b exactly when ``principal_band(v).leq(b)``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
 
 from .algebra import Algebra, AlgebraError, Elem, MAX_ATOMS, powerset
 from .free_product import FreeProduct
 from .tensor import AtomVector
 
 
-@dataclass(frozen=True, slots=True)
-class Band:
-    """A band, stored extensionally as the atom subset carrying it."""
-
-    space: tuple
-    members: frozenset
-
-    def __post_init__(self):
-        if not self.members <= set(self.space):
-            raise ValueError("band members must be atoms of the space")
-
-    def meet(self, other: "Band") -> "Band":
-        self._match(other)
-        return Band(self.space, self.members & other.members)
-
-    def join(self, other: "Band") -> "Band":
-        self._match(other)
-        return Band(self.space, self.members | other.members)
-
-    def complement(self) -> "Band":
-        return Band(self.space, frozenset(self.space) - self.members)
-
-    def leq(self, other: "Band") -> bool:
-        self._match(other)
-        return self.members <= other.members
-
-    def contains(self, v: AtomVector) -> bool:
-        if v.space != self.space:
-            raise ValueError("vector from a different space")
-        return v.support_labels() <= self.members
-
-    def _match(self, other: "Band") -> None:
-        if self.space != other.space:
-            raise ValueError("bands over different spaces")
-
-
-def principal_band(f: AtomVector) -> Band:
-    """The smallest band containing f: vectors supported inside supp(f)."""
-    return Band(f.space, f.support_labels())
+def principal_band(f: AtomVector) -> Elem:
+    """The smallest band containing f: the element of
+    ``band_algebra(len(f.space))`` whose atoms are the positions of f's
+    nonzero coordinates."""
+    mask = sum(1 << i for i, a in enumerate(f.values) if a)
+    return band_algebra(len(f.space)).from_atom_mask(mask)
 
 
 def bands_disjoint(f: AtomVector, g: AtomVector) -> bool:
     """Whether the principal bands of f and g are disjoint, i.e. every
     member of one is lattice-disjoint from every member of the other;
-    in the atom model this is support disjointness."""
+    in the atom model they meet in zero."""
     if f.space != g.space:
         raise ValueError("vectors from different spaces")
-    return not (f.support_labels() & g.support_labels())
+    return (principal_band(f) & principal_band(g)).is_zero()
 
 
-def all_bands(space: tuple) -> list[Band]:
-    out = []
-    for r in range(len(space) + 1):
-        for sub in combinations(space, r):
-            out.append(Band(space, frozenset(sub)))
-    return out
-
-
+@cache
 def band_algebra(n: int) -> Algebra:
     """The Boolean algebra of bands of an n-dimensional atom model, realized
-    as the powerset algebra on n atoms."""
+    as the powerset algebra on n atoms; built once for each n."""
     return powerset(n, name=f"B({n})")
-
-
-def band_to_elem(alg: Algebra, band: Band) -> Elem:
-    return alg.subset(band.members)
-
-
-def elem_to_band(space: tuple, x: Elem) -> Band:
-    mask = x.alg.atom_mask(x)
-    return Band(space, frozenset(i + 1 for i in range(x.alg.atom_count) if mask >> i & 1))
 
 
 @dataclass(frozen=True, slots=True)

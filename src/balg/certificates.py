@@ -195,9 +195,9 @@ def improve_upper_bound_evens(u: Elem) -> RefuteStep | NotUpperBound:
     contains some odd number (smallest taken), and removing that odd point
     gives a strictly smaller upper bound.
     """
-    alg = u.alg
-    if alg.kind != FINITE_COFINITE:
+    if not isinstance(u, Elem) or u.alg.kind != FINITE_COFINITE:
         raise AlgebraError("the even-singleton family lives in finite_cofinite")
+    alg = u.alg
     mode, support = u.data
     if mode == "fin":
         e = 0
@@ -223,9 +223,10 @@ def improve_upper_bound_diagonal(u: RectForm) -> RefuteStep | NotUpperBound:
     both coordinates in the cofinite cells is removed; the result is strictly
     smaller and still contains the whole diagonal.
     """
-    fp = u.fp
-    if fp.left.kind != FINITE_COFINITE or fp.right.kind != FINITE_COFINITE:
+    if (not isinstance(u, RectForm) or u.fp.left.kind != FINITE_COFINITE
+            or u.fp.right.kind != FINITE_COFINITE):
         raise AlgebraError("the diagonal family lives over two finite_cofinite factors")
+    fp = u.fp
     lidx, ltail = point_index(fp.left, u.left_cells)
     ridx, rtail = point_index(fp.right, u.right_cells)
     # every natural named on neither axis lies in the two cof cells, so the
@@ -277,10 +278,15 @@ def no_supremum_certificate(family: str, start, steps: int = 3):
     """Iterate a refuter into a strict improvement chain.
 
     Returns a Certificate, or a NotUpperBound verdict when the start fails
-    the upper-bound test.
+    the upper-bound test.  Raises AlgebraError for an unknown family, fewer
+    than one step, or a start outside the family's algebra.
     """
     refute = {EVENS_FAMILY: improve_upper_bound_evens,
-              DIAGONAL_FAMILY: improve_upper_bound_diagonal}[family]
+              DIAGONAL_FAMILY: improve_upper_bound_diagonal}.get(family)
+    if refute is None:
+        raise AlgebraError(f"no refuter for the family {family!r}")
+    if type(steps) is not int or steps < 1:
+        raise AlgebraError(f"a chain needs an int number of steps >= 1, got {steps!r}")
     chain = []
     u = start
     for _ in range(steps):

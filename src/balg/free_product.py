@@ -166,6 +166,8 @@ class FreeProduct:
 
     def from_atom_mask(self, mask: int) -> "RectForm":
         """Join of the atom rectangles, pair (p, q) at bit p * m + q."""
+        if type(mask) is not int:
+            raise AlgebraError(f"atom masks are ints, not {type(mask).__name__}")
         if not 0 <= mask < 1 << self.atom_count:
             raise AlgebraError(f"atom mask {mask} is outside [0, 2^{self.atom_count})")
         return _join_cells(self, (self.left.atoms(), self.right.atoms()), mask)

@@ -70,24 +70,13 @@ class AtomVector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.values)
 
-    def support_labels(self) -> frozenset:
-        return frozenset(l for l, a in zip(self.space, self.values) if a != 0)
-
 
 _vector_space = AtomVector.space.__set__
 _vector_values = AtomVector.values.__set__
 
 
-def vector(space: Sequence, values) -> AtomVector:
-    return AtomVector(tuple(space), tuple(Fraction(v) for v in values))
-
-
 def zeros(space: Sequence) -> AtomVector:
     return AtomVector(tuple(space), tuple(Fraction(0) for _ in space))
-
-
-def ones(space: Sequence) -> AtomVector:
-    return AtomVector(tuple(space), tuple(Fraction(1) for _ in space))
 
 
 def indicator(space: Sequence, label) -> AtomVector:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from balg.algebra import Elem, finite_cofinite, powerset
 from balg.free_product import Rectangle
+from balg.tensor import AtomVector
 
 P3 = powerset(3)
 P4 = powerset(4)
@@ -25,6 +26,15 @@ def fincof_elems():
         st.sampled_from(("fin", "cof")),
         st.frozensets(naturals(), max_size=4),
     ).map(lambda t: Elem(FC, (t[0], tuple(sorted(t[1])))))
+
+
+def vector(space, values) -> AtomVector:
+    """The atom vector with the given coordinates, read as rationals."""
+    return AtomVector(tuple(space), tuple(Fraction(v) for v in values))
+
+
+def ones(space) -> AtomVector:
+    return vector(space, [1] * len(space))
 
 
 def rationals():

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import runpy
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -151,6 +152,13 @@ class TestDescriptor:
         for bits in (-1, 0b1000, 1 << 40):
             with pytest.raises(AlgebraError, match="outside"):
                 P3.from_atom_mask(bits)
+
+    def test_from_atom_mask_takes_ints_only(self):
+        """A float or a bool equal to a mask is refused, as ``subset``
+        refuses non-int atoms, rather than stored as the element's data."""
+        for bits in (1.0, True, False, Fraction(1), "1"):
+            with pytest.raises(AlgebraError, match="ints"):
+                powerset(2).from_atom_mask(bits)
 
     def test_name_does_not_affect_equality(self):
         assert powerset(3, "X") == powerset(3, "Y")

@@ -261,6 +261,27 @@ off_diagonal_holes = st.lists(st.tuples(naturals(), naturals()).filter(lambda h:
                               max_size=5)
 
 
+class TestChainArguments:
+    """``no_supremum_certificate`` refuses a call it cannot answer with
+    AlgebraError, rather than a KeyError, an empty certificate or an
+    AttributeError from inside a refuter."""
+
+    def test_unknown_family(self):
+        with pytest.raises(AlgebraError, match="family"):
+            certs.no_supremum_certificate("odd singletons", FC.one)
+
+    def test_fewer_than_one_step(self):
+        for steps in (0, -3):
+            with pytest.raises(AlgebraError, match="steps"):
+                certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=steps)
+
+    def test_start_of_the_wrong_type(self):
+        for family, start in ((certs.DIAGONAL_FAMILY, FC.one),
+                              (certs.EVENS_FAMILY, FreeProduct(FC, FC).one)):
+            with pytest.raises(AlgebraError, match="lives"):
+                certs.no_supremum_certificate(family, start)
+
+
 class TestDiagonalCut:
     """Each step cuts its point straight out of the tail x tail entry; the
     generic ``u & ~rect`` is the oracle."""

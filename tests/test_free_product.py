@@ -201,6 +201,13 @@ class TestStructure:
                 with pytest.raises(AlgebraError, match="outside"):
                     fp.from_atom_mask(mask)
 
+    def test_from_atom_mask_takes_ints_only(self):
+        """A float or a bool equal to a mask is refused, with a table or without."""
+        for fp in (FreeProduct(P2, P2), FreeProduct(P5, P4)):
+            for mask in (1.0, True, False, "1"):
+                with pytest.raises(AlgebraError, match="ints"):
+                    fp.from_atom_mask(mask)
+
     def test_atoms_are_minimal(self):
         fp = FreeProduct(P2, P2)
         for x in fp.elements():

@@ -14,6 +14,7 @@ from balg.expr import serialize_value
 from balg.free_product import FreeProduct
 from balg.suites import SUITES, Report, _Suite, run_suites, suite_rng
 from balg.validation import validate_certificate
+from conftest import vector
 
 
 def light_config(suites, trials=30):
@@ -183,10 +184,10 @@ REPORT_DIGESTS = {
 }
 TRIVIAL_REPORT_DIGEST = "00e341e3996f0ac25205c8faf077e0d46433104f21162134a01d98c2bbda94ee"
 REPORT_DIGESTS_WITH_LAWS = {
-    0: "fbe1c388b83d359ddab2ae441f2468f8c484525ddb8b40a2b2b1313bdb105920",
-    1: "2f712d1f01ae64a845093c6f8d7886d09308f6a3cc8185ad20df262484aa93ff",
+    0: "fc0c5a6534c584895e4026d7dfed81fd475c890bfb5ed945fb0ec1fac8be2af3",
+    1: "f65e99a43f47fbbfb93e8df9f1c80164e9199542baf34f0da7f9cd667d12a2cc",
 }
-TRIVIAL_REPORT_DIGEST_WITH_LAWS = "7590db8439bf6cdc90509b2498d5814f6c1ad3a8ea68967283cf796fa0f86439"
+TRIVIAL_REPORT_DIGEST_WITH_LAWS = "ec1c39c2de8a5309380ab9ac4acec97c5538420741b52e6b65462d442ea6b0e3"
 CERTIFICATE_DIGEST = "ef1a48add35204cf501b77df75ff31f788b98756fc166ecb5fba204521762614"
 
 
@@ -320,7 +321,7 @@ def test_serialize_value_shapes():
     fp = FreeProduct(p, p)
     grid = serialize_value(fp.rect(p.subset([1]), p.subset([2])))
     assert set(grid) == {"left_cells", "right_cells", "matrix"}
-    v = tensor.vector((1, 2), [1, 2])
+    v = vector((1, 2), [1, 2])
     assert serialize_value(v) == {"space": [1, 2], "values": ["1", "2"]}
     assert serialize_value([p.subset([1]), 3]) == ["{1}", 3]
 

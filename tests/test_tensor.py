@@ -6,7 +6,7 @@ import pytest
 from balg.algebra import AlgebraError, powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places, tensor
-from conftest import FC
+from conftest import FC, ones, vector
 
 A = powerset(2, "A")
 B = powerset(2, "B")
@@ -68,20 +68,20 @@ class TestAtomModel:
 
 class TestPureTensor:
     def test_products(self):
-        e = tensor.vector((1, 2), [2, 3])
-        f = tensor.vector((1, 2), [5, 7])
+        e = vector((1, 2), [2, 3])
+        f = vector((1, 2), [5, 7])
         assert tensor.pure_tensor(e, f).values == (10, 14, 15, 21)
 
     def test_indicator(self):
-        e = tensor.vector((1, 2), [1, 0])
-        f = tensor.vector((1, 2), [0, 1])
+        e = vector((1, 2), [1, 0])
+        f = vector((1, 2), [0, 1])
         got = tensor.pure_tensor(e, f)
         assert got == tensor.indicator(got.space, (1, 2))
 
     def test_units(self):
         sp = (1, 2, 3)
-        assert tensor.pure_tensor(tensor.ones(sp), tensor.ones(sp)) == \
-            tensor.ones(tensor.pure_tensor(tensor.ones(sp), tensor.ones(sp)).space)
+        assert tensor.pure_tensor(ones(sp), ones(sp)) == \
+            ones(tensor.pure_tensor(ones(sp), ones(sp)).space)
 
     def test_is_bimorphism(self):
         E = tensor.VectorSpace((1, 2))
@@ -178,12 +178,12 @@ class TestTensorMap:
         t = tensor.TensorMap(A, B)
         got = t.apply(tensor.indicator(t.space, (1, 1)))
         assert got == places.chi(t.fp.rect(A.subset([1]), B.subset([1])))
-        assert t.apply(tensor.ones(t.space)) == places.unit(t.fp)
+        assert t.apply(ones(t.space)) == places.unit(t.fp)
 
     def test_pure_tensor_route(self):
         t = tensor.TensorMap(A, B)
-        v = tensor.pure_tensor(tensor.vector((1, 2), [1, 0]),
-                               tensor.vector((1, 2), [0, 1]))
+        v = tensor.pure_tensor(vector((1, 2), [1, 0]),
+                               vector((1, 2), [0, 1]))
         assert t.apply(v) == places.chi(t.fp.rect(A.subset([1]), B.subset([2])))
 
     def test_riesz_laws(self):
