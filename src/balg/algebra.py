@@ -467,6 +467,8 @@ class Hom:
         if len(atom_map) != target.atom_count:
             raise AlgebraError("atom map must cover every target atom")
         for a in atom_map:
+            if type(a) is not int:
+                raise AlgebraError(f"atom map values are ints, not {type(a).__name__}")
             if not 1 <= a <= source.atom_count:
                 raise AlgebraError(f"atom map value {a} outside source atoms")
         return cls(source, target, atom_map=tuple(atom_map))

@@ -10,38 +10,38 @@ Each axis of a grid partitions that axis's unit, so the common refinement
 of several grids is the nonzero meets of their cells, one cell from each
 grid.  Every operation except ``~`` and ``normalize`` works cellwise on
 the flat masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R)
-at bit i * len(R) + j), and ``_join_cells`` takes a mask back to a
-canonical form.  Without a table ``_joint_cells`` takes the meets with
-``algebra._meets``, the one refinement kernel, and spreads each grid's rows
-onto them by ``_runs``; an axis on which every grid has the same cells is
-left as is.  ``normalize`` refines each axis once with
+at bit i * len(R) + j).  Without a table ``_joint_cells`` takes the meets
+with ``algebra._meets``, the one refinement kernel, and spreads each grid's
+rows onto them by ``_runs``; an axis on which every grid has the same cells
+is left as is.  ``normalize`` refines each axis once with
 ``refine_partition``: one nonzero rectangle a x b gives the grid
 (a, ~a) x (b, ~b), canonical as it stands, and several give the factors'
 ``joint_cells``, ORed into one flat mask.
 
-``_canonical`` and ``_coarsen`` take a grid's cells and its flat mask.
-``_coarsen`` cuts the mask into rows with ``_rows`` and coarsens one axis at
-a time with ``_merge``: it merges the left cells with equal rows,
-transposes, merges the right cells with equal columns and transposes back,
-each group of cells joined once with the factor kernel's ``join``.  The
-complement of a canonical grid complements its rows and is canonical as it
-stands.  A product with a trivial factor has one element, the empty grid
-with no cells: only ``_joint_cells`` tests for this, and ``normalize``
-finds every rectangle zero.
+``_join_cells`` is the one exit from a grid and a flat mask to a canonical
+form; every operation but ``~`` and ``normalize`` of at most one nonzero
+rectangle ends there.  Without a table it calls ``_coarsen``, which cuts the mask into
+rows with ``_rows`` and coarsens one axis at a time with ``_merge``: it
+merges the left cells with equal rows, transposes, merges the right cells
+with equal columns and transposes back, each group of cells joined once
+with the factor kernel's ``join``.  The complement of a canonical grid
+complements its rows and is canonical as it stands.  A product with a
+trivial factor has one element, the empty grid with no cells: only
+``_joint_cells`` tests for this, and ``normalize`` finds every rectangle
+zero.
 
 P(n) (x) P(m) is P(nm): an element is fixed by its atom mask, the set of atom
 pairs (p, q) under it at bit p * m + q.  A product of two powersets with
 0 < n * m <= MAX_ATOMS holds ``_forms``, a table from atom mask to canonical
 form, so at most 2^16 forms, filled as masks are met and freed with the
 product; every other product has None there.  Its common grid is the atom
-pairs, so a flat cell mask is an atom mask: ``_joint_cells`` reads it
-with ``_grid_mask``, ``_join_cells`` and ``_canonical`` look it up with
-``_form``, and only these four read the table.  ``_canonical`` cuts its
-mask into rows with ``_rows`` for ``_grid_mask``.  ``normalize`` and ``~``
-keep the grid route, so laws still set a grid-built side against a
-mask-built one.  ``atom_mask`` reads a form through ``point_index``
-instead, a second route kept apart from ``_grid_mask`` as the independent
-reading that the bands isomorphism check and the tests use.
+pairs, so a flat cell mask is an atom mask: ``_joint_cells`` reads it with
+``_grid_mask``, ``_join_cells`` looks it up, reading any other grid's atom
+mask with ``_grid_mask`` too, and only these two read the table.
+``normalize`` and ``~`` keep the grid route, so laws still set a grid-built
+side against a mask-built one.  ``atom_mask`` reads a form through
+``point_index`` instead, a second route kept apart from ``_grid_mask`` as
+the independent reading that the bands isomorphism check and the tests use.
 """
 
 from __future__ import annotations
@@ -75,19 +75,29 @@ class Rectangle:
 class FreeProduct:
     """The free product of two backend algebras.
 
-    It holds ``is_trivial`` (the product collapses to one element iff either
-    factor is trivial) and the table ``_forms``, both set once with it;
-    neither takes part in equality or ``repr``.
+    It holds its ``zero`` and ``one``, ``is_trivial`` (the product collapses
+    to one element iff either factor is trivial) and the table ``_forms``, all
+    set once with it; none takes part in equality or ``repr``.
     """
 
     left: Algebra
     right: Algebra
+    zero: "RectForm" = field(init=False, compare=False, repr=False)
+    one: "RectForm" = field(init=False, compare=False, repr=False)
     is_trivial: bool = field(init=False, compare=False, repr=False)
     _forms: dict[int, "RectForm"] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         left, right = self.left, self.right
-        object.__setattr__(self, "is_trivial", left.is_trivial or right.is_trivial)
+        trivial = left.is_trivial or right.is_trivial
+        object.__setattr__(self, "is_trivial", trivial)
+        if trivial:
+            zero = one = RectForm(self, (), (), ())
+        else:
+            zero = RectForm(self, (left.one,), (right.one,), (0,))
+            one = RectForm(self, (left.one,), (right.one,), (1,))
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
         finite = (left.kind == right.kind == POWERSET
                   and 0 < left.atom_count * right.atom_count <= MAX_ATOMS)
         object.__setattr__(self, "_forms", {} if finite else None)
@@ -95,18 +105,6 @@ class FreeProduct:
     @property
     def name(self) -> str:
         return f"{self.left.name or self.left.kind} (x) {self.right.name or self.right.kind}"
-
-    @property
-    def zero(self) -> "RectForm":
-        if self.is_trivial:
-            return RectForm(self, (), (), ())
-        return RectForm(self, (self.left.one,), (self.right.one,), (0,))
-
-    @property
-    def one(self) -> "RectForm":
-        if self.is_trivial:
-            return RectForm(self, (), (), ())
-        return RectForm(self, (self.left.one,), (self.right.one,), (1,))
 
     def rect(self, a: Elem, b: Elem) -> "RectForm":
         return self.normalize([Rectangle(a, b)])
@@ -150,7 +148,7 @@ class FreeProduct:
             for i in range(len(L)):
                 if lm >> i & 1:
                     mask |= rm << i * width
-        return _canonical(self, L, R, mask)
+        return _join_cells(self, (L, R), mask)
 
     # -- finite structure (both factors nontrivial powersets) ----------------
 
@@ -357,14 +355,26 @@ def _joint_cells(fp: FreeProduct, parts: Sequence[RectForm]):
 
 
 def _join_cells(fp: FreeProduct, payload, mask: int) -> RectForm:
-    """The canonical form of the cells of ``payload`` at the set bits of
-    ``mask``, bits past the last cell dropped: the table's form when the
-    payload is the factors' own atom tuples, compared by identity, else
-    ``_canonical`` of the mask."""
+    """The canonical form of the cells of the grid ``payload`` at the set
+    bits of the flat mask ``mask``, bits past the last cell dropped.
+
+    Without a table, the grid coarsened by ``_coarsen``.  With one, the
+    form stored under the atom mask: ``mask`` itself when the payload is the
+    factors' own atom tuples, compared by identity, else ``_grid_mask`` of
+    the payload's rows.  An atom mask met for the first time is coarsened
+    from the payload and stored."""
     L, R = payload
-    if fp._forms is not None and L is fp.left.atoms() and R is fp.right.atoms():
-        return _form(fp, mask & ~(-1 << len(L) * len(R)))
-    return _canonical(fp, L, R, mask)
+    forms = fp._forms
+    if forms is None:
+        return _coarsen(fp, L, R, mask)
+    if L is fp.left.atoms() and R is fp.right.atoms():
+        key = mask & ~(-1 << len(L) * len(R))
+    else:
+        key = _grid_mask(fp, L, R, _rows(mask, len(L), len(R)))
+    form = forms.get(key)
+    if form is None:
+        form = forms[key] = _coarsen(fp, L, R, mask)
+    return form
 
 
 def _common_axis(alg: Algebra, axes: Sequence[Sequence[Elem]]):
@@ -393,34 +403,12 @@ def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
     return next((k for k, c in enumerate(cells) if c.contains(n)), None)
 
 
-def _canonical(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem], mask: int) -> RectForm:
-    """The canonical form of the cells of the grid (L, R) at the set bits of
-    the flat mask ``mask``: the table's form of its atom mask on a product
-    with a table, else the grid coarsened by ``_coarsen``."""
-    if fp._forms is None:
-        return _coarsen(fp, L, R, mask)
-    return _form(fp, _grid_mask(fp, L, R, _rows(mask, len(L), len(R))), (L, R, mask))
-
-
 def _coarsen(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem], mask: int) -> RectForm:
     """Coarsen a grid given by its flat mask one axis at a time: merge the
     left cells with equal rows, then the right cells with equal columns."""
     L, rows = _merge(fp.left, L, _rows(mask, len(L), len(R)))
     R, cols = _merge(fp.right, R, _transpose(rows, len(R)))
     return RectForm(fp, L, R, tuple(_transpose(cols, len(L))))
-
-
-def _form(fp: FreeProduct, mask: int, grid=None) -> RectForm:
-    """The table's form of an atom mask in range.  A mask met for the first
-    time is coarsened from ``grid``, by default the atom pairs with the atom
-    mask as their flat mask, and stored."""
-    forms = fp._forms
-    form = forms.get(mask)
-    if form is None:
-        if grid is None:
-            grid = (fp.left.atoms(), fp.right.atoms(), mask)
-        form = forms[mask] = _coarsen(fp, *grid)
-    return form
 
 
 def _rows(mask: int, count: int, width: int) -> list[int]:

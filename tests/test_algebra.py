@@ -470,6 +470,25 @@ class TestHomomorphisms:
             h = Hom.from_atom_map(src, dst, [rng.randint(1, n) for _ in range(m)])
             assert check_homomorphism(h, exhaustive=True).ok
 
+    def test_atom_map_refuses_a_float(self):
+        """A float atom, accepted before, failed at the first call."""
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="ints, not float"):
+            Hom.from_atom_map(p2, p2, [1.0, 2])
+
+    def test_atom_map_refuses_a_bool(self):
+        """``True`` equals 1, and was stored as an atom."""
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="ints, not bool"):
+            Hom.from_atom_map(p2, p2, [True, 2])
+
+    def test_atom_map_refuses_a_string(self):
+        """``"12"`` has a length of 2 and raised ``TypeError`` at the range
+        comparison."""
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="ints, not str"):
+            Hom.from_atom_map(p2, p2, "12")
+
     def test_passing_check_preserves_joins(self):
         # join preservation is asserted on the same pairs as the axioms
         p3 = powerset(3)

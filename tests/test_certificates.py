@@ -307,7 +307,8 @@ class TestDiagonalCut:
         def refuse(*args):
             raise AssertionError("the cut refined or recanonicalised a grid")
 
-        for module, name in [(free_product, "_joint_cells"), (free_product, "_canonical"),
+        for module, name in [(free_product, "_joint_cells"), (free_product, "_join_cells"),
+                             (free_product, "_coarsen"),
                              (free_product, "_meets"), (free_product, "refine_partition"),
                              (algebra, "_meets"), (algebra, "refine_partition")]:
             monkeypatch.setattr(module, name, refuse)

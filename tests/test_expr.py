@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from balg.algebra import POWERSET, Elem, trivial_algebra
 from balg.expr import (MAX_DEPTH, ExprError, _Parser, elem_text, grid_dict, parse_element,
                        parse_place, place_text, rect_text, rectform_from_grid)
-from balg.free_product import FreeProduct, RectForm, _canonical
+from balg.free_product import FreeProduct, RectForm, _join_cells
 from balg import free_product, places
 from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
                       powerset_elems, rationals)
@@ -352,7 +352,7 @@ class TestCanonicalGrids:
         payload = {"left_cells": [elem_text(c) for c in L],
                    "right_cells": [elem_text(c) for c in R], "matrix": matrix}
         as_given = RectForm(fp, tuple(L), tuple(R), tuple(rows))
-        if _canonical(fp, L, R, flat(rows, len(R))) == as_given:
+        if _join_cells(fp, (L, R), flat(rows, len(R))) == as_given:
             assert rectform_from_grid(fp, payload) == as_given
         else:
             with pytest.raises(ExprError):
@@ -362,7 +362,7 @@ class TestCanonicalGrids:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_canonical_of_any_grid(self, name, data):
-        """``_canonical`` of a grid in any cell order, with equal rows and
+        """``_join_cells`` of a grid in any cell order, with equal rows and
         equal columns: canonical, and the same set as the raw grid at every
         named point and at one generic point.  Each axis merges as the
         element-level oracle does."""
@@ -375,7 +375,7 @@ class TestCanonicalGrids:
         for alg, cells, masks in ((fp.left, L, rows),
                                   (fp.right, R, free_product._transpose(rows, len(R)))):
             assert free_product._merge(alg, cells, masks) == merge_on_elements(alg, cells, masks)
-        x = _canonical(fp, L, R, flat(rows, len(R)))
+        x = _join_cells(fp, (L, R), flat(rows, len(R)))
         assert len(set(x.rows)) == len(x.rows)
         cols = [tuple(r >> j & 1 for r in x.rows) for j in range(len(x.right_cells))]
         assert len(set(cols)) == len(cols)
@@ -402,20 +402,21 @@ class TestCanonicalGrids:
 
     def test_complement_does_not_canonicalise(self, monkeypatch):
         """Work guard: ``~`` complements the rows of the canonical grid it
-        is given and calls ``_canonical`` not at all."""
+        is given and calls neither ``_join_cells`` nor ``_coarsen``."""
         xs = [~FCxFC.rect(FC.fin([n]), FC.fin([n + 1])) for n in range(5)]
         xs += [FCxFC.zero, FCxFC.one,
                FreeProduct(P3, P4).rect(P3.subset([1]), P4.subset([2, 3]))]
-        calls = [0]
-        canonical = free_product._canonical
+        calls = {"_join_cells": 0, "_coarsen": 0}
+        for name in calls:
+            original = getattr(free_product, name)
 
-        def counting(*args):
-            calls[0] += 1
-            return canonical(*args)
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(free_product, "_canonical", counting)
+            monkeypatch.setattr(free_product, name, counting)
         assert all(~x != x for x in xs)
-        assert calls[0] == 0
+        assert calls == {"_join_cells": 0, "_coarsen": 0}
 
     def test_duplicated_row(self):
         x = FCxFC.rect(FC.fin([0, 5]), FC.cof([2]))

@@ -355,6 +355,17 @@ class TestTriviality:
         assert repr(fp) == f"FreeProduct(left={A!r}, right={B!r})"
         assert fp == FreeProduct(A, B) and hash(fp) == hash(FreeProduct(P2, P2))
 
+    def test_zero_and_one_are_held(self):
+        """Built once with the product, as ``Algebra`` holds its own, not on
+        each read; outside the product's equality and repr."""
+        held = {f.name: f for f in dataclasses.fields(FreeProduct)}
+        for name in ("zero", "one"):
+            assert name in FreeProduct.__slots__
+            assert not held[name].compare and not held[name].repr and not held[name].init
+        for fp in (FreeProduct(A, B), FreeProduct(FC, FC), FreeProduct(trivial_algebra(), P3)):
+            assert fp.zero is fp.zero and fp.one is fp.one
+            assert fp.zero.fp is fp and fp.one.fp is fp
+
     def test_finite_structure_needs_powersets(self):
         with pytest.raises(AlgebraError):
             FreeProduct(FC, FC).atoms()
@@ -578,7 +589,7 @@ class TestTable:
         rows = [data.draw(st.sampled_from(pool)) for _ in L]
         canonical = free_product._coarsen(fp, L, R, flat(rows, len(R)))
         assert free_product._grid_mask(fp, L, R, rows) == fp.atom_mask(canonical)
-        assert free_product._canonical(fp, L, R, flat(rows, len(R))) == canonical
+        assert free_product._join_cells(fp, (L, R), flat(rows, len(R))) == canonical
 
     @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
     @settings(max_examples=40, deadline=None)
@@ -639,6 +650,40 @@ class TestTable:
         assert places.leq(places.meet(f, g), places.join(f, g))
         assert total == places.add_formula(f, g)
         assert calls == {"_common_axis": 0}
+
+    def test_join_cells_coarsens_each_atom_mask_once(self, monkeypatch):
+        """Work guard on the one exit: on a fresh P(3) (x) P(4), a grid that
+        is not the atom pairs is coarsened once, the first time, and stored
+        under its atom mask; the same element again, from any grid, is the
+        stored object and coarsens nothing."""
+        fp = FreeProduct(P3, P4)
+        L, _, _ = P3.joint_cells([P3.subset([1, 2])])
+        R, _, _ = P4.joint_cells([P4.subset([2, 4]), P4.subset([1])])
+        mask = 0b101 << len(R) | 0b010
+        calls = {"_coarsen": 0}
+        monkeypatch.setattr(free_product, "_coarsen", counting(calls, "_coarsen"))
+        form = free_product._join_cells(fp, (L, R), mask)
+        assert calls == {"_coarsen": 1}
+        assert fp._forms == {fp.atom_mask(form): form}
+        assert free_product._join_cells(fp, (list(L), list(R)), mask) is form
+        atoms = (fp.left.atoms(), fp.right.atoms())
+        for atom_mask in (fp.atom_mask(form), fp.atom_mask(form) | 1 << fp.atom_count):
+            assert free_product._join_cells(fp, atoms, atom_mask) is form
+        assert calls == {"_coarsen": 1}
+
+    def test_canonicalize_coarsens_once_per_value(self, monkeypatch):
+        """Work guard: over fincof (x) fincof, ``places.canonicalize``
+        coarsens once per distinct nonzero cell value: here the common grid
+        is 3 x 4, and its 12 cells take the values 0, 1, 2, 4 and 6."""
+        fp = FreeProduct(FC, FC)
+        a, b = FC.fin([0, 1]), FC.cof([1, 2])
+        raw = [(1, fp.rect(a, b)), (2, fp.rect(~a, FC.one)), (4, fp.rect(FC.one, FC.fin([2]))),
+               (-1, fp.rect(FC.fin([1]), FC.fin([3])))]
+        calls = {"_coarsen": 0}
+        monkeypatch.setattr(free_product, "_coarsen", counting(calls, "_coarsen"))
+        f = places.canonicalize(fp, raw)
+        assert sorted(c for c, _ in f.terms) == [1, 2, 4, 6]
+        assert calls == {"_coarsen": 4}
 
     def test_no_overlay_and_no_second_merge(self, monkeypatch):
         """Work guard: on a fresh P(3) (x) P(4), ``&``, ``|``, ``^``, ``leq``

@@ -1,0 +1,77 @@
+"""Planted defects that the suites must catch.
+
+Each row of ``MUTANTS`` names a defect, the (module, attribute) it patches,
+a patch that takes the original and returns the defective one, and the
+suites that must fail under it.  A row runs ``run_suites`` on
+``configs/default.json`` at trials 15 and seed 0, limited to its suites.
+A defect that a suite misses is no row here; it is a gap in that suite.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from balg import free_product
+from balg.config import parse_config
+from balg.suites import run_suites
+
+DEFAULT = json.loads((Path(__file__).resolve().parent.parent / "configs" / "default.json")
+                     .read_text(encoding="utf-8"))
+
+
+def key_by_raw_mask(join_cells):
+    """``_join_cells`` keying every payload on a product with a table by
+    its flat mask, as if every grid were the atom pairs."""
+    def mutant(fp, payload, mask):
+        forms = fp._forms
+        if forms is None:
+            return join_cells(fp, payload, mask)
+        L, R = payload
+        key = mask & ~(-1 << len(L) * len(R))
+        if key not in forms:
+            forms[key] = free_product._coarsen(fp, L, R, mask)
+        return forms[key]
+    return mutant
+
+
+def drop_last_row(grid_mask):
+    """``_grid_mask`` reading every row of the grid but the last."""
+    return lambda fp, L, R, rows: grid_mask(fp, L, R, list(rows)[:-1])
+
+
+def reverse_merged(merge):
+    """``_merge`` returning its merged cells, each with its mask, in
+    reverse order."""
+    def mutant(alg, cells, masks):
+        cells, masks = merge(alg, cells, masks)
+        return cells[::-1], masks[::-1]
+    return mutant
+
+
+MUTANTS = [
+    ("join cells keyed by the raw mask", (free_product, "_join_cells"), key_by_raw_mask,
+     ["free_product", "tensor_iso", "universal_property"]),
+    ("grid mask drops the last row", (free_product, "_grid_mask"), drop_last_row,
+     ["free_product", "tensor_iso", "universal_property", "bands", "completeness"]),
+    ("merged cells reversed", (free_product, "_merge"), reverse_merged,
+     ["free_product", "tensor_iso"]),
+]
+
+
+def verdicts(suites) -> dict[str, str]:
+    cfg = parse_config(json.dumps({**DEFAULT, "trials": 15, "seed": 0, "suites": suites}))
+    return {s.name: s.verdict for s in run_suites(cfg).suites}
+
+
+@pytest.mark.parametrize("name, target, patch, suites", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_each_listed_suite_catches_the_mutant(monkeypatch, name, target, patch, suites):
+    module, attr = target
+    monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
+    assert verdicts(suites) == dict.fromkeys(suites, "fail")
+
+
+def test_the_listed_suites_pass_unpatched():
+    """Control: a suite that failed anyway would catch every mutant."""
+    suites = sorted({s for *_, listed in MUTANTS for s in listed})
+    assert verdicts(suites) == dict.fromkeys(suites, "pass")
