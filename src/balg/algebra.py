@@ -440,20 +440,35 @@ class Hom:
 
     * ``atom_map`` -- total function from target atoms to source atoms; the
       image of x is exactly the set of target atoms whose image atom lies in x
-      (powerset-to-powerset only, always a genuine homomorphism);
+      (powerset-to-powerset only, checked when built, so always a genuine
+      homomorphism); held as ``atom_map``, None for the other backings;
     * ``generator images`` -- images prescribed on a finite generating set and
       extended over the generated subalgebra by signed meets;
     * ``table`` -- an explicit element table, used for negative-control
       fixtures that need not be homomorphisms at all.
     """
 
-    __slots__ = ("source", "target", "_atom_map", "_cells", "_images", "_table")
+    __slots__ = ("source", "target", "atom_map", "_cells", "_images", "_table")
 
     def __init__(self, source: Algebra, target: Algebra, *, atom_map=None,
                  cells=None, images=None, table=None):
+        # an atom map, the backing a Hom given no other has, is checked here
+        if atom_map is not None or (cells is None and table is None):
+            if source.kind != POWERSET or target.kind != POWERSET:
+                raise AlgebraError("atom maps require powerset backends")
+            if not isinstance(atom_map, Sequence):
+                raise AlgebraError(f"an atom map is a sequence, not {type(atom_map).__name__}")
+            if len(atom_map) != target.atom_count:
+                raise AlgebraError("atom map must cover every target atom")
+            for a in atom_map:
+                if type(a) is not int:
+                    raise AlgebraError(f"atom map values are ints, not {type(a).__name__}")
+                if not 1 <= a <= source.atom_count:
+                    raise AlgebraError(f"atom map value {a} outside source atoms")
+            atom_map = tuple(atom_map)
         self.source = source
         self.target = target
-        self._atom_map = atom_map
+        self.atom_map = atom_map
         self._cells = cells
         self._images = images
         self._table = table
@@ -461,17 +476,9 @@ class Hom:
     @classmethod
     def from_atom_map(cls, source: Algebra, target: Algebra,
                       atom_map: Sequence[int]) -> "Hom":
-        """atom_map[q] is the 1-based source atom assigned to target atom q+1."""
-        if source.kind != POWERSET or target.kind != POWERSET:
-            raise AlgebraError("atom maps require powerset backends")
-        if len(atom_map) != target.atom_count:
-            raise AlgebraError("atom map must cover every target atom")
-        for a in atom_map:
-            if type(a) is not int:
-                raise AlgebraError(f"atom map values are ints, not {type(a).__name__}")
-            if not 1 <= a <= source.atom_count:
-                raise AlgebraError(f"atom map value {a} outside source atoms")
-        return cls(source, target, atom_map=tuple(atom_map))
+        """atom_map[q] is the 1-based source atom assigned to target atom q+1,
+        checked by the constructor, which every atom-map ``Hom`` passes."""
+        return cls(source, target, atom_map=atom_map)
 
     @classmethod
     def identity(cls, alg: Algebra) -> "Hom":
@@ -502,8 +509,8 @@ class Hom:
 
     def __call__(self, x: Elem) -> Elem:
         self.source._check(x)
-        if self._atom_map is not None:
-            return Elem(self.target, sum(1 << q for q, a in enumerate(self._atom_map)
+        if self.atom_map is not None:
+            return Elem(self.target, sum(1 << q for q, a in enumerate(self.atom_map)
                                          if x.data >> (a - 1) & 1))
         if self._table is not None:
             try:
@@ -517,7 +524,7 @@ class Hom:
 
     def domain_elements(self) -> Iterator[Elem]:
         """Every element the homomorphism is defined on (finite domains only)."""
-        if self._atom_map is not None:
+        if self.atom_map is not None:
             yield from self.source.elements()
         elif self._table is not None:
             yield from self._table
@@ -529,7 +536,7 @@ class Hom:
                 yield self.source.join_cells(self._cells, mask)
 
     def random_domain_elem(self, rng: random.Random) -> Elem:
-        if self._atom_map is not None:
+        if self.atom_map is not None:
             return self.source.random_elem(rng)
         if self._table is not None:
             return rng.choice(sorted(self._table, key=self.source.sort_key))

@@ -469,41 +469,22 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return cols
 
 
-def _homomorphism_defect(phi) -> str | None:
-    """Why a factor map out of P(n) is no Boolean homomorphism, or None.
-
-    The check is exact, in 2^n calls: the atoms' images are pairwise
-    disjoint and join to the target's unit, and each element goes to the
-    join of its atoms' images.  A map out of finite_cofinite is refused.
-    """
-    src, dst = phi.source, phi.target
-    if src.kind != POWERSET:
-        return "comes out of finite_cofinite, where no check reaches every element"
-    atoms = () if src.is_trivial else src.atoms()
-    images = [phi(t) for t in atoms]
-    if any(not (x & y).is_zero() for i, x in enumerate(images) for y in images[:i]):
-        return "sends two atoms to overlapping images"
-    if dst.join(images) != dst.one:
-        return "sends the atoms to images that do not join to the unit"
-    for x in src.elements():
-        if phi(x) != dst.join(y for t, y in zip(atoms, images) if t.leq(x)):
-            return "sends an element off the join of its atoms' images"
-    return None
-
-
 class InducedHom:
     """The homomorphism out of a free product determined by factor maps.
 
     Sends an element to the join, over active grid cells, of the left cell's
-    image meet the right cell's image.  Both factor maps come out of P(n),
-    where ``_homomorphism_defect`` checks them on every element.
+    image meet the right cell's image.  Both factor maps are atom maps into
+    ``target`` (``Hom.atom_map`` is set), so they are homomorphisms by
+    construction and nothing is checked per element; a table, a
+    generator-image map or a map out of finite_cofinite is refused.
     """
 
     def __init__(self, phi_left, phi_right, target: Algebra):
         for phi in (phi_left, phi_right):
-            defect = _homomorphism_defect(phi)
-            if defect is not None:
-                raise AlgebraError(f"factor map {defect}")
+            if phi.atom_map is None:
+                raise AlgebraError(f"factor map out of {phi.source.kind} is no atom map")
+            if phi.target != target:
+                raise AlgebraError(f"factor map lands in {phi.target.name}, not in {target.name}")
         self.phi_left = phi_left
         self.phi_right = phi_right
         self.target = target

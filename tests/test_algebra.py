@@ -489,6 +489,54 @@ class TestHomomorphisms:
         with pytest.raises(AlgebraError, match="ints, not str"):
             Hom.from_atom_map(p2, p2, "12")
 
+    def test_atom_map_refuses_an_int(self):
+        """``12`` has no length, and escaped as ``TypeError``."""
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="sequence, not int"):
+            Hom.from_atom_map(p2, p2, 12)
+
+    def test_atom_map_refuses_none(self):
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="sequence, not NoneType"):
+            Hom.from_atom_map(p2, p2, None)
+
+    def test_atom_map_refuses_an_iterator(self):
+        """An iterator has no length, and escaped as ``TypeError``."""
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="sequence, not list_iterator"):
+            Hom.from_atom_map(p2, p2, iter([1, 2]))
+
+    def test_constructor_checks_an_atom_map(self):
+        """``Hom(p2, p2, atom_map=(1,))`` was built unchecked and sent the
+        unit to {1}, and ``Hom(p2, p2)`` was built with no backing; an
+        ``InducedHom`` now trusts every atom map it is given."""
+        p2 = powerset(2)
+        with pytest.raises(AlgebraError, match="cover every target atom"):
+            Hom(p2, p2, atom_map=(1,))
+        with pytest.raises(AlgebraError, match="outside source atoms"):
+            Hom(p2, p2, atom_map=(1, 3), table={})
+        with pytest.raises(AlgebraError, match="sequence, not NoneType"):
+            Hom(p2, p2)
+
+    def test_every_single_entry_corruption_rejected(self):
+        # each of the 56 tables that change one entry of P(3)'s identity
+        p3 = powerset(3)
+        for x in p3.elements():
+            for y in p3.elements():
+                if y != x:
+                    table = {e: e for e in p3.elements()}
+                    table[x] = y
+                    assert not check_homomorphism(Hom.from_table(p3, p3, table),
+                                                  exhaustive=True).ok
+
+    def test_corrupted_powerset_table_fails_disjoint_sum(self):
+        # one wrong entry in the identity table of P(6), over 64 elements
+        p6 = powerset(6)
+        table = {x: x for x in p6.elements()}
+        table[p6.subset([1, 2])] = p6.subset([3, 5, 6])
+        verdict = check_homomorphism(Hom.from_table(p6, p6, table), exhaustive=True)
+        assert not verdict.ok and verdict.axiom == "disjoint-sum"
+
     def test_passing_check_preserves_joins(self):
         # join preservation is asserted on the same pairs as the axioms
         p3 = powerset(3)

@@ -98,7 +98,9 @@ class TestBandAlgebra:
 def test_suite_catches_a_principal_band_that_drops_its_top_atom(monkeypatch):
     """With the highest atom cut from every principal band, a singleton
     band off f's support counts as below f's band, and "ideal and band
-    members coincide" fails on configs/default.json at trials 15."""
+    members coincide" fails on configs/default.json at trials 15; so does
+    "overlapping supports share a band direction", which reads its
+    precondition from the coordinates."""
     principal_band = bands.principal_band
 
     def drop_top(f):
@@ -111,7 +113,9 @@ def test_suite_catches_a_principal_band_that_drops_its_top_atom(monkeypatch):
                                    "trials": 15}))
     suite = SUITES["bands"](cfg, suite_rng(cfg.seed, "bands"))
     assert not suite.ok
-    assert suite.tally()["ideal and band members coincide"]["failed"] > 0
+    tally = suite.tally()
+    assert tally["ideal and band members coincide"]["failed"] > 0
+    assert tally["overlapping supports share a band direction"]["failed"] > 0
 
 
 class TestBandProducts:

@@ -305,13 +305,26 @@ class TestInducedHom:
             InducedHom(broken, Hom.identity(a), a)
 
     def test_corrupted_powerset_table_rejected(self):
-        # one wrong entry in the identity table of P(6): 32 sampled pairs
-        # let it through, the exact check over all 64 elements does not
+        # a table is no atom map, so it is refused whatever its entries;
+        # that the exact homomorphism check catches this one wrong entry is
+        # pinned in tests/test_algebra.py
         p6 = powerset(6)
         table = {x: x for x in p6.elements()}
         table[p6.subset([1, 2])] = p6.subset([3, 5, 6])
         with pytest.raises(AlgebraError):
             InducedHom(Hom.from_table(p6, p6, table), Hom.identity(p6), p6)
+
+    def test_correct_identity_table_refused(self):
+        table = Hom.from_table(P2, P2, {x: x for x in P2.elements()})
+        with pytest.raises(AlgebraError, match="out of powerset is no atom map"):
+            InducedHom(table, Hom.identity(P2), P2)
+
+    def test_correct_generator_image_map_refused(self):
+        # the identity of P(2), given on the generator {1}
+        phi = Hom.from_generator_images(P2, P2, [(P2.subset([1]), P2.subset([1]))])
+        assert all(phi(x) == x for x in P2.elements())
+        with pytest.raises(AlgebraError, match="out of powerset is no atom map"):
+            InducedHom(Hom.identity(P2), phi, P2)
 
     def test_map_out_of_finite_cofinite_refused(self):
         # the map is defined only on the subalgebra that fin{0} generates,
@@ -320,15 +333,13 @@ class TestInducedHom:
         with pytest.raises(AlgebraError, match="out of finite_cofinite"):
             InducedHom(phi, Hom.identity(P2), P2)
 
-    def test_every_single_entry_corruption_rejected(self):
-        p3 = powerset(3)
-        for x in p3.elements():
-            for y in p3.elements():
-                if y != x:
-                    table = {e: e for e in p3.elements()}
-                    table[x] = y
-                    with pytest.raises(AlgebraError):
-                        InducedHom(Hom.identity(p3), Hom.from_table(p3, p3, table), p3)
+    def test_factor_map_into_another_algebra_refused(self):
+        """Accepted before: the induced map sent the unit into P(3), and a
+        two-rectangle element to a bitset outside P(2)."""
+        psi = Hom.from_atom_map(P2, powerset(3), [1, 2, 2])
+        for left, right in ((psi, psi), (psi, Hom.identity(P2)), (Hom.identity(P2), psi)):
+            with pytest.raises(AlgebraError, match="lands in P\\(3\\), not in P\\(2\\)"):
+                InducedHom(left, right, P2)
 
 
 class TestTriviality:

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from balg import free_product
+from balg import bands, free_product
+from balg.algebra import Elem, Hom
 from balg.config import parse_config
+from balg.free_product import InducedHom, RectForm
 from balg.suites import run_suites
 
 DEFAULT = json.loads((Path(__file__).resolve().parent.parent / "configs" / "default.json")
@@ -49,6 +51,54 @@ def reverse_merged(merge):
     return mutant
 
 
+def top_atom(alg) -> int:
+    """The bit of a powerset's highest atom, 0 for the trivial one."""
+    return alg.one.data ^ alg.one.data >> 1
+
+
+def drop_top_target_atom(call):
+    """``Hom.__call__`` dropping the highest target atom from each image of
+    an atom map."""
+    def mutant(h, x):
+        y = call(h, x)
+        if h.atom_map is None:
+            return y
+        return Elem(h.target, y.data & ~top_atom(h.target))
+    return mutant
+
+
+def add_top_target_atom(call):
+    """``Hom.__call__`` adding the highest target atom to each nonzero image
+    of an atom map."""
+    def mutant(h, x):
+        y = call(h, x)
+        if h.atom_map is None or y.is_zero():
+            return y
+        return Elem(h.target, y.data | top_atom(h.target))
+    return mutant
+
+
+def skip_last_active_row(call):
+    """``InducedHom.__call__`` leaving out the last row with a cell set."""
+    def mutant(ind, x):
+        active = [i for i, row in enumerate(x.rows) if row]
+        if not active:
+            return call(ind, x)
+        rows = list(x.rows)
+        rows[active[-1]] = 0
+        return call(ind, RectForm(x.fp, x.left_cells, x.right_cells, tuple(rows)))
+    return mutant
+
+
+def drop_top_band_atom(principal_band):
+    """``principal_band`` with its highest atom cut."""
+    def mutant(f):
+        band = principal_band(f)
+        mask = band.alg.atom_mask(band)
+        return band.alg.from_atom_mask(mask & ~(1 << mask.bit_length() >> 1))
+    return mutant
+
+
 MUTANTS = [
     ("join cells keyed by the raw mask", (free_product, "_join_cells"), key_by_raw_mask,
      ["free_product", "tensor_iso", "universal_property"]),
@@ -56,6 +106,14 @@ MUTANTS = [
      ["free_product", "tensor_iso", "universal_property", "bands", "completeness"]),
     ("merged cells reversed", (free_product, "_merge"), reverse_merged,
      ["free_product", "tensor_iso"]),
+    ("atom map drops the top target atom", (Hom, "__call__"), drop_top_target_atom,
+     ["homomorphisms", "universal_property"]),
+    ("atom map adds the top target atom", (Hom, "__call__"), add_top_target_atom,
+     ["homomorphisms"]),
+    ("induced map skips the last active row", (InducedHom, "__call__"), skip_last_active_row,
+     ["universal_property"]),
+    ("principal band drops its top atom", (bands, "principal_band"), drop_top_band_atom,
+     ["bands"]),
 ]
 
 
