@@ -31,7 +31,7 @@ def bands_disjoint(f: AtomVector, g: AtomVector) -> bool:
     member of one is lattice-disjoint from every member of the other;
     in the atom model they meet in zero."""
     if f.space != g.space:
-        raise ValueError("vectors from different spaces")
+        raise AlgebraError("vectors from different spaces")
     return (principal_band(f) & principal_band(g)).is_zero()
 
 

@@ -171,7 +171,7 @@ def check_model_dedekind_complete(backend, rng: random.Random, trials: int) -> d
     dominates it.  A backend with no finite atom model raises AlgebraError.
     """
     if trials < 1:
-        raise ValueError("the model check needs at least one family")
+        raise AlgebraError("the model check needs at least one family")
     for families in range(1, trials + 1):
         family = [places.random_place(backend, rng) for _ in range(rng.randint(1, 4))]
         # the first member joins itself too, so one-member families use join

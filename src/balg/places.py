@@ -6,6 +6,15 @@ pairwise distinct coefficients on disjoint nonzero supports, so equivalent
 representations canonicalize to structurally identical values and ``==``
 decides equality in the space.
 
+Coefficients are exact: an ``int`` (not a ``bool``) or a ``Fraction``;
+anything else raises ``AlgebraError``.  Every sum, lattice operation and
+order test runs on one cell route: the supports are refined to a joint cell
+partition (``joint_cells``), each coefficient becomes the integer numerator
+``c * D`` over the lcm ``D`` of the coefficients' denominators, cells are
+summed, compared and taken min or max of as plain ints, and
+``from_cell_values`` builds one ``Fraction(v, D)`` per distinct nonzero
+value.
+
 Two additions are provided on purpose: ``add_formula`` evaluates the
 three-part formula built from pairwise meets and relative complements, and
 ``add_refine`` sums coefficients over a joint cell refinement.  The second
@@ -17,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraError
@@ -90,37 +100,63 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
     refined to a shared cell partition, coefficients summed cellwise, zero
     cells dropped, and cells sharing a coefficient merged by joining.
     """
-    terms = []
-    for c, x in raw:
-        c = Fraction(c)
-        backend._check(x)  # every support, zero or under a zero coefficient too
-        if c != 0 and not x.is_zero():
-            terms.append((c, x))
+    terms = _live_terms(backend, raw)
     if not terms:
         return PlaceFunction(backend, ())
     payload, masks, ncells = backend.joint_cells([x for _, x in terms])
-    return from_cell_values(backend, payload, enumerate(_cell_sums(terms, masks, ncells)))
+    d, nums = _common(c for c, _ in terms)
+    return from_cell_values(backend, payload, enumerate(_cell_sums(nums, masks, ncells)), d)
 
 
-def from_cell_values(backend, payload, values) -> PlaceFunction:
-    """Canonical place function from (cell index, coefficient) pairs.
+def _exact(c):
+    """``c`` itself if it is an exact coefficient: an int (not a bool) or a
+    Fraction."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise AlgebraError(f"a coefficient is an int or a Fraction, not {type(c).__name__}")
+    return c
 
-    Cells sharing a nonzero coefficient become one support, joined from
-    ``payload`` by ``backend.join_cells``; zero cells are dropped.
+
+def _live_terms(backend, raw) -> list:
+    """The terms of ``raw`` with a nonzero coefficient and a nonzero
+    support.  Every coefficient and every support is checked, zero or under
+    a zero coefficient too."""
+    terms = []
+    for c, x in raw:
+        backend._check(x)
+        if _exact(c) != 0 and not x.is_zero():
+            terms.append((c, x))
+    return terms
+
+
+def _common(coefs) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of exact coefficients, and each
+    coefficient times D as an int."""
+    coefs = list(coefs)
+    d = lcm(*(c.denominator for c in coefs))
+    return d, [c.numerator * (d // c.denominator) for c in coefs]
+
+
+def from_cell_values(backend, payload, values, d: int) -> PlaceFunction:
+    """Canonical place function from (cell index, integer value) pairs over
+    the common denominator ``d``: a cell's coefficient is its value / d.
+
+    Cells sharing a nonzero value become one support, joined from
+    ``payload`` by ``backend.join_cells``, under one ``Fraction(value, d)``;
+    zero cells are dropped.
     """
-    groups: dict[Fraction, int] = {}
+    groups: dict[int, int] = {}
     for i, v in values:
-        if v != 0:
+        if v:
             groups[v] = groups.get(v, 0) | (1 << i)
-    terms = [(v, backend.join_cells(payload, mask)) for v, mask in groups.items()]
+    terms = [(Fraction(v, d), backend.join_cells(payload, mask)) for v, mask in groups.items()]
     terms.sort(key=lambda t: backend.sort_key(t[1]))
     return PlaceFunction(backend, tuple(terms))
 
 
-def _cell_sums(terms, masks, ncells: int) -> list[Fraction]:
-    """Per cell, the sum of the coefficients of the terms whose mask has it."""
-    vals = [Fraction(0)] * ncells
-    for (c, _), mask in zip(terms, masks):
+def _cell_sums(nums, masks, ncells: int) -> list[int]:
+    """Per cell, the sum of the integer coefficients whose mask has it."""
+    vals = [0] * ncells
+    for c, mask in zip(nums, masks):
         while mask:
             low = mask & -mask
             vals[low.bit_length() - 1] += c
@@ -170,7 +206,7 @@ def add_refine(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:
 
 
 def scale(c, f: PlaceFunction) -> PlaceFunction:
-    c = Fraction(c)
+    c = Fraction(_exact(c))
     if c == 0:
         return PlaceFunction(f.backend, ())
     # scaling keeps supports, order, distinctness: already canonical
@@ -178,10 +214,14 @@ def scale(c, f: PlaceFunction) -> PlaceFunction:
 
 
 def _cell_values(backend, f: PlaceFunction, g: PlaceFunction):
-    payload, masks, ncells = backend.joint_cells([x for _, x in f.terms + g.terms])
+    """The joint cell payload of f and g, their common denominator, and each
+    one's integer cell values over it."""
+    terms = f.terms + g.terms
+    payload, masks, ncells = backend.joint_cells([x for _, x in terms])
+    d, nums = _common(c for c, _ in terms)
     k = len(f.terms)
-    return (payload, _cell_sums(f.terms, masks[:k], ncells),
-            _cell_sums(g.terms, masks[k:], ncells))
+    return (payload, d, _cell_sums(nums[:k], masks[:k], ncells),
+            _cell_sums(nums[k:], masks[k:], ncells))
 
 
 def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
@@ -192,11 +232,11 @@ def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
     """
     _match(f, g)
     if which not in ("meet", "join"):
-        raise ValueError("which must be 'meet' or 'join'")
+        raise AlgebraError("which must be 'meet' or 'join'")
     backend = f.backend
     op = min if which == "meet" else max
-    payload, fvals, gvals = _cell_values(backend, f, g)
-    return from_cell_values(backend, payload, enumerate(map(op, fvals, gvals)))
+    payload, d, fvals, gvals = _cell_values(backend, f, g)
+    return from_cell_values(backend, payload, enumerate(map(op, fvals, gvals)), d)
 
 
 def meet(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:
@@ -218,7 +258,7 @@ def abs_(f: PlaceFunction) -> PlaceFunction:
 def leq(f: PlaceFunction, g: PlaceFunction) -> bool:
     """Pointwise order: f <= g on every cell of the joint refinement."""
     _match(f, g)
-    _, fvals, gvals = _cell_values(f.backend, f, g)
+    _, _, fvals, gvals = _cell_values(f.backend, f, g)
     return all(a <= b for a, b in zip(fvals, gvals))
 
 
@@ -226,7 +266,7 @@ def is_component(f: PlaceFunction) -> bool:
     """Whether f satisfies the component equation f ^ (e - f) = 0 against
     the strong unit e.  Requires f in the positive cone."""
     if not f.is_positive():
-        raise ValueError("component test requires a positive place function")
+        raise AlgebraError("component test requires a positive place function")
     e = unit(f.backend)
     return meet(f, e - f).is_zero()
 

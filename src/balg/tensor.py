@@ -36,13 +36,13 @@ class AtomVector:
 
     def __init__(self, space: tuple, values: tuple[Fraction, ...]) -> None:
         if len(space) != len(values):
-            raise ValueError("coordinate count must match the atom set")
+            raise AlgebraError("coordinate count must match the atom set")
         _vector_space(self, space)
         _vector_values(self, values)
 
     def _match(self, other: "AtomVector") -> None:
         if self.space != other.space:
-            raise ValueError("vectors from different spaces")
+            raise AlgebraError("vectors from different spaces")
 
     def __add__(self, other: "AtomVector") -> "AtomVector":
         self._match(other)
@@ -110,15 +110,18 @@ def to_atom_model(f: PlaceFunction) -> AtomVector:
     backend = f.backend
     labels, _ = _finite_atoms(backend)
     masks = [backend.atom_mask(x) for _, x in f.terms]
-    return AtomVector(labels, tuple(places._cell_sums(f.terms, masks, len(labels))))
+    d, nums = places._common(c for c, _ in f.terms)
+    return AtomVector(labels, tuple(Fraction(v, d)
+                                    for v in places._cell_sums(nums, masks, len(labels))))
 
 
 def from_atom_model(backend, v: AtomVector) -> PlaceFunction:
     """Inverse of ``to_atom_model``."""
     labels, atoms = _finite_atoms(backend)
     if labels != v.space:
-        raise ValueError("vector space does not match the backend's atoms")
-    return places.from_cell_values(backend, atoms, enumerate(v.values))
+        raise AlgebraError("vector space does not match the backend's atoms")
+    d, nums = places._common(map(places._exact, v.values))
+    return places.from_cell_values(backend, atoms, enumerate(nums), d)
 
 
 def _finite_atoms(backend) -> tuple[tuple, object]:
@@ -158,22 +161,25 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     Because the supports on each side are pairwise disjoint, the double sum
     is constant on each cell of the product of the two coordinate
     partitions; evaluating there and canonicalizing equals canonicalizing
-    the rectangle terms directly (the slow route kept in the tests).
+    the rectangle terms directly (the slow route kept in the tests).  Each
+    side's cell values are integers over its own common denominator, so the
+    products are integers over the product of the two.
     """
-    # every support is checked, zero or under a zero coefficient too
-    f_terms = [(Fraction(c), x) for c, x in f_terms if not fp.left._check(x).is_zero() and c != 0]
-    g_terms = [(Fraction(c), u) for c, u in g_terms if not fp.right._check(u).is_zero() and c != 0]
+    f_terms = places._live_terms(fp.left, f_terms)
+    g_terms = places._live_terms(fp.right, g_terms)
     if not f_terms or not g_terms:
         return places.zero(fp)
     lcells, lmasks, nl = fp.left.joint_cells([x for _, x in f_terms])
     rcells, rmasks, nr = fp.right.joint_cells([u for _, u in g_terms])
+    df, fnums = places._common(c for c, _ in f_terms)
+    dg, gnums = places._common(c for c, _ in g_terms)
     # the supports on each side are disjoint, so a cell's sum is its one coefficient
-    lcoef = places._cell_sums(f_terms, lmasks, nl)
-    rcoef = places._cell_sums(g_terms, rmasks, nr)
+    lcoef = places._cell_sums(fnums, lmasks, nl)
+    rcoef = places._cell_sums(gnums, rmasks, nr)
     width = len(rcells)
     values = ((i * width + j, a * b) for i, a in enumerate(lcoef)
               for j, b in enumerate(rcoef))
-    return places.from_cell_values(fp, (lcells, rcells), values)
+    return places.from_cell_values(fp, (lcells, rcells), values, df * dg)
 
 
 def psi_terms_by_rectangles(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
@@ -326,7 +332,7 @@ class LinearLatticeMap:
 
     def apply(self, v: AtomVector) -> AtomVector:
         if v.space != self.source:
-            raise ValueError("vector space does not match the map's source")
+            raise AlgebraError("vector space does not match the map's source")
         vals = tuple(sum((a * x for a, x in zip(row, v.values) if a), Fraction(0))
                      for row in self.matrix)
         return AtomVector(self.target, vals)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -5,6 +6,10 @@ from hypothesis import strategies as st
 from balg.algebra import Elem, finite_cofinite, powerset
 from balg.free_product import Rectangle
 from balg.tensor import AtomVector
+
+# coefficients that are no int or Fraction, or are a bool, by name
+INEXACT = {"float": 0.1, "fraction string": "1/2", "string": "abc", "nan": math.nan,
+           "None": None, "inf": math.inf, "bool": True}
 
 P3 = powerset(3)
 P4 = powerset(4)

@@ -55,6 +55,10 @@ class TestDisjointBands:
         assert not bands.bands_disjoint(vector((1, 2, 3), [1, 1, 0]),
                                         vector((1, 2, 3), [0, 1, 0]))
 
+    def test_different_spaces_are_an_algebra_error(self):
+        with pytest.raises(AlgebraError, match="different spaces"):
+            bands.bands_disjoint(ones((1, 2, 3)), ones((1, 2)))
+
     def test_lattice_disjoint_implies_band_disjoint(self):
         rng = random.Random(1)
         space = (1, 2, 3, 4)

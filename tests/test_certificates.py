@@ -105,7 +105,7 @@ class TestFiniteCompleteness:
             certs.check_model_dedekind_complete(backend, random.Random(0), 3)
 
     def test_no_families_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AlgebraError, match="at least one family"):
             certs.check_model_dedekind_complete(powerset(2), random.Random(0), 0)
 
 

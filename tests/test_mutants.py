@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from balg import bands, free_product
+from balg import bands, free_product, places
 from balg.algebra import Elem, Hom
 from balg.config import parse_config
 from balg.free_product import InducedHom, RectForm
@@ -99,6 +99,36 @@ def drop_top_band_atom(principal_band):
     return mutant
 
 
+def largest_denominator(common):
+    """``places._common`` taking the largest denominator, not the lcm."""
+    def mutant(coefs):
+        coefs = list(coefs)
+        d = max((c.denominator for c in coefs), default=1)
+        return d, [c.numerator * (d // c.denominator) for c in coefs]
+    return mutant
+
+
+def drop_denominator(from_cell_values):
+    """``places.from_cell_values`` reading every integer value over 1."""
+    return lambda backend, payload, values, d: from_cell_values(backend, payload, values, 1)
+
+
+def g_over_its_own_denominator(cell_values):
+    """``places._cell_values`` putting g's cell values over the lcm of g's
+    own denominators, not the one f and g share."""
+    def mutant(backend, f, g):
+        payload, d, fvals, gvals = cell_values(backend, f, g)
+        dg, _ = places._common(c for c, _ in g.terms)
+        return payload, d, fvals, [v * dg // d for v in gvals]
+    return mutant
+
+
+def skip_last_term(cell_sums):
+    """``places._cell_sums`` leaving out the last of three or more terms."""
+    return lambda nums, masks, ncells: cell_sums(
+        nums[:-1] if len(nums) > 2 else nums, masks, ncells)
+
+
 MUTANTS = [
     ("join cells keyed by the raw mask", (free_product, "_join_cells"), key_by_raw_mask,
      ["free_product", "tensor_iso", "universal_property"]),
@@ -114,6 +144,14 @@ MUTANTS = [
      ["universal_property"]),
     ("principal band drops its top atom", (bands, "principal_band"), drop_top_band_atom,
      ["bands"]),
+    ("common denominator is the largest one", (places, "_common"), largest_denominator,
+     ["place_addition", "tensor_iso", "universal_property"]),
+    ("cell values lose the common denominator", (places, "from_cell_values"), drop_denominator,
+     ["place_addition", "regularity", "tensor_iso", "universal_property"]),
+    ("g's cell values over its own denominator", (places, "_cell_values"),
+     g_over_its_own_denominator, ["place_addition", "tensor_iso", "completeness"]),
+    ("cell sums skip the last term", (places, "_cell_sums"), skip_last_term,
+     ["place_addition", "tensor_iso", "universal_property", "completeness"]),
 ]
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg.algebra import AlgebraError, Elem, powerset, trivial_algebra
+from balg.algebra import POWERSET, AlgebraError, Elem, powerset, trivial_algebra
 from balg.free_product import FreeProduct
-from balg import places
-from conftest import FC, P3, fincof_elems, powerset_elems, rationals
+from balg import places, tensor
+from conftest import FC, INEXACT, P3, fincof_elems, powerset_elems, rationals
 
 
 def atomwise(alg, raw):
@@ -115,6 +115,24 @@ class TestCanonicalize:
         assert f.terms == ((1, FC.fin([0])), (3, FC.fin(range(1, 40))), (2, FC.fin([40])))
 
 
+class TestCoefficients:
+    """A coefficient is an int (not a bool) or a Fraction; anything else
+    raises AlgebraError, under a zero support too."""
+
+    @pytest.mark.parametrize("c", list(INEXACT.values()), ids=list(INEXACT))
+    def test_canonicalize_refuses(self, c):
+        P2 = powerset(2)
+        for raw in ([(c, P2.subset([1]))], [(c, P2.zero)], [(1, P2.one), (c, P2.subset([2]))]):
+            with pytest.raises(AlgebraError):
+                places.canonicalize(P2, raw)
+
+    @pytest.mark.parametrize("c", list(INEXACT.values()), ids=list(INEXACT))
+    def test_scale_refuses(self, c):
+        for f in (places.chi(P3.subset([1])), places.zero(P3)):
+            with pytest.raises(AlgebraError):
+                places.scale(c, f)
+
+
 class TestChi:
     def test_examples(self):
         assert places.chi(P3.subset([1, 2])).terms == ((Fraction(1), P3.subset([1, 2])),)
@@ -129,7 +147,7 @@ class TestChi:
             assert places.is_component(places.chi(FC.random_elem(rng)))
 
     def test_component_requires_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AlgebraError, match="positive"):
             places.is_component(places.scale(-1, places.chi(P3.subset([1]))))
 
     def test_components_are_characteristics(self):
@@ -220,6 +238,11 @@ class TestLattice:
                     if v != 0:
                         want[p] = v
                 assert got == want
+
+    def test_unknown_operation_is_an_algebra_error(self):
+        f = places.chi(P3.subset([1]))
+        with pytest.raises(AlgebraError, match="which"):
+            places.lattice(f, f, "max")
 
     @given(places_fc, places_fc)
     def test_meet_join_identity(self, f, g):
@@ -315,3 +338,145 @@ class TestRegularity:
                     continue
                 v = places.check_regularity(xs, backend.sup(xs), rng=rng, trials=20)
                 assert v.ok, v.detail
+
+
+# -- an independent point oracle -------------------------------------------------
+
+# pairwise coprime denominators near 10**6
+COPRIME = (999983, 999979, 999961, 999959, 2**19, 3**12)
+
+
+def exact_coefficients():
+    """Signed ints, and rationals whose denominators reach 10**6."""
+    denominators = st.one_of(st.integers(1, 10**6), st.sampled_from(COPRIME))
+    return st.one_of(st.integers(-9, 9),
+                     st.builds(Fraction, st.integers(-10**6, 10**6), denominators))
+
+
+@st.composite
+def raw_terms(draw, elems):
+    """Up to four terms, and the negation of some of them on the same
+    support or another, so that sums cancel to zero on whole cells."""
+    raw = draw(st.lists(st.tuples(exact_coefficients(), elems), max_size=4))
+    for c, x in list(raw):
+        if draw(st.booleans()):
+            raw.append((-c, draw(st.one_of(st.just(x), elems))))
+    return raw
+
+
+@st.composite
+def backend_and_raws(draw):
+    """A backend, P(n) for n <= 8 or fincof, and three raw term lists over it."""
+    backend = draw(st.one_of(st.integers(1, 8).map(powerset), st.just(FC)))
+    elems = powerset_elems(backend) if backend.kind == POWERSET else fincof_elems()
+    return backend, [draw(raw_terms(elems)) for _ in range(3)]
+
+
+def points(backend, elems) -> list[int]:
+    """Points that meet every cell the elements cut: the atoms of P(n); over
+    fincof, each natural an element names and one past all of them."""
+    if backend.kind == POWERSET:
+        return list(range(1, backend.atom_count + 1))
+    named = sorted({n for x in elems for n in x.data[1]})
+    return named + [named[-1] + 1 if named else 0]
+
+
+def value(terms, p) -> Fraction:
+    """The value at p of a coefficient/support list, by Fraction arithmetic."""
+    return sum((Fraction(c) for c, x in terms if x.contains(p)), Fraction(0))
+
+
+def assert_canonical_at(f, pts):
+    coeffs = [c for c, _ in f.terms]
+    assert all(type(c) is Fraction and c != 0 for c in coeffs)
+    assert len(set(coeffs)) == len(coeffs)
+    for _, x in f.terms:
+        assert any(x.contains(p) for p in pts)
+    for p in pts:
+        assert sum(x.contains(p) for _, x in f.terms) <= 1
+
+
+class TestPointOracle:
+    """Each place operation agrees with Fraction arithmetic at every point
+    that meets a cell, read through ``contains`` alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(backend_and_raws())
+    def test_operations_match_point_values(self, drawn):
+        backend, (raw_f, raw_g, raw_h) = drawn
+        f = places.canonicalize(backend, raw_f)
+        g = places.canonicalize(backend, raw_g)
+        h = places.canonicalize(backend, raw_f + raw_g + raw_h)
+        results = {"sum": places.add_refine(f, g), "join": places.join(f, g),
+                   "meet": places.meet(f, g)}
+        elems = [x for raw in (raw_f, raw_g, raw_h) for _, x in raw]
+        elems += [x for r in (f, g, h, *results.values()) for _, x in r.terms]
+        pts = points(backend, elems)
+        for r in (f, g, h, *results.values()):
+            assert_canonical_at(r, pts)
+        for p in pts:
+            fv, gv = value(f.terms, p), value(g.terms, p)
+            assert fv == value(raw_f, p) and gv == value(raw_g, p)
+            assert value(h.terms, p) == value(raw_f + raw_g + raw_h, p)
+            assert value(results["sum"].terms, p) == fv + gv
+            assert value(results["join"].terms, p) == max(fv, gv)
+            assert value(results["meet"].terms, p) == min(fv, gv)
+        assert places.leq(f, g) == all(value(f.terms, p) <= value(g.terms, p) for p in pts)
+
+    @pytest.mark.parametrize("right", [powerset(3), FC], ids=["P2 x P3", "P2 x fincof"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_psi_matches_the_rectangle_route(self, right, data):
+        fp = FreeProduct(powerset(2), right)
+        right_elems = powerset_elems(right) if right.kind == POWERSET else fincof_elems()
+        f = places.canonicalize(fp.left, data.draw(raw_terms(powerset_elems(fp.left))))
+        g = places.canonicalize(right, data.draw(raw_terms(right_elems)))
+        assert tensor.psi_terms(fp, f.terms, g.terms) == \
+            tensor.psi_terms_by_rectangles(fp, f.terms, g.terms)
+
+
+class TestIntegerRoute:
+    """Work guards: the cell route sums, compares and takes min or max on
+    integers over a common denominator, and builds one Fraction per value."""
+
+    @staticmethod
+    def family():
+        """The 3 x 4 fincof (x) fincof family of the free-product table
+        tests, with two coefficients over the denominator 3."""
+        fp = FreeProduct(FC, FC)
+        a, b = FC.fin([0, 1]), FC.cof([1, 2])
+        return fp, [(Fraction(1, 3), fp.rect(a, b)), (2, fp.rect(~a, FC.one)),
+                    (4, fp.rect(FC.one, FC.fin([2]))),
+                    (Fraction(-1, 3), fp.rect(FC.fin([1]), FC.fin([3])))]
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        fp, raw = self.family()
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic on the cell route")
+
+        for name in ("__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        f, g = places.canonicalize(fp, raw[:2]), places.canonicalize(fp, raw[2:])
+        got = (places.canonicalize(fp, raw), places.add_refine(f, g), places.join(f, g),
+               places.meet(f, g), places.leq(f, g), places.leq(places.meet(f, g), g))
+        monkeypatch.undo()
+        whole, total, join, meet, below, meet_below = got
+        assert whole == total == places.add_formula(f, g)
+        assert places.add_refine(join, meet) == total
+        assert not below and meet_below
+
+    def test_one_fraction_per_distinct_value(self, monkeypatch):
+        fp, raw = self.family()
+        payload, masks, ncells = fp.joint_cells([x for _, x in raw])
+        d, nums = places._common(c for c, _ in raw)
+        values = places._cell_sums(nums, masks, ncells)
+        assert (ncells, d, sorted(set(values))) == (12, 3, [0, 1, 6, 12, 18])
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        f = places.from_cell_values(fp, payload, enumerate(values), d)
+        monkeypatch.undo()
+        assert sorted(built) == [(1, 3), (6, 3), (12, 3), (18, 3)]
+        assert sorted(c for c, _ in f.terms) == [Fraction(1, 3), 2, 4, 6]

@@ -6,7 +6,7 @@ import pytest
 from balg.algebra import AlgebraError, powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places, tensor
-from conftest import FC, ones, vector
+from conftest import FC, INEXACT, ones, vector
 
 A = powerset(2, "A")
 B = powerset(2, "B")
@@ -54,6 +54,18 @@ class TestAtomModel:
         for _ in range(200):
             v = tensor.random_vector(space, rng)
             assert tensor.to_atom_model(tensor.from_atom_model(P3, v)) == v
+
+    def test_mismatches_are_algebra_errors(self):
+        space = tensor.atom_space(P3)
+        with pytest.raises(AlgebraError, match="different spaces"):
+            ones(space) + ones((1, 2))
+        with pytest.raises(AlgebraError, match="backend's atoms"):
+            tensor.from_atom_model(P3, ones((1, 2)))
+
+    @pytest.mark.parametrize("c", list(INEXACT.values()), ids=list(INEXACT))
+    def test_inexact_coordinate_refused(self, c):
+        with pytest.raises(AlgebraError):
+            tensor.from_atom_model(P3, tensor.AtomVector((1, 2, 3), (Fraction(1), c, 0)))
 
     def test_coordinatewise_structure(self):
         rng = random.Random(1)
@@ -117,6 +129,16 @@ class TestPsi:
                                  ([(1, powerset(2).one)], [(1, FC.cof([]))]),
                                  ([(1, P5.zero)], [(1, P3.one)]),
                                  ([(1, powerset(2).one)], [(0, P5.one)])]:
+            with pytest.raises(AlgebraError):
+                tensor.psi_terms(fp, f_terms, g_terms)
+
+    @pytest.mark.parametrize("c", list(INEXACT.values()), ids=list(INEXACT))
+    def test_inexact_coefficients_refused(self, c):
+        """Either side, under a zero support too."""
+        fp = FreeProduct(A, P3)
+        for f_terms, g_terms in [([(c, A.one)], [(1, P3.one)]),
+                                 ([(1, A.one)], [(c, P3.subset([2]))]),
+                                 ([(c, A.zero)], [(1, P3.one)])]:
             with pytest.raises(AlgebraError):
                 tensor.psi_terms(fp, f_terms, g_terms)
 
@@ -279,6 +301,11 @@ class TestLinearLatticeMap:
         negative = tensor.LinearLatticeMap((1,), (1,), ((Fraction(-1),),))
         assert not negative.riesz_shape()
         assert not negative.preserves_abs(random.Random(14))
+
+    def test_source_mismatch_is_an_algebra_error(self):
+        m = tensor.LinearLatticeMap((1, 2), (1,), ((Fraction(1), Fraction(1)),))
+        with pytest.raises(AlgebraError, match="source"):
+            m.apply(ones((1, 2, 3)))
 
     def test_shape_matches_abs_preservation(self):
         rng = random.Random(15)

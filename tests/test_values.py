@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from balg import places
-from balg.algebra import Elem
+from balg.algebra import AlgebraError, Elem
 from balg.free_product import FreeProduct, Rectangle, RectForm
 from balg.places import PlaceFunction
 from balg.tensor import AtomVector
@@ -96,10 +96,10 @@ def test_construction_by_position_keyword_and_replace(case):
 
 
 def test_atom_vector_rejects_a_length_mismatch():
-    with pytest.raises(ValueError, match="coordinate count"):
+    with pytest.raises(AlgebraError, match="coordinate count"):
         AtomVector((1, 2), (Fraction(1),))
-    with pytest.raises(ValueError, match="coordinate count"):
+    with pytest.raises(AlgebraError, match="coordinate count"):
         AtomVector((), (Fraction(0),))
     x = AtomVector((1, 2), (Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError, match="coordinate count"):
+    with pytest.raises(AlgebraError, match="coordinate count"):
         dataclasses.replace(x, values=(Fraction(1),))
