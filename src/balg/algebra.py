@@ -9,12 +9,20 @@ the naturals.  The trivial algebra is P(0), whose one bitset, 0, is both zero
 and unit.  No ``Elem`` or ``Algebra`` operation tests the kind, bar the guards
 refusing a call that one kind does not support, such as ``subset``.
 
-Each kernel has one n-ary join, behind ``Algebra.join``, and one refinement
-of partitions of the unit by point signatures, behind ``_meets``, after
-Paige and Tarjan (SIAM J. Comput. 1987); ``refine_partition``,
-``Algebra.joint_cells`` and ``free_product._joint_cells`` are built on it.
-A new backend kind takes one kernel with the same operations, one literal
-in the expression grammar and one config kind.
+Each kernel has one n-ary join, behind ``Algebra.join``; one refinement of
+partitions of the unit by point signatures, behind ``_meets``, after Paige
+and Tarjan (SIAM J. Comput. 1987), on which ``refine_partition`` and
+``free_product._joint_cells`` are built; and one point rule,
+``point_cells``, behind ``Algebra.joint_cells``.  A finite family of
+elements is decided by finitely many points of the Stone space: the atoms
+of P(n), or on finite_cofinite each natural the family names and the tail,
+the cofinite rest.  ``joint_cells`` hands out those points as cells, the
+held atoms tuple on a powerset, with each element's mask of them, and
+refines nothing; ``join_cells`` on the held atoms tuple reads a mask as the
+bitset.  ``Hom.from_generator_images`` needs the coarser atoms of the
+generated subalgebra and refines them itself.  A new backend kind takes one
+kernel with the same operations, one literal in the expression grammar and
+one config kind.
 
 ``Elem`` is a frozen, slotted dataclass whose ``__init__`` sets each slot
 once through its member descriptor, skipping the frozen ``__setattr__``
@@ -79,6 +87,11 @@ class _PowersetKernel:
         if sum(c.bit_count() for c in cells) != len(index) or len(index) != self._atoms:
             raise AlgebraError("the cells of an axis do not partition its atoms")
         return index, None
+
+    def point_cells(self, data):
+        """The atoms decide every family: None, for the algebra's own atoms
+        as the cells, and each part's bitset as its mask."""
+        return None, data
 
     def meets(self, partitions):
         """Cells met pairwise as bitsets, keeping only the nonzero meets."""
@@ -151,6 +164,24 @@ class _FinCofKernel:
         if index.keys() != set(cells[tails[0]][1]):
             raise AlgebraError("the fin cells of an axis are not what its cofinite cell leaves out")
         return index, tails[0]
+
+    def point_cells(self, data):
+        """The naturals the parts name, in increasing order, then the tail:
+        cell k is fin{the k-th named natural} and the last cell is cof of them
+        all.  A fin part's mask is the bits of its own points; a cof part's is
+        every bit but those, the tail's included."""
+        named = sorted(set().union(*(support for _, support in data)))
+        bit = {n: 1 << k for k, n in enumerate(named)}
+        every = (2 << len(named)) - 1
+        masks = []
+        for mode, support in data:
+            mask = 0
+            for n in support:
+                mask |= bit[n]
+            masks.append(mask if mode == "fin" else every ^ mask)
+        cells = [("fin", (n,)) for n in named]
+        cells.append(("cof", tuple(named)))
+        return cells, masks
 
     def meets(self, partitions):
         """Named points grouped by their signatures, read off each partition's
@@ -286,14 +317,25 @@ class Algebra:
         return self.kernel.sort_key(x.data)
 
     def joint_cells(self, parts: Sequence["Elem"]):
-        """Shared cell partition refining every part, plus per-part bitmasks."""
-        cells = refine_partition(self.one, parts)
-        leq = self.kernel.leq
-        masks = [sum(1 << i for i, c in enumerate(cells) if leq(c.data, x.data)) for x in parts]
+        """The points that decide ``parts`` as cells, each part's mask of the
+        cells under it, and the number of cells.
+
+        The kernel's ``point_cells`` gives them with no refinement: on a
+        powerset the cells are the held atoms tuple and a mask is the part's
+        bitset; on finite_cofinite one fin singleton per named natural, in
+        increasing order, then the tail.  The cells partition the unit and
+        may be finer than the atoms of the subalgebra the parts generate.
+        """
+        cells, masks = self.kernel.point_cells([x.data for x in parts])
+        cells = self._atoms if cells is None else [Elem(self, c) for c in cells]
         return cells, masks, len(cells)
 
     def join_cells(self, cells: Sequence["Elem"], mask: int) -> "Elem":
-        """Join of the cells whose indices are the set bits of ``mask``."""
+        """Join of the cells whose indices are the set bits of ``mask``; on
+        the held atoms tuple, compared by identity, the mask is the bitset."""
+        # all empty tuples are one object: an algebra with no atoms joins
+        if cells is self._atoms and cells:
+            return Elem(self, mask)
         return self.join(c for i, c in enumerate(cells) if mask >> i & 1)
 
     def _check(self, x: "Elem") -> "Elem":
@@ -490,16 +532,16 @@ class Hom:
         """Extend prescribed generator images over the generated subalgebra.
 
         The domain cells are the atoms of the subalgebra generated by the
-        generator elements; each cell's image is the matching signed meet of
-        the generator images.
+        generator elements, refined here and not read off ``joint_cells``,
+        whose finer point cells would widen the domain past that subalgebra;
+        each cell's image is the matching signed meet of the generator images.
         """
-        gens = [g for g, _ in pairs]
         for g, img in pairs:
             source._check(g)
             target._check(img)
-        cells, masks, _ = source.joint_cells(gens)
-        images = [reduce(and_, (gi if m >> i & 1 else ~gi for (_, gi), m in zip(pairs, masks)),
-                         target.one) for i in range(len(cells))]
+        cells = refine_partition(source.one, [g for g, _ in pairs])
+        images = [reduce(and_, (gi if c.leq(g) else ~gi for g, gi in pairs), target.one)
+                  for c in cells]
         return cls(source, target, cells=tuple(cells), images=tuple(images))
 
     @classmethod

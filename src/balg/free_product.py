@@ -13,10 +13,12 @@ the flat masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R)
 at bit i * len(R) + j).  Without a table ``_joint_cells`` takes the meets
 with ``algebra._meets``, the one refinement kernel, and spreads each grid's
 rows onto them by ``_runs``; an axis on which every grid has the same cells
-is left as is.  ``normalize`` refines each axis once with
-``refine_partition``: one nonzero rectangle a x b gives the grid
-(a, ~a) x (b, ~b), canonical as it stands, and several give the factors'
-``joint_cells``, ORed into one flat mask.
+is left as is.  ``normalize`` of one nonzero rectangle a x b refines each
+axis once with ``refine_partition`` and gives the grid (a, ~a) x (b, ~b),
+canonical as it stands.  Several rectangles refine nothing: they are laid on
+the factors' point cells, ``Algebra.joint_cells`` (the atoms of a powerset
+factor, the named naturals and the tail of a finite_cofinite one), and ORed
+into one flat mask for ``_join_cells``.
 
 ``_join_cells`` is the one exit from a grid and a flat mask to a canonical
 form; every operation but ``~`` and ``normalize`` of at most one nonzero
@@ -35,10 +37,13 @@ pairs (p, q) under it at bit p * m + q.  A product of two powersets with
 0 < n * m <= MAX_ATOMS holds ``_forms``, a table from atom mask to canonical
 form, so at most 2^16 forms, filled as masks are met and freed with the
 product; every other product has None there.  Its common grid is the atom
-pairs, so a flat cell mask is an atom mask: ``_joint_cells`` reads it with
-``_grid_mask``, ``_join_cells`` looks it up, reading any other grid's atom
-mask with ``_grid_mask`` too, and only these two read the table.
-``normalize`` and ``~`` keep the grid route, so laws still set a grid-built
+pairs, so a flat cell mask is an atom mask: ``_joint_cells`` reads each
+part's with ``_grid_mask``, and ``_join_cells`` looks it up.  There
+``_join_cells`` takes only the atom pairs, the factors' own ``atoms()``
+tuples compared by identity, and raises AlgebraError on any other grid; the
+point cells that ``normalize`` lays several rectangles on are those same
+tuples.  Only these two functions read the table.  ``normalize`` of one
+rectangle and ``~`` keep the grid route, so laws still set a grid-built
 side against a mask-built one.  ``atom_mask`` reads a form through
 ``point_index`` instead, a second route kept apart from ``_grid_mask`` as
 the independent reading that the bands isomorphism check and the tests use.
@@ -121,9 +126,10 @@ class FreeProduct:
     def normalize(self, rects: Sequence[Rectangle]) -> "RectForm":
         """Canonical form of a finite union of rectangles.
 
-        The grid is built from the atoms of the subalgebras generated by the
-        rectangle sides, then coarsened; the result is independent of input
-        order and of how rectangles were split.
+        Several rectangles are laid on the grid of the factors' point cells,
+        ``Algebra.joint_cells`` of their sides, then coarsened by
+        ``_join_cells``; the result is independent of input order and of how
+        rectangles were split.
         """
         for r in rects:
             self.left._check(r.left)
@@ -359,18 +365,17 @@ def _join_cells(fp: FreeProduct, payload, mask: int) -> RectForm:
     bits of the flat mask ``mask``, bits past the last cell dropped.
 
     Without a table, the grid coarsened by ``_coarsen``.  With one, the
-    form stored under the atom mask: ``mask`` itself when the payload is the
-    factors' own atom tuples, compared by identity, else ``_grid_mask`` of
-    the payload's rows.  An atom mask met for the first time is coarsened
-    from the payload and stored."""
+    payload must be the factors' own atom tuples, compared by identity, and
+    the form is the one stored under ``mask`` as an atom mask; a mask met
+    for the first time is coarsened and stored.  Any other payload there
+    raises AlgebraError."""
     L, R = payload
     forms = fp._forms
     if forms is None:
         return _coarsen(fp, L, R, mask)
-    if L is fp.left.atoms() and R is fp.right.atoms():
-        key = mask & ~(-1 << len(L) * len(R))
-    else:
-        key = _grid_mask(fp, L, R, _rows(mask, len(L), len(R)))
+    if L is not fp.left.atoms() or R is not fp.right.atoms():
+        raise AlgebraError("a grid on a product with a table is the factors' atom pairs")
+    key = mask & ~(-1 << len(L) * len(R))
     form = forms.get(key)
     if form is None:
         form = forms[key] = _coarsen(fp, L, R, mask)

@@ -8,16 +8,18 @@ decides equality in the space.
 
 Coefficients are exact: an ``int`` (not a ``bool``) or a ``Fraction``;
 anything else raises ``AlgebraError``.  Every sum, lattice operation and
-order test runs on one cell route: the supports are refined to a joint cell
-partition (``joint_cells``), each coefficient becomes the integer numerator
-``c * D`` over the lcm ``D`` of the coefficients' denominators, cells are
-summed, compared and taken min or max of as plain ints, and
-``from_cell_values`` builds one ``Fraction(v, D)`` per distinct nonzero
-value.
+order test runs on one cell route: the backend's ``joint_cells`` lays the
+supports on cells that partition the unit, each support a join of cells (on
+one algebra the points that decide the supports: its atoms, or the named
+naturals and the tail; on a free product a common grid), each coefficient
+becomes the integer numerator ``c * D`` over the lcm ``D`` of the
+coefficients' denominators, cells are summed, compared and taken min or max
+of as plain ints, and ``from_cell_values`` builds one ``Fraction(v, D)``
+per distinct nonzero value.
 
 Two additions are provided on purpose: ``add_formula`` evaluates the
 three-part formula built from pairwise meets and relative complements, and
-``add_refine`` sums coefficients over a joint cell refinement.  The second
+``add_refine`` sums coefficients cellwise on the joint cells.  The second
 is the correctness oracle for the first.
 """
 
@@ -97,7 +99,7 @@ def canonicalize(backend, raw: Iterable[tuple[Fraction, object]]) -> PlaceFuncti
     """Canonical form of an arbitrary coefficient/support list.
 
     Supports may overlap and coefficients may repeat or vanish: supports are
-    refined to a shared cell partition, coefficients summed cellwise, zero
+    laid on the backend's joint cells, coefficients summed cellwise, zero
     cells dropped, and cells sharing a coefficient merged by joining.
     """
     terms = _live_terms(backend, raw)
@@ -200,7 +202,7 @@ def add_formula(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:
 
 
 def add_refine(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:
-    """Sum by joint cell refinement and cellwise coefficient addition."""
+    """Sum by cellwise coefficient addition on the joint cells."""
     _match(f, g)
     return canonicalize(f.backend, f.terms + g.terms)
 
@@ -215,19 +217,20 @@ def scale(c, f: PlaceFunction) -> PlaceFunction:
 
 def _cell_values(backend, f: PlaceFunction, g: PlaceFunction):
     """The joint cell payload of f and g, their common denominator, and each
-    one's integer cell values over it."""
+    one's integer cell values over it.  The terms skip ``_live_terms``, so
+    each coefficient is checked exact here."""
     terms = f.terms + g.terms
     payload, masks, ncells = backend.joint_cells([x for _, x in terms])
-    d, nums = _common(c for c, _ in terms)
+    d, nums = _common(_exact(c) for c, _ in terms)
     k = len(f.terms)
     return (payload, d, _cell_sums(nums[:k], masks[:k], ncells),
             _cell_sums(nums[k:], masks[k:], ncells))
 
 
 def lattice(f: PlaceFunction, g: PlaceFunction, which: str) -> PlaceFunction:
-    """Cellwise min or max over the joint refinement of both supports.
+    """Cellwise min or max on the joint cells of both supports.
 
-    The refinement covers the whole unit, so the residual region outside both
+    The cells cover the whole unit, so the residual region outside both
     supports participates with value zero.
     """
     _match(f, g)
@@ -256,7 +259,7 @@ def abs_(f: PlaceFunction) -> PlaceFunction:
 
 
 def leq(f: PlaceFunction, g: PlaceFunction) -> bool:
-    """Pointwise order: f <= g on every cell of the joint refinement."""
+    """Pointwise order: f <= g on every joint cell."""
     _match(f, g)
     _, _, fvals, gvals = _cell_values(f.backend, f, g)
     return all(a <= b for a, b in zip(fvals, gvals))
@@ -304,8 +307,8 @@ def check_regularity(xs: Sequence, s, rng: random.Random | None = None,
 
     Requires s to be the join of xs.  chi(s) must dominate every chi(x);
     every sampled upper bound must dominate chi(s); and each constructed
-    candidate strictly below chi(s) (the unit dented on one refinement cell
-    under s) must fail to be an upper bound.
+    candidate strictly below chi(s) (chi(s) dented on one joint cell under s,
+    a point cell on a single algebra) must fail to be an upper bound.
     """
     if not xs:
         raise AlgebraError("empty family")
@@ -317,8 +320,8 @@ def check_regularity(xs: Sequence, s, rng: random.Random | None = None,
     for x in xs:
         if not leq(chi(x), target):
             return RegularityCheck(False, "chi(s) fails to bound a member", chi(x))
-    # a candidate below chi(s) dented on any refinement cell under s misses
-    # some member: every such cell lies under some x in xs
+    # a candidate below chi(s) dented on any joint cell under s misses some
+    # member: every such cell lies under some x in xs
     payload, masks, ncells = backend.joint_cells(list(xs) + [s])
     s_mask = masks[-1]
     for i in range(ncells):

@@ -27,8 +27,9 @@ from .places import PlaceFunction
 class AtomVector:
     """Exact-rational coordinates over an atom index set.
 
-    Built like ``Elem``: ``__init__`` checks the length and sets each slot
-    once, and it is frozen.
+    Built like ``Elem``: ``__init__`` checks the length and that every
+    coordinate is exact, an int or a Fraction, and sets each slot once; it
+    is frozen.
     """
 
     space: tuple
@@ -37,6 +38,9 @@ class AtomVector:
     def __init__(self, space: tuple, values: tuple[Fraction, ...]) -> None:
         if len(space) != len(values):
             raise AlgebraError("coordinate count must match the atom set")
+        if not _EXACT_TYPES.issuperset(map(type, values)):
+            for c in values:
+                places._exact(c)
         _vector_space(self, space)
         _vector_values(self, values)
 
@@ -49,7 +53,7 @@ class AtomVector:
         return AtomVector(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def scale(self, c) -> "AtomVector":
-        c = Fraction(c)
+        c = Fraction(places._exact(c))
         return AtomVector(self.space, tuple(c * a for a in self.values))
 
     def meet(self, other: "AtomVector") -> "AtomVector":
@@ -71,6 +75,8 @@ class AtomVector:
         return all(a == 0 for a in self.values)
 
 
+# the coordinate types that need no call of ``places._exact``
+_EXACT_TYPES = frozenset((int, Fraction))
 _vector_space = AtomVector.space.__set__
 _vector_values = AtomVector.values.__set__
 
@@ -110,7 +116,7 @@ def to_atom_model(f: PlaceFunction) -> AtomVector:
     backend = f.backend
     labels, _ = _finite_atoms(backend)
     masks = [backend.atom_mask(x) for _, x in f.terms]
-    d, nums = places._common(c for c, _ in f.terms)
+    d, nums = places._common(places._exact(c) for c, _ in f.terms)
     return AtomVector(labels, tuple(Fraction(v, d)
                                     for v in places._cell_sums(nums, masks, len(labels))))
 
@@ -120,7 +126,7 @@ def from_atom_model(backend, v: AtomVector) -> PlaceFunction:
     labels, atoms = _finite_atoms(backend)
     if labels != v.space:
         raise AlgebraError("vector space does not match the backend's atoms")
-    d, nums = places._common(map(places._exact, v.values))
+    d, nums = places._common(v.values)
     return places.from_cell_values(backend, atoms, enumerate(nums), d)
 
 

@@ -319,7 +319,7 @@ def test_trivial_refinement_has_no_zero_cell():
     for parts in ([], [t.one], [t.zero, t.one]):
         assert refine_partition(t.one, parts) == []
         assert split_refine(t.one, parts) == []
-        assert t.joint_cells(parts) == ([], [0] * len(parts), 0)
+        assert t.joint_cells(parts) == ((), [0] * len(parts), 0)
     for partitions in ([], [(t.one,)], [(t.one,), (t.zero, t.one)]):
         assert algebra._meets(t, partitions) == ([], [])
 
@@ -338,14 +338,12 @@ REFINE_AXES = {
 def test_refine_partition_matches_split_reference(name, data):
     """The kernel route equals splitting the unit part by part, for 0-5
     parts with repeats, zero and one among them; it forms each ``(x, ~x)``
-    on kernel data, so it still does with ``Elem.__invert__`` broken, and
-    so does ``joint_cells``."""
+    on kernel data, so it still does with ``Elem.__invert__`` broken."""
     alg, elems = REFINE_AXES[name]
     pool = data.draw(st.lists(st.one_of(elems, st.sampled_from((alg.zero, alg.one))),
                               min_size=1, max_size=5))
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=5))
     want = split_refine(alg.one, parts)
-    masks = [sum(1 << i for i, c in enumerate(want) if c.leq(x)) for x in parts]
 
     def no_complement(x):
         raise AssertionError("an element complement was built")
@@ -353,7 +351,50 @@ def test_refine_partition_matches_split_reference(name, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Elem, "__invert__", no_complement)
         assert refine_partition(alg.one, parts) == want
-        assert alg.joint_cells(parts) == (want, masks, len(want))
+
+
+def forbidden(what):
+    def call(*args):
+        raise AssertionError(f"{what} was called")
+    return call
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_AXES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_joint_cells_are_the_deciding_points(name, data):
+    """For 0-5 parts with repeats, zero and one among them, the cells are
+    nonzero, pairwise disjoint and join to the unit; each is an atom, or a
+    fin singleton, or the tail last; each part is the join of its mask's
+    cells, and its mask sets exactly the cells under it.  Work guard: no
+    refinement, no point index and no element complement is taken."""
+    alg, elems = REFINE_AXES[name]
+    pool = data.draw(st.lists(st.one_of(elems, st.sampled_from((alg.zero, alg.one))),
+                              min_size=1, max_size=5))
+    parts = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    kernel = type(alg.kernel)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Elem, "__invert__", forbidden("Elem.__invert__"))
+        mp.setattr(algebra, "refine_partition", forbidden("refine_partition"))
+        mp.setattr(algebra, "point_index", forbidden("point_index"))
+        mp.setattr(kernel, "meets", forbidden("kernel.meets"))
+        mp.setattr(kernel, "point_index", forbidden("kernel.point_index"))
+        cells, masks, ncells = alg.joint_cells(parts)
+    assert ncells == len(cells) and len(masks) == len(parts)
+    assert not any(c.is_zero() for c in cells)
+    assert all((c & d).is_zero() for k, c in enumerate(cells) for d in cells[k + 1:])
+    assert alg.join(cells) == alg.one
+    if alg.kind == POWERSET:
+        assert cells is (() if alg.is_trivial else alg.atoms())
+    else:
+        named = sorted(set().union(*(x.data[1] for x in parts)))
+        assert [c.data for c in cells] == [("fin", (n,)) for n in named] + [("cof", tuple(named))]
+    for x, mask in zip(parts, masks):
+        assert mask == sum(1 << i for i, c in enumerate(cells) if c.leq(x))
+        assert alg.join_cells(cells, mask) == x
+        # a copy of the cells takes the join, not the atoms' bitset shortcut
+        assert alg.join_cells(list(cells), mask) == x
+    assert alg.join_cells((), 0) == alg.zero
 
 
 P2 = powerset(2)
@@ -559,6 +600,17 @@ class TestHomomorphisms:
         h = Hom.from_generator_images(FC, FC, [(FC.fin([0]), FC.fin([0]))])
         with pytest.raises(HomDomainError):
             h(FC.fin([5]))
+
+    def test_generator_images_domain_is_the_generated_subalgebra(self):
+        """The domain cells are the atoms of the generated subalgebra, not
+        the point cells of ``joint_cells``: fin{1} is a point-cell join but
+        lies outside the subalgebra fin{1,2} generates."""
+        from balg.algebra import HomDomainError
+        h = Hom.from_generator_images(FC, FC, [(FC.fin([1, 2]), FC.fin([1, 2]))])
+        assert h(FC.fin([1, 2])) == FC.fin([1, 2]) and h(FC.cof([1, 2])) == FC.cof([1, 2])
+        with pytest.raises(HomDomainError):
+            h(FC.fin([1]))
+        assert len(list(h.domain_elements())) == 4
 
     def test_exhaustive_cap(self):
         p13 = powerset(13)

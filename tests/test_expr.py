@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from balg.algebra import POWERSET, Elem, trivial_algebra
 from balg.expr import (MAX_DEPTH, ExprError, _Parser, elem_text, grid_dict, parse_element,
                        parse_place, place_text, rect_text, rectform_from_grid)
-from balg.free_product import FreeProduct, RectForm, _join_cells
+from balg.free_product import FreeProduct, RectForm
 from balg import free_product, places
 from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
                       powerset_elems, rationals)
@@ -352,7 +352,7 @@ class TestCanonicalGrids:
         payload = {"left_cells": [elem_text(c) for c in L],
                    "right_cells": [elem_text(c) for c in R], "matrix": matrix}
         as_given = RectForm(fp, tuple(L), tuple(R), tuple(rows))
-        if _join_cells(fp, (L, R), flat(rows, len(R))) == as_given:
+        if free_product._coarsen(fp, L, R, flat(rows, len(R))) == as_given:
             assert rectform_from_grid(fp, payload) == as_given
         else:
             with pytest.raises(ExprError):
@@ -362,7 +362,7 @@ class TestCanonicalGrids:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_canonical_of_any_grid(self, name, data):
-        """``_join_cells`` of a grid in any cell order, with equal rows and
+        """``_coarsen`` of a grid in any cell order, with equal rows and
         equal columns: canonical, and the same set as the raw grid at every
         named point and at one generic point.  Each axis merges as the
         element-level oracle does."""
@@ -375,7 +375,7 @@ class TestCanonicalGrids:
         for alg, cells, masks in ((fp.left, L, rows),
                                   (fp.right, R, free_product._transpose(rows, len(R)))):
             assert free_product._merge(alg, cells, masks) == merge_on_elements(alg, cells, masks)
-        x = _join_cells(fp, (L, R), flat(rows, len(R)))
+        x = free_product._coarsen(fp, L, R, flat(rows, len(R)))
         assert len(set(x.rows)) == len(x.rows)
         cols = [tuple(r >> j & 1 for r in x.rows) for j in range(len(x.right_cells))]
         assert len(set(cols)) == len(cols)

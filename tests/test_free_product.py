@@ -592,7 +592,8 @@ class TestTable:
     @given(data=st.data())
     def test_grid_mask_reads_any_grid(self, name, data):
         """``_grid_mask`` of a grid with shuffled cells and repeated rows is
-        the ``atom_mask`` of its canonical form."""
+        the ``atom_mask`` of its canonical form; ``_join_cells`` refuses any
+        grid but the atom pairs."""
         fp = TABLE_PRODUCTS[name]
         L = data.draw(partitions(fp.left, powerset_elems(fp.left)))
         R = data.draw(partitions(fp.right, powerset_elems(fp.right)))
@@ -600,15 +601,16 @@ class TestTable:
         rows = [data.draw(st.sampled_from(pool)) for _ in L]
         canonical = free_product._coarsen(fp, L, R, flat(rows, len(R)))
         assert free_product._grid_mask(fp, L, R, rows) == fp.atom_mask(canonical)
-        assert free_product._join_cells(fp, (L, R), flat(rows, len(R))) == canonical
+        with pytest.raises(AlgebraError, match="atom pairs"):
+            free_product._join_cells(fp, (L, R), flat(rows, len(R)))
 
     @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_joint_cells_are_the_atom_pairs(self, name, data):
         """The common grid is the factors' own atom tuples and each part's
-        flat mask its atom mask; a mask on it, or on a copy of it, joins to
-        the element of that atom mask."""
+        flat mask its atom mask; a mask on it joins to the element of that
+        atom mask, and a copy of the tuples is refused."""
         fp = TABLE_PRODUCTS[name]
         elems = grid_elems(fp, powerset_elems(fp.left), powerset_elems(fp.right))
         parts = data.draw(st.lists(elems, max_size=4))
@@ -618,7 +620,8 @@ class TestTable:
         mask = data.draw(st.integers(0, (1 << fp.atom_count) - 1))
         want = fp.from_atom_mask(mask)
         assert fp.join_cells((L, R), mask) is want
-        assert fp.join_cells((list(L), list(R)), mask) == want
+        with pytest.raises(AlgebraError, match="atom pairs"):
+            fp.join_cells((list(L), list(R)), mask)
         # bits past the last cell fill no table entry of their own
         assert fp.join_cells((L, R), mask | 1 << fp.atom_count) is want
         assert all(0 <= k < 1 << fp.atom_count for k in fp._forms)
@@ -663,23 +666,27 @@ class TestTable:
         assert calls == {"_common_axis": 0}
 
     def test_join_cells_coarsens_each_atom_mask_once(self, monkeypatch):
-        """Work guard on the one exit: on a fresh P(3) (x) P(4), a grid that
-        is not the atom pairs is coarsened once, the first time, and stored
-        under its atom mask; the same element again, from any grid, is the
-        stored object and coarsens nothing."""
+        """Work guard on the one exit: on a fresh P(3) (x) P(4), an atom mask
+        is coarsened once, the first time, and stored under itself; the same
+        mask again, with or without bits past the last cell, is the stored
+        object and coarsens nothing.  A grid that is not the atom pairs, as
+        refined cells or as a copy of the atom tuples, is refused."""
         fp = FreeProduct(P3, P4)
-        L, _, _ = P3.joint_cells([P3.subset([1, 2])])
-        R, _, _ = P4.joint_cells([P4.subset([2, 4]), P4.subset([1])])
-        mask = 0b101 << len(R) | 0b010
+        atoms = (fp.left.atoms(), fp.right.atoms())
+        assert P3.joint_cells([P3.subset([1, 2])])[0] is atoms[0]
+        mask = 0b1001 << 8 | 0b0110
         calls = {"_coarsen": 0}
         monkeypatch.setattr(free_product, "_coarsen", counting(calls, "_coarsen"))
-        form = free_product._join_cells(fp, (L, R), mask)
+        form = free_product._join_cells(fp, atoms, mask)
         assert calls == {"_coarsen": 1}
-        assert fp._forms == {fp.atom_mask(form): form}
-        assert free_product._join_cells(fp, (list(L), list(R)), mask) is form
-        atoms = (fp.left.atoms(), fp.right.atoms())
-        for atom_mask in (fp.atom_mask(form), fp.atom_mask(form) | 1 << fp.atom_count):
-            assert free_product._join_cells(fp, atoms, atom_mask) is form
+        assert fp._forms == {mask: form} and fp.atom_mask(form) == mask
+        for again in (mask, mask | 1 << fp.atom_count):
+            assert free_product._join_cells(fp, atoms, again) is form
+        refined = (algebra.refine_partition(P3.one, [P3.subset([1, 2])]),
+                   algebra.refine_partition(P4.one, [P4.subset([2, 4]), P4.subset([1])]))
+        for grid in (refined, (list(atoms[0]), list(atoms[1]))):
+            with pytest.raises(AlgebraError, match="atom pairs"):
+                free_product._join_cells(fp, grid, mask)
         assert calls == {"_coarsen": 1}
 
     def test_canonicalize_coarsens_once_per_value(self, monkeypatch):
@@ -875,9 +882,10 @@ class TestSingleRectangle:
 
     @pytest.mark.parametrize("name", sorted(OVERLAY_PRODUCTS))
     def test_two_refinements_per_normalize(self, name, monkeypatch):
-        """perfbench's tracer reads two refinement spans under each
+        """perfbench's tracer reads two refinement spans, or none, under each
         ``normalize`` span; count the calls through every binding it
-        patches."""
+        patches.  One nonzero rectangle refines each axis once; several
+        take the factors' point cells and refine nothing."""
         fp = OVERLAY_PRODUCTS[name][0]
         calls = [0]
         original = algebra.refine_partition
@@ -897,7 +905,7 @@ class TestSingleRectangle:
             if live:
                 calls[0] = 0
                 fp.normalize(rects)
-                assert calls[0] == 2, len(rects)
+                assert calls[0] == (2 if live == 1 else 0), len(rects)
                 checked[live] += 1
         assert all(checked.values()), checked
 

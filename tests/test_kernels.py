@@ -17,7 +17,7 @@ from balg.algebra import POWERSET, AlgebraError, _meets, point_index, powerset, 
 from conftest import FC, fincof_elems, partitions, powerset_elems, split_refine
 
 OPERATIONS = {"zero", "one", "join", "meet", "complement", "leq", "contains",
-              "sort_key", "random_elem", "point_index", "meets"}
+              "sort_key", "random_elem", "point_index", "point_cells", "meets"}
 
 P0, P1, P16 = trivial_algebra(), powerset(1), powerset(16)
 ALGEBRAS = {

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from balg import bands, free_product, places
-from balg.algebra import Elem, Hom
+from balg.algebra import Elem, Hom, _FinCofKernel, _PowersetKernel
 from balg.config import parse_config
 from balg.free_product import InducedHom, RectForm
 from balg.suites import run_suites
@@ -22,24 +22,40 @@ DEFAULT = json.loads((Path(__file__).resolve().parent.parent / "configs" / "defa
                      .read_text(encoding="utf-8"))
 
 
-def key_by_raw_mask(join_cells):
-    """``_join_cells`` keying every payload on a product with a table by
-    its flat mask, as if every grid were the atom pairs."""
-    def mutant(fp, payload, mask):
-        forms = fp._forms
-        if forms is None:
-            return join_cells(fp, payload, mask)
-        L, R = payload
-        key = mask & ~(-1 << len(L) * len(R))
-        if key not in forms:
-            forms[key] = free_product._coarsen(fp, L, R, mask)
-        return forms[key]
-    return mutant
-
-
 def drop_last_row(grid_mask):
     """``_grid_mask`` reading every row of the grid but the last."""
     return lambda fp, L, R, rows: grid_mask(fp, L, R, list(rows)[:-1])
+
+
+def cof_masks_lose_the_tail(point_cells):
+    """finite_cofinite ``point_cells`` leaving the tail out of every cof
+    part's mask."""
+    def mutant(kernel, data):
+        cells, masks = point_cells(kernel, data)
+        tail = 1 << len(cells) - 1
+        return cells, [m & ~tail if mode == "cof" else m for (mode, _), m in zip(data, masks)]
+    return mutant
+
+
+def drop_top_atom_bit(point_cells):
+    """powerset ``point_cells`` dropping the highest atom from every mask."""
+    def mutant(kernel, data):
+        cells, masks = point_cells(kernel, data)
+        top = kernel.one ^ kernel.one >> 1
+        return cells, [m & ~top for m in masks]
+    return mutant
+
+
+def drop_last_named_point(point_cells):
+    """finite_cofinite ``point_cells`` dropping the last named natural from
+    every mask."""
+    def mutant(kernel, data):
+        cells, masks = point_cells(kernel, data)
+        if len(cells) < 2:
+            return cells, masks
+        last = 1 << len(cells) - 2
+        return cells, [m & ~last for m in masks]
+    return mutant
 
 
 def reverse_merged(merge):
@@ -130,10 +146,14 @@ def skip_last_term(cell_sums):
 
 
 MUTANTS = [
-    ("join cells keyed by the raw mask", (free_product, "_join_cells"), key_by_raw_mask,
-     ["free_product", "tensor_iso", "universal_property"]),
     ("grid mask drops the last row", (free_product, "_grid_mask"), drop_last_row,
-     ["free_product", "tensor_iso", "universal_property", "bands", "completeness"]),
+     ["free_product", "tensor_iso", "bands", "completeness"]),
+    ("cof point masks lose the tail", (_FinCofKernel, "point_cells"), cof_masks_lose_the_tail,
+     ["free_product"]),
+    ("atom point masks drop the top atom", (_PowersetKernel, "point_cells"), drop_top_atom_bit,
+     ["free_product", "place_addition", "tensor_iso", "universal_property"]),
+    ("point masks drop the last named natural", (_FinCofKernel, "point_cells"),
+     drop_last_named_point, ["free_product", "place_addition"]),
     ("merged cells reversed", (free_product, "_merge"), reverse_merged,
      ["free_product", "tensor_iso"]),
     ("atom map drops the top target atom", (Hom, "__call__"), drop_top_target_atom,

@@ -132,6 +132,18 @@ class TestCoefficients:
             with pytest.raises(AlgebraError):
                 places.scale(c, f)
 
+    def test_cell_route_refuses_a_hand_built_function(self):
+        """A function built directly skips ``_live_terms``; the cell route
+        still refuses its float coefficient, on either side."""
+        P2 = powerset(2)
+        f, g = places.PlaceFunction(P2, ((0.5, P2.one),)), places.chi(P2.subset([1]))
+        for op in (places.leq, places.join, places.meet):
+            for a, b in ((f, f), (f, g), (g, f)):
+                with pytest.raises(AlgebraError, match="coefficient"):
+                    op(a, b)
+        with pytest.raises(AlgebraError, match="coefficient"):
+            tensor.to_atom_model(f)
+
 
 class TestChi:
     def test_examples(self):

@@ -67,6 +67,21 @@ class TestAtomModel:
         with pytest.raises(AlgebraError):
             tensor.from_atom_model(P3, tensor.AtomVector((1, 2, 3), (Fraction(1), c, 0)))
 
+    @pytest.mark.parametrize("c", list(INEXACT.values()), ids=list(INEXACT))
+    def test_inexact_vector_values_refused(self, c):
+        """A vector takes exact coordinates and scales by exact factors only."""
+        x = tensor.AtomVector((1, 2), (Fraction(1), Fraction(2)))
+        with pytest.raises(AlgebraError, match="coefficient"):
+            x.scale(c)
+        with pytest.raises(AlgebraError, match="coefficient"):
+            tensor.AtomVector((1, 2), (1, c))
+
+    def test_half_as_a_float_refused(self):
+        with pytest.raises(AlgebraError, match="coefficient"):
+            tensor.AtomVector((1,), (0.5,))
+        x = tensor.AtomVector((1,), (Fraction(1, 2),))
+        assert x.scale(2) == tensor.AtomVector((1,), (1,))
+
     def test_coordinatewise_structure(self):
         rng = random.Random(1)
         for _ in range(200):
