@@ -222,10 +222,12 @@ class FreeProduct:
     sup = Algebra.sup
 
     def random_elem(self, rng: random.Random) -> "RectForm":
+        """The union of 1-3 random rectangles, built by one ``normalize``,
+        complemented with probability 0.3."""
         if self.is_trivial:
             return self.zero
-        out = self.join([self.rect(self.left.random_elem(rng), self.right.random_elem(rng))
-                         for _ in range(rng.randint(1, 3))])
+        out = self.normalize([Rectangle(self.left.random_elem(rng), self.right.random_elem(rng))
+                              for _ in range(rng.randint(1, 3))])
         if rng.random() < 0.3:
             out = ~out
         return out

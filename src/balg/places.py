@@ -118,6 +118,10 @@ def _exact(c):
     return c
 
 
+# the coefficient types that need no call of ``_exact``
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _live_terms(backend, raw) -> list:
     """The terms of ``raw`` with a nonzero coefficient and a nonzero
     support.  Every coefficient and every support is checked, zero or under
@@ -208,7 +212,11 @@ def add_refine(f: PlaceFunction, g: PlaceFunction) -> PlaceFunction:
 
 
 def scale(c, f: PlaceFunction) -> PlaceFunction:
+    """c times f; c and every coefficient of f are checked exact."""
     c = Fraction(_exact(c))
+    if not _EXACT_TYPES.issuperset(type(ci) for ci, _ in f.terms):
+        for ci, _ in f.terms:
+            _exact(ci)
     if c == 0:
         return PlaceFunction(f.backend, ())
     # scaling keeps supports, order, distinctness: already canonical

@@ -982,3 +982,49 @@ class TestMeets:
         inside.append(True)
         naive_meets(FC, [x.left_cells, y.left_cells])
         assert counts["and"] >= 40 * 40
+
+
+def join_of_rects(fp, rng):
+    """Oracle for ``FreeProduct.random_elem``: each drawn rectangle built as
+    a form by ``rect``, the forms joined by ``join``, then complemented
+    with probability 0.3."""
+    if fp.is_trivial:
+        return fp.zero
+    out = fp.join([fp.rect(fp.left.random_elem(rng), fp.right.random_elem(rng))
+                   for _ in range(rng.randint(1, 3))])
+    if rng.random() < 0.3:
+        out = ~out
+    return out
+
+
+DRAW_PRODUCTS = {**TABLE_PRODUCTS, **TRIVIAL_PRODUCTS,
+                 "P5xP4": FreeProduct(P5, P4), "P2xFC": FreeProduct(P2, FC),
+                 "FCxP2": FreeProduct(FC, P2), "FCxFC": FreeProduct(FC, FC)}
+
+
+class TestRandomElem:
+    @pytest.mark.parametrize("name", sorted(DRAW_PRODUCTS))
+    def test_matches_the_join_of_rectangles(self, name):
+        """One ``normalize`` of the drawn rectangles is the element the
+        join of their forms gives, and the rng ends in the same state."""
+        fp = DRAW_PRODUCTS[name]
+        for seed in range(60):
+            ours, oracle = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert fp.random_elem(ours) == join_of_rects(fp, oracle), seed
+            assert ours.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("name", sorted(DRAW_PRODUCTS))
+    def test_no_join_during_a_draw(self, name, monkeypatch):
+        """Work guard: a draw builds its element in one ``normalize``, with
+        no ``FreeProduct.join`` and no ``_joint_cells``."""
+        fp = DRAW_PRODUCTS[name]
+
+        def refuse(*args):
+            raise AssertionError("a draw joined forms")
+
+        monkeypatch.setattr(FreeProduct, "join", refuse)
+        monkeypatch.setattr(free_product, "_joint_cells", refuse)
+        rng = random.Random(7)
+        for _ in range(100):
+            fp.random_elem(rng)

@@ -8,14 +8,15 @@ A defect that a suite misses is no row here; it is a gap in that suite.
 """
 
 import json
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from balg import bands, free_product, places
+from balg import bands, free_product, places, tensor
 from balg.algebra import Elem, Hom, _FinCofKernel, _PowersetKernel
 from balg.config import parse_config
-from balg.free_product import InducedHom, RectForm
+from balg.free_product import FreeProduct, InducedHom, RectForm
 from balg.suites import run_suites
 
 DEFAULT = json.loads((Path(__file__).resolve().parent.parent / "configs" / "default.json")
@@ -145,6 +146,32 @@ def skip_last_term(cell_sums):
         nums[:-1] if len(nums) > 2 else nums, masks, ncells)
 
 
+def drop_last_rectangle(normalize):
+    """``FreeProduct.normalize`` leaving out the last of several rectangles."""
+    return lambda fp, rects: normalize(fp, rects[:-1] if len(rects) > 1 else rects)
+
+
+def drop_last_member(join):
+    """``FreeProduct.join`` leaving out the last of several members."""
+    def mutant(fp, xs):
+        xs = list(xs)
+        return join(fp, xs[:-1] if len(xs) > 1 else xs)
+    return mutant
+
+
+def lv_against_l_abs_v(preserves_abs):
+    """``LinearLatticeMap.preserves_abs`` comparing Lv, not |Lv|, with L|v|,
+    on the same integer draws."""
+    def mutant(lmap, rng):
+        for _ in range(100):
+            u = tensor._sixths(lmap.source, rng)
+            au = [abs(x) for x in u]
+            if any(sum(map(mul, row, u)) != sum(map(mul, row, au)) for row in lmap.matrix):
+                return False
+        return True
+    return mutant
+
+
 MUTANTS = [
     ("grid mask drops the last row", (free_product, "_grid_mask"), drop_last_row,
      ["free_product", "tensor_iso", "bands", "completeness"]),
@@ -172,6 +199,12 @@ MUTANTS = [
      g_over_its_own_denominator, ["place_addition", "tensor_iso", "completeness"]),
     ("cell sums skip the last term", (places, "_cell_sums"), skip_last_term,
      ["place_addition", "tensor_iso", "universal_property", "completeness"]),
+    ("normalize of several rectangles drops the last", (FreeProduct, "normalize"),
+     drop_last_rectangle, ["free_product"]),
+    ("free-product join drops a member", (FreeProduct, "join"), drop_last_member,
+     ["free_product"]),
+    ("preserves_abs compares Lv with L|v|", (tensor.LinearLatticeMap, "preserves_abs"),
+     lv_against_l_abs_v, ["universal_property"]),
 ]
 
 

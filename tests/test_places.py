@@ -144,6 +144,20 @@ class TestCoefficients:
         with pytest.raises(AlgebraError, match="coefficient"):
             tensor.to_atom_model(f)
 
+    @pytest.mark.parametrize("c", list(INEXACT.values()), ids=list(INEXACT))
+    def test_scale_refuses_a_hand_built_function(self, c):
+        """``scale`` checks f's coefficients too, so a float 0.5 does not
+        come out as 1.0, which ``as_element`` would read as chi(1); scaling
+        by zero checks them as well."""
+        P2 = powerset(2)
+        for terms in (((c, P2.one),), ((1, P2.subset([1])), (c, P2.subset([2])))):
+            f = places.PlaceFunction(P2, terms)
+            for k in (2, 0, Fraction(1, 3)):
+                with pytest.raises(AlgebraError, match="coefficient"):
+                    places.scale(k, f)
+            with pytest.raises(AlgebraError, match="coefficient"):
+                f.scale(2)
+
 
 class TestChi:
     def test_examples(self):

@@ -13,6 +13,65 @@ B = powerset(2, "B")
 P3 = powerset(3)
 
 
+def recomputing_bimorphism(m, E, F, trials, rng):
+    """Oracle for ``verify_bimorphism``: the same laws in the same order,
+    m(f1, g1) built anew at each of its three uses."""
+    checked = 0
+    for _ in range(trials):
+        checked += 1
+        f1, f2 = E.random(rng), E.random(rng)
+        g1, g2 = F.random(rng), F.random(rng)
+        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if m(f1 + f2, g1) != m(f1, g1) + m(f2, g1):
+            return tensor.BimorphismCheck(False, "additive-left", (f1, f2, g1), checked)
+        if m(f1, g1 + g2) != m(f1, g1) + m(f1, g2):
+            return tensor.BimorphismCheck(False, "additive-right", (f1, g1, g2), checked)
+        scaled = m(f1, g1).scale(lam)
+        if m(f1.scale(lam), g1) != scaled or m(f1, g1.scale(lam)) != scaled:
+            return tensor.BimorphismCheck(False, "scalar-interchange", (lam, f1, g1), checked)
+        d1, d2 = E.random_disjoint_pair(rng)
+        gpos = F.random_positive(rng)
+        if not m(d1, gpos).meet(m(d2, gpos)).is_zero():
+            return tensor.BimorphismCheck(False, "disjointness-left", (d1, d2, gpos), checked)
+        e1, e2 = F.random_disjoint_pair(rng)
+        fpos = E.random_positive(rng)
+        if not m(fpos, e1).meet(m(fpos, e2)).is_zero():
+            return tensor.BimorphismCheck(False, "disjointness-right", (fpos, e1, e2), checked)
+    return tensor.BimorphismCheck(True, trials=checked)
+
+
+def fraction_preserves_abs(lmap, rng):
+    """Oracle for ``LinearLatticeMap.preserves_abs``: |Lv| = L|v| over the
+    rationals, on 100 vectors from ``random_vector``."""
+    for _ in range(100):
+        v = tensor.random_vector(lmap.source, rng)
+        if lmap.apply(v).abs() != lmap.apply(v.abs()):
+            return False
+    return True
+
+
+def random_matrix(rng, shape):
+    """A matrix of one shape: Riesz (at most one nonnegative entry a row),
+    summing (nonnegative rows), negative (one negative entry), zero, or
+    mixed; entries int or Fraction with denominators up to 7."""
+    n, m = rng.randint(0, 4), rng.randint(0, 4)
+
+    def entry(lo):
+        return rng.choice((rng.randint(lo, 3), Fraction(rng.randint(lo, 5), rng.randint(1, 7))))
+
+    if shape == "zero":
+        return n, m, tuple(tuple(0 for _ in range(n)) for _ in range(m))
+    rows = [[entry(0 if shape in ("riesz", "summing") else -3) for _ in range(n)]
+            for _ in range(m)]
+    if shape == "riesz":
+        for row in rows:
+            keep = rng.randrange(n + 1)
+            row[:] = [a if j == keep else 0 for j, a in enumerate(row)]
+    if shape == "negative" and n and m:
+        rows[rng.randrange(m)][rng.randrange(n)] = Fraction(-rng.randint(1, 5), rng.randint(1, 7))
+    return n, m, tuple(map(tuple, rows))
+
+
 class TestAtomModel:
     def test_examples(self):
         f = places.scale(2, places.chi(P3.subset([1, 2])))
@@ -194,6 +253,37 @@ class TestPsi:
             trials=100, rng=random.Random(6))
         assert verdict.ok
 
+    def test_eleven_calls_of_m_per_passing_trial(self):
+        """m(f1, g1) is built once a trial: two calls per additivity law,
+        three for scalar interchange, two per disjointness law, and the
+        shared one."""
+        calls = []
+
+        def m(e, f):
+            calls.append(1)
+            return tensor.pure_tensor(e, f)
+
+        verdict = tensor.verify_bimorphism(m, tensor.VectorSpace((1, 2)),
+                                           tensor.VectorSpace((1, 2, 3)),
+                                           trials=20, rng=random.Random(8))
+        assert verdict.ok and verdict.trials == 20
+        assert len(calls) == 11 * 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_recomputing_body(self, seed):
+        """Same verdict, law, witness and rng state as the body that builds
+        m(f1, g1) at each use, for psi and for a broken map."""
+        fp = FreeProduct(A, FC)
+        g0 = places.chi(FC.fin([1]))
+        maps = (lambda f, g: tensor.psi(fp, f, g),
+                lambda f, g: places.add_refine(tensor.psi(fp, f, g), tensor.psi(fp, f, g0)))
+        for m in maps:
+            ours, oracle = random.Random(seed), random.Random(seed)
+            E, F = tensor.PlaceSpace(A), tensor.PlaceSpace(FC)
+            assert tensor.verify_bimorphism(m, E, F, trials=8, rng=ours) == \
+                recomputing_bimorphism(m, E, F, trials=8, rng=oracle)
+            assert ours.getstate() == oracle.getstate()
+
     def test_broken_map_rejected_with_counterexample(self):
         fp = FreeProduct(A, B)
         g0 = places.chi(B.subset([1]))
@@ -316,6 +406,37 @@ class TestLinearLatticeMap:
         negative = tensor.LinearLatticeMap((1,), (1,), ((Fraction(-1),),))
         assert not negative.riesz_shape()
         assert not negative.preserves_abs(random.Random(14))
+
+    @pytest.mark.parametrize("shape", ["riesz", "summing", "negative", "zero", "mixed"])
+    def test_integer_check_matches_the_fraction_body(self, shape):
+        """Same verdict and rng state as the check over the rationals, on
+        square and non-square matrices."""
+        rng = random.Random(16)
+        verdicts = set()
+        for _ in range(150):
+            n, m, rows = random_matrix(rng, shape)
+            lmap = tensor.LinearLatticeMap(tuple(range(n)), tuple(range(m)), rows)
+            seed = rng.getrandbits(32)
+            ours, oracle = random.Random(seed), random.Random(seed)
+            verdict = lmap.preserves_abs(ours)
+            assert verdict == fraction_preserves_abs(lmap, oracle), rows
+            assert ours.getstate() == oracle.getstate()
+            verdicts.add(verdict)
+        assert verdicts == ({True} if shape in ("riesz", "zero") else {True, False})
+
+    def test_integer_check_builds_no_vector(self, monkeypatch):
+        """Work guard: ``preserves_abs`` applies no map and takes no
+        ``AtomVector.abs``."""
+        def refuse(*args):
+            raise AssertionError("preserves_abs built a vector")
+
+        rows = ((Fraction(1, 2), Fraction(0)), (Fraction(0), 3))
+        riesz = tensor.LinearLatticeMap((1, 2), (1, 2, 3), rows + ((0, 1),))
+        summing = tensor.LinearLatticeMap((1, 2), (1, 2, 3), rows + ((Fraction(2, 7), 1),))
+        monkeypatch.setattr(tensor.LinearLatticeMap, "apply", refuse)
+        monkeypatch.setattr(tensor.AtomVector, "abs", refuse)
+        assert riesz.preserves_abs(random.Random(18))
+        assert not summing.preserves_abs(random.Random(18))
 
     def test_source_mismatch_is_an_algebra_error(self):
         m = tensor.LinearLatticeMap((1, 2), (1,), ((Fraction(1), Fraction(1)),))
