@@ -1,34 +1,31 @@
 """Boolean algebra backends: finite powersets and the finite-cofinite algebra.
 
 Elements are immutable values with a unique representation per mathematical
-element, so structural equality (``==``) decides mathematical equality.
-That representation, ``Elem.data``, belongs to one kernel per backend kind,
-which ``Algebra`` picks once: ``_PowersetKernel`` keeps the bitset of the
-atoms below an element, ``_FinCofKernel`` a (mode, sorted support) pair over
-the naturals.  The trivial algebra is P(0), whose one bitset, 0, is both zero
-and unit.  No ``Elem`` or ``Algebra`` operation tests the kind, bar the guards
-refusing a call that one kind does not support, such as ``subset``.
+element, so ``==`` decides mathematical equality.  That representation,
+``Elem.data``, belongs to one kernel per backend kind, which ``Algebra``
+picks once: ``_PowersetKernel`` keeps the bitset of the atoms below an
+element, ``_FinCofKernel`` a (mode, sorted support) pair over the naturals.
+The trivial algebra is P(0), whose one bitset, 0, is zero and unit.  No
+``Elem`` or ``Algebra`` operation tests the kind, bar the guards refusing a
+call that one kind does not support, such as ``subset``.
 
 Each kernel has one n-ary join, behind ``Algebra.join``; one refinement of
 partitions of the unit by point signatures, behind ``_meets``, after Paige
 and Tarjan (SIAM J. Comput. 1987), on which ``refine_partition`` and
 ``free_product._joint_cells`` are built; and one point rule,
-``point_cells``, behind ``Algebra.joint_cells``.  A finite family of
-elements is decided by finitely many points of the Stone space: the atoms
-of P(n), or on finite_cofinite each natural the family names and the tail,
-the cofinite rest.  ``joint_cells`` hands out those points as cells, the
-held atoms tuple on a powerset, with each element's mask of them, and
-refines nothing; ``join_cells`` on the held atoms tuple reads a mask as the
-bitset.  ``Hom.from_generator_images`` needs the coarser atoms of the
-generated subalgebra and refines them itself.  A new backend kind takes one
-kernel with the same operations, one literal in the expression grammar and
-one config kind.
+``point_cells``, behind ``Algebra.joint_cells``.  A finite family is decided
+by finitely many points of the Stone space, which ``points.decisive`` lists
+and ``points.holds`` reads membership at: the atoms of P(n), or each natural
+the family names and the tail point, the ultrafilter of cofinite sets.
+``joint_cells`` hands those points out as cells (the held atoms tuple on a
+powerset, on which ``join_cells`` reads a mask as the bitset), with each
+element's mask of them, and refines nothing.  A new backend kind takes one
+kernel, one literal in the expression grammar and one config kind.
 
 ``Elem`` is a frozen, slotted dataclass whose ``__init__`` sets each slot
 once through its member descriptor, skipping the frozen ``__setattr__``
-guard, so building one costs little more than a tuple; it stays immutable,
-and ``==``, ``hash`` and ``repr`` are the generated ones.  An ``Algebra``
-builds its ``zero``, ``one`` and atoms once and hands out the same values.
+guard; ``==``, ``hash`` and ``repr`` are the generated ones.  An
+``Algebra`` builds its ``zero``, ``one`` and atoms once.
 """
 
 from __future__ import annotations

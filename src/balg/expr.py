@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import and_, or_, xor
 from typing import Union
 
 from .algebra import Algebra, AlgebraError, Elem, FINITE_COFINITE, POWERSET, point_index
@@ -86,6 +87,7 @@ def _naturals(runs: list[str], pos: int) -> list[int]:
 
 
 MAX_DEPTH = 100
+_LEVELS = (("PIPE", or_), ("OPLUS", xor), ("AMP", and_))
 
 
 class _Parser:
@@ -118,26 +120,15 @@ class _Parser:
             raise ExprError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    # element grammar, loosest binding first
-    def element(self, backend: Backend):
-        x = self.xor_level(backend)
-        while self.peek()[0] == "PIPE":
+    def element(self, backend: Backend, level: int = 0):
+        """The operators of ``_LEVELS[level:]``, loosest binding first."""
+        if level == len(_LEVELS):
+            return self.unary(backend)
+        kind, op = _LEVELS[level]
+        x = self.element(backend, level + 1)
+        while self.peek()[0] == kind:
             self.next()
-            x = x | self.xor_level(backend)
-        return x
-
-    def xor_level(self, backend: Backend):
-        x = self.and_level(backend)
-        while self.peek()[0] == "OPLUS":
-            self.next()
-            x = x ^ self.and_level(backend)
-        return x
-
-    def and_level(self, backend: Backend):
-        x = self.unary(backend)
-        while self.peek()[0] == "AMP":
-            self.next()
-            x = x & self.unary(backend)
+            x = op(x, self.element(backend, level + 1))
         return x
 
     def unary(self, backend: Backend):
@@ -367,7 +358,7 @@ def place_text(f: "places.PlaceFunction") -> str:
         return "0"
     parts = []
     for k, (coeff, support) in enumerate(f.terms):
-        mag = abs(coeff)
+        mag = abs(places._exact(coeff))
         body = f"chi({element_text(support)})" if mag == 1 else \
             f"{mag}*chi({element_text(support)})"
         if k == 0:

@@ -1,52 +1,30 @@
 """Free product of two backends as a rectangle-normal-form algebra.
 
-An element is stored as a grid: a partition of each coordinate unit into
-cells plus an activity matrix saying which cell rectangles lie under the
-element.  The canonical grid is the coarsest one (no two rows and no two
-columns of the matrix coincide) with cells in deterministic order, so
-structural equality decides mathematical equality.
+An element is a grid: a partition of each coordinate unit into cells plus
+an activity matrix saying which cell rectangles lie under it.  The canonical
+grid is the coarsest one (no two rows and no two columns coincide), cells in
+``sort_key`` order, so structural equality decides mathematical equality.
 
-Each axis of a grid partitions that axis's unit, so the common refinement
-of several grids is the nonzero meets of their cells, one cell from each
-grid.  Every operation except ``~`` and ``normalize`` works cellwise on
-the flat masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R)
-at bit i * len(R) + j).  Without a table ``_joint_cells`` takes the meets
-with ``algebra._meets``, the one refinement kernel, and spreads each grid's
-rows onto them by ``_runs``; an axis on which every grid has the same cells
-is left as is.  ``normalize`` of one nonzero rectangle a x b refines each
-axis once with ``refine_partition`` and gives the grid (a, ~a) x (b, ~b),
-canonical as it stands.  Several rectangles refine nothing: they are laid on
-the factors' point cells, ``Algebra.joint_cells`` (the atoms of a powerset
-factor, the named naturals and the tail of a finite_cofinite one), and ORed
-into one flat mask for ``_join_cells``.
-
+Every operation except ``~`` and ``normalize`` works cellwise on the flat
+masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R) at bit
+i * len(R) + j): the common refinement is ``algebra._meets`` of each axis,
+each grid's rows spread onto it by ``_runs``, an axis shared by every grid
+left as is.  ``normalize`` of one nonzero rectangle a x b gives the grid
+(a, ~a) x (b, ~b), canonical as built; several rectangles are laid on the
+factors' point cells, ``Algebra.joint_cells``, and ORed into one mask.
 ``_join_cells`` is the one exit from a grid and a flat mask to a canonical
-form; every operation but ``~`` and ``normalize`` of at most one nonzero
-rectangle ends there.  Without a table it calls ``_coarsen``, which cuts the mask into
-rows with ``_rows`` and coarsens one axis at a time with ``_merge``: it
-merges the left cells with equal rows, transposes, merges the right cells
-with equal columns and transposes back, each group of cells joined once
-with the factor kernel's ``join``.  The complement of a canonical grid
-complements its rows and is canonical as it stands.  A product with a
-trivial factor has one element, the empty grid with no cells: only
-``_joint_cells`` tests for this, and ``normalize`` finds every rectangle
-zero.
+form; without a table it calls ``_coarsen``, which merges equal rows, then
+equal columns, with ``_merge``.  A complemented canonical grid is
+canonical.  A product with a trivial factor has one element, the empty
+grid.
 
-P(n) (x) P(m) is P(nm): an element is fixed by its atom mask, the set of atom
-pairs (p, q) under it at bit p * m + q.  A product of two powersets with
-0 < n * m <= MAX_ATOMS holds ``_forms``, a table from atom mask to canonical
-form, so at most 2^16 forms, filled as masks are met and freed with the
-product; every other product has None there.  Its common grid is the atom
-pairs, so a flat cell mask is an atom mask: ``_joint_cells`` reads each
-part's with ``_grid_mask``, and ``_join_cells`` looks it up.  There
-``_join_cells`` takes only the atom pairs, the factors' own ``atoms()``
-tuples compared by identity, and raises AlgebraError on any other grid; the
-point cells that ``normalize`` lays several rectangles on are those same
-tuples.  Only these two functions read the table.  ``normalize`` of one
-rectangle and ``~`` keep the grid route, so laws still set a grid-built
-side against a mask-built one.  ``atom_mask`` reads a form through
-``point_index`` instead, a second route kept apart from ``_grid_mask`` as
-the independent reading that the bands isomorphism check and the tests use.
+P(n) (x) P(m) with 0 < n * m <= MAX_ATOMS holds ``_forms``, a table from
+atom mask (pair (p, q) at bit p * m + q) to canonical form, filled as masks
+are met; there the common grid is the factors' own ``atoms()`` tuples, so
+``_joint_cells`` reads each part's mask with ``_grid_mask`` and
+``_join_cells`` looks it up.  Only these two read the table.  ``atom_mask``
+reads a form through ``point_index`` instead, a second route kept apart
+from ``_grid_mask``.
 """
 
 from __future__ import annotations
@@ -201,16 +179,6 @@ class FreeProduct:
             raise AlgebraError("operation requires two nontrivial powerset factors")
 
     # -- generic backend surface ----------------------------------------------
-
-    def contains_point(self, x: "RectForm", p: int, q: int) -> bool:
-        """Membership of the product point (p, q); exact on every backend."""
-        self._check(x)
-        if self.is_trivial:
-            return False
-        i, j = _cell_of(p, x.left_cells), _cell_of(q, x.right_cells)
-        if i is None or j is None:
-            raise AlgebraError(f"({p}, {q}) is not a point of the product")
-        return bool(x.rows[i] >> j & 1)
 
     def join(self, xs: Iterable["RectForm"]) -> "RectForm":
         """Join of a finite family (zero if empty), members unchecked: the
@@ -403,11 +371,6 @@ def _runs(sources: Sequence[int]) -> list[tuple[int, int, int]]:
     starts = [j for j in range(len(sources)) if j == 0 or sources[j] != sources[j - 1] + 1]
     ends = starts[1:] + [len(sources)]
     return [(sources[a], a, (1 << (b - a)) - 1) for a, b in zip(starts, ends)]
-
-
-def _cell_of(n: int, cells: Sequence[Elem]) -> int | None:
-    """Index of the cell holding the point n, or None."""
-    return next((k for k, c in enumerate(cells) if c.contains(n)), None)
 
 
 def _coarsen(fp: FreeProduct, L: Sequence[Elem], R: Sequence[Elem], mask: int) -> RectForm:

@@ -283,12 +283,11 @@ def is_component(f: PlaceFunction) -> bool:
 
 
 def as_element(f: PlaceFunction):
-    """The backend element x with f = chi(x), or None."""
-    if not f.terms:
-        return f.backend.zero
-    if len(f.terms) == 1 and f.terms[0][0] == 1:
+    """The backend element x with f = chi(x), or None; every coefficient is
+    checked exact."""
+    if [_exact(c) for c, _ in f.terms] == [1]:
         return f.terms[0][1]
-    return None
+    return None if f.terms else f.backend.zero
 
 
 def random_place(backend, rng: random.Random, positive: bool = False) -> PlaceFunction:

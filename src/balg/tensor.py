@@ -95,8 +95,7 @@ def atom_space(alg: Algebra) -> tuple:
 
 
 def pair_space(a: Algebra, b: Algebra) -> tuple:
-    return tuple((p, q) for p in range(1, a.atom_count + 1)
-                 for q in range(1, b.atom_count + 1))
+    return tuple((p, q) for p in atom_space(a) for q in atom_space(b))
 
 
 def random_vector(space: Sequence, rng: random.Random, positive: bool = False) -> AtomVector:
@@ -194,11 +193,8 @@ def psi_terms(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
 
 def psi_terms_by_rectangles(fp: FreeProduct, f_terms, g_terms) -> PlaceFunction:
     """The double sum spelled out rectangle by rectangle (reference route)."""
-    raw = []
-    for lam, x in f_terms:
-        for gam, u in g_terms:
-            raw.append((lam * gam, fp.rect(x, u)))
-    return places.canonicalize(fp, raw)
+    return places.canonicalize(fp, [(lam * gam, fp.rect(x, u))
+                                    for lam, x in f_terms for gam, u in g_terms])
 
 
 def split_representation(f: PlaceFunction, rng: random.Random):

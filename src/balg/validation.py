@@ -7,24 +7,25 @@ kept as an explicit set, which must hold exactly one least member.
 
 A no-supremum certificate is reparsed and every improvement step rechecked:
 strict order decrease, chain continuity, and preserved upper-bound status.
-The upper-bound predicates here check membership point by point: at each
-natural that some cell support names, and at one natural past them all,
-which stands for every natural named nowhere.  They read cells off their
-own supports, apart from the cell logic the certificate generators use;
-only the element substrate (algebra operations and the expression grammar)
-is shared.
+The upper-bound predicates check membership at the points that decide the
+bound, ``points.decisive``: each natural some cell support names, and the
+tail point, which stands for every natural named nowhere.  Every verdict is
+read by ``points.holds`` off the cells' own supports, apart from the cell
+logic the certificate generators use; only the element substrate (algebra
+operations and the expression grammar) is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 from .algebra import Elem, finite_cofinite
 from .certificates import DIAGONAL_FAMILY, EVENS_FAMILY
 from .expr import booleans_only, parse_element, rectform_from_grid
 from .free_product import FreeProduct, RectForm
+from . import points
+from .points import TAIL
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,44 +36,15 @@ class ValidationResult:
 
 
 def _evens_upper_bound(u: Elem) -> bool:
-    """Pointwise: u contains every even number.
-
-    Membership is the same for every natural outside the support, so the
-    even members of the support and one natural past them all decide it.
-    """
-    mode, support = u.data
-    generic = support[-1] + 1 if support else 0
-    return all(u.contains(n) for n in support if n % 2 == 0) and u.contains(generic)
-
-
-def _cells_holding(cells: Sequence[Elem], points: Sequence[int]) -> list[int | None]:
-    """Index of the cell of one axis holding each point, or None.
-
-    Read off the cells' own supports: a fin cell holds its members, and the
-    cof cell every natural it does not leave out.
-    """
-    index: dict[int, int] = {}
-    tail, excluded = None, frozenset()
-    for k, c in enumerate(cells):
-        mode, support = c.data
-        if mode == "fin":
-            index.update(dict.fromkeys(support, k))
-        else:
-            tail, excluded = k, frozenset(support)
-    return [index.get(n, None if n in excluded else tail) for n in points]
+    """Pointwise: u holds each even decisive point, and TAIL."""
+    pts = [p for p in points.decisive(u.alg, (u,)) if p is TAIL or not p & 1]
+    return all(points.holds(u, pts))
 
 
 def _diagonal_upper_bound(u: RectForm) -> bool:
-    """Pointwise: u contains every diagonal point (n, n).
-
-    Membership of (n, n) is the same for every natural that no cell support
-    names, so the named naturals and one natural past them all decide it.
-    """
-    named = {n for c in u.left_cells + u.right_cells for n in c.data[1]}
-    points = [*named, max(named, default=-1) + 1]
-    return all(i is not None and j is not None and u.rows[i] >> j & 1
-               for i, j in zip(_cells_holding(u.left_cells, points),
-                               _cells_holding(u.right_cells, points)))
+    """Pointwise: u holds (p, p) at each point p that decides its cells."""
+    pts = points.decisive(u.fp.left, u.left_cells + u.right_cells)
+    return all(points.holds(u, [(p, p) for p in pts]))
 
 
 EXHAUSTIVE_MAX_ATOMS = 4

@@ -11,6 +11,7 @@ from balg.algebra import AlgebraError, Elem, powerset, trivial_algebra
 from balg.expr import ExprError, grid_dict, parse_element, rectform_from_grid, serialize_value
 from balg.free_product import FreeProduct, Rectangle, RectForm
 from balg import certificates as certs
+from balg.points import holds
 from balg.tensor import AtomVector
 from balg.validation import (ValidationResult, _diagonal_upper_bound, _evens_upper_bound,
                              validate_certificate)
@@ -247,8 +248,8 @@ class TestDiagonalRefuter:
             assert isinstance(step, certs.RefuteStep)
             m, m2 = step.defect
             assert m != m2
-            assert self.fp.contains_point(u, m, m2)
-            assert not self.fp.contains_point(step.improved, m, m2)
+            assert holds(u, [(m, m2)]) == [True]
+            assert holds(step.improved, [(m, m2)]) == [False]
             u = step.improved
 
 
@@ -318,14 +319,14 @@ class TestDiagonalCut:
 
 
 def sweep_diagonal_step(u):
-    """Reference refuter step: test (n, n) with ``contains_point`` for every
-    n up to one past the largest natural the cof cells leave out."""
+    """Reference refuter step: test (n, n) with ``holds`` for every n up to
+    one past the largest natural the cof cells leave out."""
     fp = u.fp
     left_out = next(c for c in u.left_cells if c.data[0] == "cof").data[1]
     right_out = next(c for c in u.right_cells if c.data[0] == "cof").data[1]
     horizon = max(set(left_out) | set(right_out), default=-1) + 1
-    for n in range(horizon + 1):
-        if not fp.contains_point(u, n, n):
+    for n, held in enumerate(holds(u, [(n, n) for n in range(horizon + 1)])):
+        if not held:
             return certs.NotUpperBound((n, n))
     m = 0
     while m in left_out:
@@ -356,7 +357,7 @@ def random_diagonal_grid(fp, rng):
 
 
 class TestDiagonalRefuterSweep:
-    def test_matches_contains_point_sweep(self):
+    def test_matches_pointwise_sweep(self):
         fp = FreeProduct(FC, FC)
         rng = random.Random(9)
         outcomes = {certs.RefuteStep: 0, certs.NotUpperBound: 0}
@@ -369,7 +370,7 @@ class TestDiagonalRefuterSweep:
 
 
 class TestValidatorPredicates:
-    """The validator checks named points plus one generic point; the
+    """The validator checks named points plus the tail point; the
     references here sweep every natural up to past the largest one named."""
 
     def test_diagonal_matches_sweep(self):
@@ -380,7 +381,7 @@ class TestValidatorPredicates:
             u = random_diagonal_grid(fp, rng)
             horizon = max((n for c in u.left_cells + u.right_cells for n in c.data[1]),
                           default=0)
-            want = all(fp.contains_point(u, n, n) for n in range(horizon + 2))
+            want = all(holds(u, [(n, n) for n in range(horizon + 2)]))
             assert _diagonal_upper_bound(u) == want
             verdicts.append(want)
         assert 100 <= sum(verdicts) <= 200

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balg.algebra import POWERSET, Elem, trivial_algebra
+from balg.algebra import POWERSET, AlgebraError, Elem, trivial_algebra
 from balg.expr import (MAX_DEPTH, ExprError, _Parser, elem_text, grid_dict, parse_element,
                        parse_place, place_text, rect_text, rectform_from_grid)
 from balg.free_product import FreeProduct, RectForm
 from balg import free_product, places
-from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
+from balg.points import decisive, holds
+from conftest import (FC, INEXACT, P3, P4, fincof_elems, flat, grid_elems, partitions,
                       powerset_elems, rationals)
 
 FCxFC = FreeProduct(FC, FC)
@@ -125,6 +126,13 @@ class TestSerialization:
         f = places.canonicalize(P3, [(2, P3.subset([1, 2])), (3, P3.subset([3]))])
         assert place_text(f) == "2*chi({1,2}) + 3*chi({3})"
         assert place_text(places.zero(P3)) == "0"
+
+    @pytest.mark.parametrize("c", [1.0, *INEXACT.values()], ids=["1.0", *INEXACT])
+    def test_place_text_refuses_an_inexact_coefficient(self, c):
+        """1.0 * chi(1), built by hand, is not written as chi(1)."""
+        for terms in (((c, P3.one),), ((1, P3.subset([1])), (c, P3.subset([2])))):
+            with pytest.raises(AlgebraError, match="coefficient"):
+                place_text(places.PlaceFunction(P3, terms))
 
     def test_place_grammar(self):
         from fractions import Fraction
@@ -260,15 +268,6 @@ class TestLiteralFastPath:
         assert outcome(parse_element, backend, text) == outcome(full_parse, backend, text)
 
 
-def axis_points(alg, cells):
-    """The points of an axis the cells name, and on finite_cofinite one
-    natural past them all."""
-    if alg.kind == POWERSET:
-        return range(1, alg.atom_count + 1)
-    named = sorted(set().union(*(c.data[1] for c in cells)))
-    return named + [named[-1] + 1 if named else 0]
-
-
 def split_cell(alg, cell):
     """Two nonzero cells whose join is ``cell``, or None if it is an atom."""
     if alg.kind == POWERSET:
@@ -385,11 +384,11 @@ class TestCanonicalGrids:
             assert keys == sorted(keys)
             assert not any(c.is_zero() for c in cells)
             assert all((c & d).is_zero() for k, c in enumerate(cells) for d in cells[k + 1:])
-        for p in axis_points(fp.left, L):
-            i = next(k for k, c in enumerate(L) if c.contains(p))
-            for q in axis_points(fp.right, R):
-                j = next(k for k, c in enumerate(R) if c.contains(q))
-                assert fp.contains_point(x, p, q) == bool(rows[i] >> j & 1)
+        for p in decisive(fp.left, L):
+            i = next(k for k, c in enumerate(L) if holds(c, [p])[0])
+            for q in decisive(fp.right, R):
+                j = next(k for k, c in enumerate(R) if holds(c, [q])[0])
+                assert holds(x, [(p, q)]) == [bool(rows[i] >> j & 1)]
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     @settings(max_examples=100, deadline=None)

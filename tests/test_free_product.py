@@ -12,6 +12,7 @@ from balg import certificates as certs
 from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, trivial_algebra
 from balg.expr import grid_dict, rectform_from_grid
 from balg.free_product import FreeProduct, InducedHom, Rectangle, RectForm, _joint_cells
+from balg.points import TAIL, holds
 from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
                       powerset_elems, rationals, split_refine)
 
@@ -143,8 +144,7 @@ class TestNormalize:
         assert len(x.left_cells) == len(x.right_cells) == 41
         assert calls[0] <= (41 + 41) * len(rects)
         for n in (0, 39, 40):
-            assert fp.contains_point(x, n, n) == (n < 40)
-            assert not fp.contains_point(x, n, n + 1)
+            assert holds(x, [(n, n), (n, n + 1)]) == [n < 40, False]
 
 
 class TestEmbeddings:
@@ -458,22 +458,20 @@ class TestPointMembership:
         for _ in range(200):
             rects = random_rects(fp, rng)
             x = fp.normalize(rects)
-            for p in range(6):
-                for q in range(6):
-                    direct = any(r.left.contains(p) and r.right.contains(q)
-                                 for r in rects)
-                    assert fp.contains_point(x, p, q) == direct
+            pts = [(p, q) for p in range(6) for q in range(6)]
+            assert holds(x, pts) == [any(r.left.contains(p) and r.right.contains(q)
+                                         for r in rects) for p, q in pts]
 
     def test_negative_naturals_are_not_points(self):
         fp = FreeProduct(FC, FC)
         for p, q in ((-1, -5), (-1, 0), (0, -1)):
             with pytest.raises(AlgebraError, match="not a point"):
-                fp.contains_point(fp.one, p, q)
-        assert fp.contains_point(fp.one, 0, 0)
+                holds(fp.one, [(p, q)])
+        assert holds(fp.one, [(0, 0), (TAIL, 0)]) == [True, True]
         for x in (FC.one, FC.cof([3]), FC.fin([0])):
             assert not x.contains(-1)
         with pytest.raises(AlgebraError, match="not a point"):
-            FreeProduct(P2, P2).contains_point(FreeProduct(P2, P2).one, 0, 1)
+            holds(FreeProduct(P2, P2).one, [(0, 1)])
 
 
 OVERLAY_PRODUCTS = {
@@ -485,12 +483,12 @@ OVERLAY_PRODUCTS = {
 
 def axis_points(alg, cells):
     """Points of one axis: every atom of a powerset; for finite_cofinite,
-    [0..H] with H past every natural named in the cells, plus one point
-    further out."""
+    [0..H] with H past every natural named in the cells, one natural
+    further out, and the tail point."""
     if alg.kind == POWERSET:
         return list(range(1, alg.atom_count + 1))
     horizon = max((n for c in cells for n in c.data[1]), default=0) + 1
-    return list(range(horizon + 1)) + [horizon + 1000]
+    return list(range(horizon + 1)) + [horizon + 1000, TAIL]
 
 
 # products that hold no table of forms: n * m past MAX_ATOMS, a
@@ -572,17 +570,13 @@ class TestTable:
         mask = data.draw(st.integers(0, (1 << (n * m)) - 1))
         from_mask = fp.from_atom_mask(mask)
         assert from_mask == free_product._coarsen(fp, fp.left.atoms(), fp.right.atoms(), mask)
-        below = True
-        for p in range(1, n + 1):
-            for q in range(1, m + 1):
-                u, v = fp.contains_point(x, p, q), fp.contains_point(y, p, q)
-                assert fp.contains_point(meet, p, q) == (u and v)
-                assert fp.contains_point(join, p, q) == (u or v)
-                assert fp.contains_point(dsum, p, q) == (u != v)
-                assert fp.contains_point(from_mask, p, q) == bool(
-                    mask >> ((p - 1) * m + q - 1) & 1)
-                below = below and (v or not u)
-        assert x.leq(y) == below
+        pts = [(p, q) for p in range(1, n + 1) for q in range(1, m + 1)]
+        xs, ys = holds(x, pts), holds(y, pts)
+        assert holds(meet, pts) == [u and v for u, v in zip(xs, ys)]
+        assert holds(join, pts) == [u or v for u, v in zip(xs, ys)]
+        assert holds(dsum, pts) == [u != v for u, v in zip(xs, ys)]
+        assert holds(from_mask, pts) == [bool(mask >> k & 1) for k in range(n * m)]
+        assert x.leq(y) == all(v or not u for u, v in zip(xs, ys))
         # equal results are the same object
         assert meet is y & x and join is y | x and dsum is y ^ x
         assert fp.join([y, x]) is join and fp.from_atom_mask(fp.atom_mask(meet)) is meet
@@ -846,17 +840,13 @@ class TestOverlay:
                 y = x | y  # make leq hold often
             P = axis_points(fp.left, x.left_cells + y.left_cells)
             Q = axis_points(fp.right, x.right_cells + y.right_cells)
-            meet, join, dsum, comp = x & y, x | y, x ^ y, ~x
-            below = True
-            for p in P:
-                for q in Q:
-                    a, b = fp.contains_point(x, p, q), fp.contains_point(y, p, q)
-                    assert fp.contains_point(meet, p, q) == (a and b)
-                    assert fp.contains_point(join, p, q) == (a or b)
-                    assert fp.contains_point(dsum, p, q) == (a != b)
-                    assert fp.contains_point(comp, p, q) == (not a)
-                    below = below and (b or not a)
-            assert x.leq(y) == below
+            pts = [(p, q) for p in P for q in Q]
+            xs, ys = holds(x, pts), holds(y, pts)
+            assert holds(x & y, pts) == [a and b for a, b in zip(xs, ys)]
+            assert holds(x | y, pts) == [a or b for a, b in zip(xs, ys)]
+            assert holds(x ^ y, pts) == [a != b for a, b in zip(xs, ys)]
+            assert holds(~x, pts) == [not a for a in xs]
+            assert x.leq(y) == all(b or not a for a, b in zip(xs, ys))
 
 
 def side_elems(alg):

@@ -1,9 +1,10 @@
 """Conformance of the backend kernels.
 
 Every kind's kernel defines the same operations, and each operation, reached
-through ``Elem`` and ``Algebra``, agrees with a point-set oracle read off the
-data format.  A new kind joins ``ALGEBRAS`` with a strategy for its elements
-and teaches ``universe`` and ``points`` its format.
+through ``Elem`` and ``Algebra``, agrees with membership at the points that
+decide its operands, ``points.decisive``, read off the data format by
+``points.holds``.  A new kind joins ``ALGEBRAS`` with a strategy for its
+elements and teaches ``balg.points`` its format.
 """
 
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from balg import algebra
 from balg.algebra import POWERSET, AlgebraError, _meets, point_index, powerset, trivial_algebra
+from balg.points import TAIL, decisive, holds
 from conftest import FC, fincof_elems, partitions, powerset_elems, split_refine
 
 OPERATIONS = {"zero", "one", "join", "meet", "complement", "leq", "contains",
@@ -34,24 +36,6 @@ def test_kernels_define_the_same_operations():
         assert names == OPERATIONS, kind
 
 
-def universe(alg, elems):
-    """Points that tell the elements apart: the atoms of a powerset; on
-    finite_cofinite every natural a support names, plus one named nowhere,
-    which stands for all the others."""
-    if alg.kind == POWERSET:
-        return set(range(1, alg.atom_count + 1))
-    named = set().union(*(x.data[1] for x in elems))
-    return named | {max(named, default=-1) + 1}
-
-
-def points(x, where):
-    """The points of ``where`` that lie in x."""
-    if x.alg.kind == POWERSET:
-        return {n for n in where if x.data >> (n - 1) & 1}
-    mode, support = x.data
-    return {n for n in where if (n in support) == (mode == "fin")}
-
-
 def non_points(alg):
     """Integers that are no point of the algebra."""
     return (0, alg.atom_count + 1, -1) if alg.kind == POWERSET else (-1, -(10**6))
@@ -64,17 +48,17 @@ def test_operations_match_point_sets(name, data):
     alg, elems = ALGEBRAS[name]
     x, y = data.draw(elems), data.draw(elems)
     xs = data.draw(st.lists(elems, max_size=4))
-    where = universe(alg, [x, y, *xs])
-    px, py = points(x, where), points(y, where)
-    assert points(x & y, where) == px & py
-    assert points(x | y, where) == px | py
-    assert points(~x, where) == where - px
-    assert points(alg.join(xs), where) == set().union(*(points(v, where) for v in xs))
-    assert points(alg.zero, where) == set() and points(alg.one, where) == where
-    assert x.leq(y) == (px <= py)
-    assert x.is_zero() == (not px)
+    where = decisive(alg, [x, y, *xs])
+    px, py = holds(x, where), holds(y, where)
+    assert holds(x & y, where) == [a and b for a, b in zip(px, py)]
+    assert holds(x | y, where) == [a or b for a, b in zip(px, py)]
+    assert holds(~x, where) == [not a for a in px]
+    assert holds(alg.join(xs), where) == [any(holds(v, [p])[0] for v in xs) for p in where]
+    assert not any(holds(alg.zero, where)) and all(holds(alg.one, where))
+    assert x.leq(y) == all(b or not a for a, b in zip(px, py))
+    assert x.is_zero() == (not any(px))
     assert (x == y) == (px == py)
-    assert all(x.contains(n) == (n in px) for n in where)
+    assert all(x.contains(n) == a for n, a in zip(where, px) if n is not TAIL)
     assert not any(x.contains(n) for n in non_points(alg))
 
 
@@ -116,9 +100,9 @@ def test_point_index_finds_each_point(name, data):
     alg, elems = ALGEBRAS[name]
     cells = data.draw(partitions(alg, elems))
     index, tail = point_index(alg, cells)
-    where = universe(alg, cells)
-    for n in where:
-        assert [k for k, c in enumerate(cells) if n in points(c, where)] == [index.get(n, tail)]
+    for n in decisive(alg, cells):
+        want = tail if n is TAIL else index.get(n, tail)
+        assert [k for k, c in enumerate(cells) if holds(c, [n])[0]] == [want]
     assert (tail is None) == (alg.kind == POWERSET)
     if cells:
         with pytest.raises(AlgebraError):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from balg import bands, free_product, places, tensor
+from balg import bands, free_product, places, points, tensor
 from balg.algebra import Elem, Hom, _FinCofKernel, _PowersetKernel
 from balg.config import parse_config
 from balg.free_product import FreeProduct, InducedHom, RectForm
@@ -172,6 +172,27 @@ def lv_against_l_abs_v(preserves_abs):
     return mutant
 
 
+def cof_misses_the_tail(holds):
+    """``points.holds`` reading a cofinite element as missing TAIL."""
+    def mutant(x, pts):
+        got = holds(x, pts)
+        if isinstance(x, Elem) and x.data[0] == "cof":
+            return [h and p is not points.TAIL for h, p in zip(got, pts)]
+        return got
+    return mutant
+
+
+def one_past_the_last_named(decisive):
+    """``points.decisive`` putting one natural past the last named one in
+    place of TAIL, which fails on a family that names none."""
+    def mutant(alg, elems):
+        pts = decisive(alg, elems)
+        if pts and pts[-1] is points.TAIL:
+            return pts[:-1] + [pts[-2] + 1]
+        return pts
+    return mutant
+
+
 MUTANTS = [
     ("grid mask drops the last row", (free_product, "_grid_mask"), drop_last_row,
      ["free_product", "tensor_iso", "bands", "completeness"]),
@@ -205,6 +226,10 @@ MUTANTS = [
      ["free_product"]),
     ("preserves_abs compares Lv with L|v|", (tensor.LinearLatticeMap, "preserves_abs"),
      lv_against_l_abs_v, ["universal_property"]),
+    ("holds reads a cofinite element as missing TAIL", (points, "holds"), cof_misses_the_tail,
+     ["completeness"]),
+    ("decisive takes one past the last named natural for TAIL", (points, "decisive"),
+     one_past_the_last_named, ["completeness"]),
 ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from balg.algebra import POWERSET, AlgebraError, Elem, powerset, trivial_algebra
 from balg.free_product import FreeProduct
 from balg import places, tensor
+from balg.points import decisive, holds
 from conftest import FC, INEXACT, P3, fincof_elems, powerset_elems, rationals
 
 
@@ -157,6 +158,14 @@ class TestCoefficients:
                     places.scale(k, f)
             with pytest.raises(AlgebraError, match="coefficient"):
                 f.scale(2)
+
+    @pytest.mark.parametrize("c", [1.0, *INEXACT.values()], ids=["1.0", *INEXACT])
+    def test_as_element_refuses_a_hand_built_function(self, c):
+        """A float 1.0 is no exact 1, so chi(1) is not read off 1.0 * chi(1)."""
+        P2 = powerset(2)
+        for terms in (((c, P2.one),), ((1, P2.subset([1])), (c, P2.subset([2])))):
+            with pytest.raises(AlgebraError, match="coefficient"):
+                places.as_element(places.PlaceFunction(P2, terms))
 
 
 class TestChi:
@@ -398,18 +407,9 @@ def backend_and_raws(draw):
     return backend, [draw(raw_terms(elems)) for _ in range(3)]
 
 
-def points(backend, elems) -> list[int]:
-    """Points that meet every cell the elements cut: the atoms of P(n); over
-    fincof, each natural an element names and one past all of them."""
-    if backend.kind == POWERSET:
-        return list(range(1, backend.atom_count + 1))
-    named = sorted({n for x in elems for n in x.data[1]})
-    return named + [named[-1] + 1 if named else 0]
-
-
 def value(terms, p) -> Fraction:
     """The value at p of a coefficient/support list, by Fraction arithmetic."""
-    return sum((Fraction(c) for c, x in terms if x.contains(p)), Fraction(0))
+    return sum((Fraction(c) for c, x in terms if holds(x, [p])[0]), Fraction(0))
 
 
 def assert_canonical_at(f, pts):
@@ -417,14 +417,14 @@ def assert_canonical_at(f, pts):
     assert all(type(c) is Fraction and c != 0 for c in coeffs)
     assert len(set(coeffs)) == len(coeffs)
     for _, x in f.terms:
-        assert any(x.contains(p) for p in pts)
+        assert any(holds(x, pts))
     for p in pts:
-        assert sum(x.contains(p) for _, x in f.terms) <= 1
+        assert sum(holds(x, [p])[0] for _, x in f.terms) <= 1
 
 
 class TestPointOracle:
     """Each place operation agrees with Fraction arithmetic at every point
-    that meets a cell, read through ``contains`` alone."""
+    that decides the supports, read through ``holds`` alone."""
 
     @settings(max_examples=150, deadline=None)
     @given(backend_and_raws())
@@ -437,7 +437,7 @@ class TestPointOracle:
                    "meet": places.meet(f, g)}
         elems = [x for raw in (raw_f, raw_g, raw_h) for _, x in raw]
         elems += [x for r in (f, g, h, *results.values()) for _, x in r.terms]
-        pts = points(backend, elems)
+        pts = decisive(backend, elems)
         for r in (f, g, h, *results.values()):
             assert_canonical_at(r, pts)
         for p in pts:
