@@ -13,10 +13,14 @@ Each kernel has one n-ary join, behind ``Algebra.join``; one refinement of
 partitions of the unit by point signatures, behind ``_meets``, after Paige
 and Tarjan (SIAM J. Comput. 1987), on which ``refine_partition`` and
 ``free_product._joint_cells`` are built; and one point rule,
-``point_cells``, behind ``Algebra.joint_cells``.  A finite family is decided
-by finitely many points of the Stone space, which ``points.decisive`` lists
-and ``points.holds`` reads membership at: the atoms of P(n), or each natural
-the family names and the tail point, the ultrafilter of cofinite sets.
+``point_cells``, behind ``Algebra.joint_cells``.  ``refine_partition`` of
+one part x takes no meets: its cells are the nonzero ones of x and ~x.
+Its callers are ``Hom.from_generator_images`` and the single-rectangle
+branch of ``FreeProduct.normalize``, which refines each axis by one part.
+A finite family is decided by finitely many points of the Stone space,
+which ``points.decisive`` lists and ``points.holds`` reads membership at:
+the atoms of P(n), or each natural the family names and the tail point,
+the ultrafilter of cofinite sets.
 ``joint_cells`` hands those points out as cells (the held atoms tuple on a
 powerset, on which ``join_cells`` reads a mask as the bitset), with each
 element's mask of them, and refines nothing.  A new backend kind takes one
@@ -458,10 +462,19 @@ def refine_partition(one: Elem, parts: Sequence[Elem]) -> list[Elem]:
     The common refinement of the two-cell partitions ``(x, ~x)``: all the
     nonzero signed meets of the parts, sorted by ``sort_key``.  The
     partitions are formed on kernel data, so no ``~x`` is built as an element.
+    One part x is its own refinement: the nonzero ones of x and ~x, sorted,
+    with no meets.
     """
     alg = one.alg
     kernel = alg.kernel
-    cells, _ = kernel.meets([(x.data, kernel.complement(x.data)) for x in parts])
+    if len(parts) == 1:
+        a = parts[0].data
+        b = kernel.complement(a)
+        if kernel.sort_key(b) < kernel.sort_key(a):
+            a, b = b, a
+        cells = [c for c in (a, b) if c != kernel.zero]
+    else:
+        cells, _ = kernel.meets([(x.data, kernel.complement(x.data)) for x in parts])
     return [Elem(alg, data) for data in cells]
 
 

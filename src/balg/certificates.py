@@ -199,16 +199,17 @@ def improve_upper_bound_evens(u: Elem) -> RefuteStep | NotUpperBound:
         raise AlgebraError("the even-singleton family lives in finite_cofinite")
     alg = u.alg
     mode, support = u.data
+    named = set(support)
     if mode == "fin":
         e = 0
-        while e in support:
+        while e in named:
             e += 2
         return NotUpperBound(e)
     excluded_evens = [k for k in support if k % 2 == 0]
     if excluded_evens:
         return NotUpperBound(min(excluded_evens))
     k = 1
-    while k in support:
+    while k in named:
         k += 2
     improved = u & ~alg.fin([k])
     return RefuteStep(u, k, improved)

@@ -10,8 +10,9 @@ masks of ``_joint_cells`` (cell (i, j) of the common grid (L, R) at bit
 i * len(R) + j): the common refinement is ``algebra._meets`` of each axis,
 each grid's rows spread onto it by ``_runs``, an axis shared by every grid
 left as is.  ``normalize`` of one nonzero rectangle a x b gives the grid
-(a, ~a) x (b, ~b), canonical as built; several rectangles are laid on the
-factors' point cells, ``Algebra.joint_cells``, and ORed into one mask.
+(a, ~a) x (b, ~b), canonical as built, from the one-part refinements
+``refine_partition`` forms without meets; several rectangles are laid on
+the factors' point cells, ``Algebra.joint_cells``, and ORed into one mask.
 ``_join_cells`` is the one exit from a grid and a flat mask to a canonical
 form; without a table it calls ``_coarsen``, which merges equal rows, then
 equal columns, with ``_merge``.  A complemented canonical grid is
@@ -104,10 +105,11 @@ class FreeProduct:
     def normalize(self, rects: Sequence[Rectangle]) -> "RectForm":
         """Canonical form of a finite union of rectangles.
 
-        Several rectangles are laid on the grid of the factors' point cells,
-        ``Algebra.joint_cells`` of their sides, then coarsened by
-        ``_join_cells``; the result is independent of input order and of how
-        rectangles were split.
+        One nonzero rectangle a x b is the grid (a, ~a) x (b, ~b), each axis
+        ``refine_partition`` by one part, which takes no meets.  Several are
+        laid on the grid of the factors' point cells, ``Algebra.joint_cells``
+        of their sides, then coarsened by ``_join_cells``; the result is
+        independent of input order and of how rectangles were split.
         """
         for r in rects:
             self.left._check(r.left)
@@ -121,9 +123,10 @@ class FreeProduct:
             (r,) = rects
             L = refine_partition(self.left.one, [r.left])
             R = refine_partition(self.right.one, [r.right])
-            col = 1 << R.index(r.right)
-            return RectForm(self, tuple(L), tuple(R),
-                            tuple(col if c == r.left else 0 for c in L))
+            # a nonzero side is a cell of its axis: the first, else the second
+            rows = [0] * len(L)
+            rows[L[0].data != r.left.data] = 1 << (R[0].data != r.right.data)
+            return RectForm(self, tuple(L), tuple(R), tuple(rows))
         L, lmasks, _ = self.left.joint_cells([r.left for r in rects])
         R, rmasks, _ = self.right.joint_cells([r.right for r in rects])
         # row i: the right cells of every rectangle whose left side holds cell i

@@ -16,6 +16,13 @@ P4 = powerset(4)
 FC = finite_cofinite()
 
 
+def forbidden(what):
+    """A stand-in for a function that a work guard says is never called."""
+    def call(*args):
+        raise AssertionError(f"{what} was called")
+    return call
+
+
 def powerset_elems(alg):
     return st.integers(0, (1 << alg.atom_count) - 1).map(lambda bits: Elem(alg, bits))
 

@@ -13,7 +13,7 @@ from balg import algebra, free_product, suites, tensor
 from balg.algebra import (POWERSET, Algebra, AlgebraError, Elem, Hom, check_homomorphism,
                           finite_cofinite, powerset, refine_partition, trivial_algebra)
 from balg.free_product import FreeProduct
-from conftest import (FC, P3, P4, fincof_elems, grid_elems, powerset_elems,
+from conftest import (FC, P3, P4, fincof_elems, forbidden, grid_elems, powerset_elems,
                       split_refine)
 
 
@@ -353,10 +353,19 @@ def test_refine_partition_matches_split_reference(name, data):
         assert refine_partition(alg.one, parts) == want
 
 
-def forbidden(what):
-    def call(*args):
-        raise AssertionError(f"{what} was called")
-    return call
+@pytest.mark.parametrize("name", sorted(REFINE_AXES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_part_refinement_takes_no_meets(name, data):
+    """One part x refines the unit into the nonzero ones of x and ~x in
+    ``sort_key`` order, as the kernel's ``meets`` of (x, ~x) does, without
+    calling it."""
+    alg, elems = REFINE_AXES[name]
+    x = data.draw(st.one_of(elems, st.sampled_from((alg.zero, alg.one))))
+    want, _ = algebra._meets(alg, [(x, ~x)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(alg.kernel), "meets", forbidden("kernel.meets"))
+        assert refine_partition(alg.one, [x]) == want == split_refine(alg.one, [x])
 
 
 @pytest.mark.parametrize("name", sorted(REFINE_AXES))

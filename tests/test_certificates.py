@@ -171,6 +171,34 @@ class TestSubsetWalk:
         assert found > 0
 
 
+def scan_evens_step(u):
+    """Reference refuter step: each candidate looked up in the support tuple."""
+    mode, support = u.data
+    if mode == "fin":
+        e = 0
+        while e in support:
+            e += 2
+        return certs.NotUpperBound(e)
+    excluded_evens = [k for k in support if k % 2 == 0]
+    if excluded_evens:
+        return certs.NotUpperBound(min(excluded_evens))
+    k = 1
+    while k in support:
+        k += 2
+    return certs.RefuteStep(u, k, u & ~FC.fin([k]))
+
+
+def odd_run_supports():
+    """A run of up to 300 consecutive odd numbers, from 1 or from a drawn
+    odd start, beside sparse naturals; the evens dropped half the time, so
+    the cofinite walk past the run is reached."""
+    start = st.one_of(st.just(1), st.integers(0, 500).map(lambda k: 2 * k + 1))
+    return st.tuples(start, st.integers(0, 300), st.frozensets(naturals(), max_size=6),
+                     st.booleans()).map(
+        lambda t: tuple(sorted(n for n in set(range(t[0], t[0] + 2 * t[1], 2)) | t[2]
+                               if t[3] or n % 2)))
+
+
 class TestEvensRefuter:
     def test_unit_start(self):
         step = certs.improve_upper_bound_evens(FC.one)
@@ -197,6 +225,12 @@ class TestEvensRefuter:
             assert step.improved.leq(u) and step.improved != u
             # still dominates every even singleton
             assert all(FC.fin([e]).leq(step.improved) for e in range(0, 30, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(("fin", "cof")), odd_run_supports())
+    def test_matches_scanning_the_support(self, mode, support):
+        u = Elem(FC, (mode, support))
+        assert certs.improve_upper_bound_evens(u) == scan_evens_step(u)
 
     def test_chain(self):
         cert = certs.no_supremum_certificate(certs.EVENS_FAMILY, FC.one, steps=5)

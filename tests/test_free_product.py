@@ -13,7 +13,7 @@ from balg.algebra import POWERSET, AlgebraError, Elem, Hom, _meets, powerset, tr
 from balg.expr import grid_dict, rectform_from_grid
 from balg.free_product import FreeProduct, InducedHom, Rectangle, RectForm, _joint_cells
 from balg.points import TAIL, holds
-from conftest import (FC, P3, P4, fincof_elems, flat, grid_elems, partitions,
+from conftest import (FC, P3, P4, fincof_elems, flat, forbidden, grid_elems, partitions,
                       powerset_elems, rationals, split_refine)
 
 P2 = powerset(2)
@@ -874,8 +874,10 @@ class TestSingleRectangle:
     def test_two_refinements_per_normalize(self, name, monkeypatch):
         """perfbench's tracer reads two refinement spans, or none, under each
         ``normalize`` span; count the calls through every binding it
-        patches.  One nonzero rectangle refines each axis once; several
-        take the factors' point cells and refine nothing."""
+        patches.  One nonzero rectangle refines each axis once, by one part,
+        which takes no meets; several take the factors' point cells and
+        refine nothing.  No ``normalize`` reaches a kernel's ``meets`` or
+        ``point_index``."""
         fp = OVERLAY_PRODUCTS[name][0]
         calls = [0]
         original = algebra.refine_partition
@@ -886,6 +888,9 @@ class TestSingleRectangle:
 
         for mod in (algebra, free_product, tensor):
             monkeypatch.setattr(mod, "refine_partition", counting)
+        for kernel in {type(fp.left.kernel), type(fp.right.kernel)}:
+            monkeypatch.setattr(kernel, "meets", forbidden("kernel.meets"))
+            monkeypatch.setattr(kernel, "point_index", forbidden("kernel.point_index"))
         rng = random.Random(4)
         checked = {1: 0, 2: 0, 3: 0}
         for k in range(60):
@@ -898,6 +903,51 @@ class TestSingleRectangle:
                 assert calls[0] == (2 if live == 1 else 0), len(rects)
                 checked[live] += 1
         assert all(checked.values()), checked
+
+
+def refined_rectangle(fp, r):
+    """Oracle for ``normalize`` of one nonzero rectangle: each axis the
+    kernel's common refinement of the partition (side, ~side), as
+    ``refine_partition`` found it with no one-part case, the cell a x b set."""
+    (L, _), (R, _) = (_meets(alg, [(x, ~x)]) for alg, x in
+                      ((fp.left, r.left), (fp.right, r.right)))
+    col = 1 << R.index(r.right)
+    return RectForm(fp, tuple(L), tuple(R), tuple(col if c == r.left else 0 for c in L))
+
+
+DIRECT_PRODUCTS = {**TABLE_PRODUCTS,
+                   "P3xFC": FreeProduct(P3, FC), "FCxP2": FreeProduct(FC, P2),
+                   "FCxFC": FreeProduct(FC, FC)}
+
+
+class TestDirectBuild:
+    """One nonzero rectangle's grid, built from the one-part refinements
+    (a, ~a) and (b, ~b), against the kernel's refinement: equal as values,
+    and canonical, so it reads back."""
+
+    @pytest.mark.parametrize("name", sorted(DIRECT_PRODUCTS))
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_refinement(self, name, data):
+        fp = DIRECT_PRODUCTS[name]
+        a, b = data.draw(side_elems(fp.left)), data.draw(side_elems(fp.right))
+        for r in (Rectangle(a, b), Rectangle(a, fp.right.one), Rectangle(fp.left.one, b)):
+            if not r.is_zero():
+                x = fp.rect(r.left, r.right)
+                assert x == fp.normalize([r]) == refined_rectangle(fp, r)
+                assert rectform_from_grid(fp, grid_dict(x)) == x
+        if not a.is_zero():
+            assert fp.embed_left(a) == refined_rectangle(fp, Rectangle(a, fp.right.one))
+        if not b.is_zero():
+            assert fp.embed_right(b) == refined_rectangle(fp, Rectangle(fp.left.one, b))
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+    def test_atoms_match_refinement(self, name):
+        fp = TABLE_PRODUCTS[name]
+        want = [refined_rectangle(fp, Rectangle(p, q))
+                for p in fp.left.atoms() for q in fp.right.atoms()]
+        assert list(fp.atoms()) == want
+        assert all(rectform_from_grid(fp, grid_dict(x)) == x for x in want)
 
 
 def naive_meets(alg, partitions):

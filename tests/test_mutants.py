@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from balg import bands, free_product, places, points, tensor
-from balg.algebra import Elem, Hom, _FinCofKernel, _PowersetKernel
+from balg.algebra import FINITE_COFINITE, Elem, Hom, _FinCofKernel, _PowersetKernel
 from balg.config import parse_config
 from balg.free_product import FreeProduct, InducedHom, RectForm
 from balg.suites import run_suites
@@ -151,6 +151,30 @@ def drop_last_rectangle(normalize):
     return lambda fp, rects: normalize(fp, rects[:-1] if len(rects) > 1 else rects)
 
 
+def cof_part_listed_first(refine):
+    """``refine_partition`` as ``free_product`` binds it, listing a cofinite
+    part before its finite complement, so a one-rectangle grid leaves those
+    two cells unsorted."""
+    def mutant(one, parts):
+        cells = refine(one, parts)
+        if (len(parts) == 1 and len(cells) == 2 and one.alg.kind == FINITE_COFINITE
+                and parts[0].data[0] == "cof"):
+            return cells[::-1]
+        return cells
+    return mutant
+
+
+def activate_the_complement_row(normalize):
+    """``FreeProduct.normalize`` of one nonzero rectangle a x b activating
+    ~a x b: the two rows of its grid swapped."""
+    def mutant(fp, rects):
+        x = normalize(fp, rects)
+        if sum(not r.is_zero() for r in rects) != 1 or len(x.rows) != 2:
+            return x
+        return RectForm(fp, x.left_cells, x.right_cells, x.rows[::-1])
+    return mutant
+
+
 def drop_last_member(join):
     """``FreeProduct.join`` leaving out the last of several members."""
     def mutant(fp, xs):
@@ -224,6 +248,10 @@ MUTANTS = [
      drop_last_rectangle, ["free_product"]),
     ("free-product join drops a member", (FreeProduct, "join"), drop_last_member,
      ["free_product"]),
+    ("one-rectangle grid leaves a cofinite side unsorted", (free_product, "refine_partition"),
+     cof_part_listed_first, ["free_product"]),
+    ("one-rectangle grid activates ~a x b", (FreeProduct, "normalize"),
+     activate_the_complement_row, ["free_product", "universal_property"]),
     ("preserves_abs compares Lv with L|v|", (tensor.LinearLatticeMap, "preserves_abs"),
      lv_against_l_abs_v, ["universal_property"]),
     ("holds reads a cofinite element as missing TAIL", (points, "holds"), cof_misses_the_tail,
